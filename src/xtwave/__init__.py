@@ -20,11 +20,13 @@ from .errors import (
     ConfigError,
     DomainMismatchError,
     IntegrationError,
+    InvalidProblemError,
     InvalidRegularityError,
     InvalidSpaceError,
     InvalidTestSpaceError,
     OutOfDomainError,
     SingularSystemError,
+    SolutionFileError,
     UnsupportedRuleError,
     XTWaveError,
 )

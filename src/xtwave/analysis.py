@@ -5,12 +5,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import assemble_space_matrix, assemble_time_matrix
-from .newton import make_newton_solver
-from .quadrature import gauss_rule, panel_points
+from .forms import assemble_time_matrix
+from .newton import make_newton_solver, weighted_dual_sq
+from .quadrature import panel_points, time_panel_points
 from .splines import test_space_of
-from .system import evaluate_grid
+from .system import _shift_values, assemble, evaluate_grid
 
+# error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
+_FIELDS = {
+    "U": (0, 0, "u", "u"),
+    "V": (0, 0, "v", "v"),
+    "dtU": (0, 1, "u", "v"),
+    "cgradU": (1, 0, "u", "dx_u"),
+}
 # keys of the squared sums accumulated by error_report; "e" suffix marks the
 # exponentially weighted variants
 _SUM_KEYS = (
@@ -63,57 +70,51 @@ def _time_slice_values(solution, x, ts, d_x, d_t, which):
     Bx = solution.space_x.tabulate([x], d_x)[0]
     coeffs = solution.u_coeffs if which == "u" else solution.v_coeffs
     vals = solution.space_t.tabulate(ts, d_t) @ (Bx @ coeffs)
-    if d_t == 0:
-        p = solution.problem
-        if which == "u":
-            vals = vals + (p.dU0(x) if d_x else p.U0(x))
-        else:
-            vals = vals + (p.dV0(x) if d_x else p.V0(x))
-    return vals
+    return vals + _shift_values(solution.problem, x, d_x, d_t, which)
 
 
-def _kink_corrections(solution, problem, xq, wx, n, T):
+def _kink_corrections(solution, problem, xq, wx, time_rule, n):
     """Quadrature corrections for time elements cut by the discontinuity line.
 
     A Gauss rule is only legitimate where the integrand is smooth, so the
-    contribution of each cut element is replaced by two panels meeting at the
-    kink.  Returns per-key corrections for both the squared errors and the
-    squared exact norms.
+    contribution of each cut element, taken with the main sum's time rule
+    (tq, wt, wt_e) of n points per element, is replaced by two panels meeting
+    at the kink.  Returns per-key corrections for both the squared errors and
+    the squared exact norms.
     """
     exact = problem.exact
-    st = solution.space_t
-    bp_t = st.breakpoints
+    bp_t = solution.space_t.breakpoints
     at, bt = float(bp_t[0]), float(bp_t[-1])
-    rule = gauss_rule(n)
     c2 = problem.c2
     corr_err = {key: 0.0 for key in _SUM_KEYS}
     corr_norm = {key: 0.0 for key in _SUM_KEYS}
+    tq_el, wt_el, wte_el = (a.reshape(-1, n) for a in time_rule)
 
+    cuts = []  # (space node, cut time element, kink time)
     for i, x in enumerate(xq):
         ts_kink = exact.kink_time(x)
         if ts_kink is None or not (at + 1e-13 < ts_kink < bt - 1e-13):
             continue
         k = int(np.searchsorted(bp_t, ts_kink, side="right") - 1)
-        t0, t1 = float(bp_t[k]), float(bp_t[k + 1])
-        if min(ts_kink - t0, t1 - ts_kink) < 1e-13:
+        if min(ts_kink - bp_t[k], bp_t[k + 1] - ts_kink) < 1e-13:
             continue
-        panels = ((t0, t1, -1.0), (t0, ts_kink, 1.0), (ts_kink, t1, 1.0))
-        for a, b, sign in panels:
-            tn = a + (b - a) * rule.nodes
-            wn = (b - a) * rule.weights
-            wne = wn * np.exp(-tn / T)
-            ex = {
-                "U": exact.u(x, tn),
-                "V": exact.v(x, tn),
-                "dtU": exact.v(x, tn),
-                "cgradU": exact.dx_u(x, tn),
-            }
-            disc = {
-                "U": _time_slice_values(solution, x, tn, 0, 0, "u"),
-                "V": _time_slice_values(solution, x, tn, 0, 0, "v"),
-                "dtU": _time_slice_values(solution, x, tn, 0, 1, "u"),
-                "cgradU": _time_slice_values(solution, x, tn, 1, 0, "u"),
-            }
+        cuts.append((i, k, ts_kink))
+    # one mesh t0 < t* < t1 per cut element; row j holds both halves' rules
+    meshes = np.reshape([(bp_t[k], ts, bp_t[k + 1]) for _, k, ts in cuts], (-1, 3))
+    th, wh, whe = time_panel_points(meshes, n, problem.T)
+
+    for j, (i, k, _) in enumerate(cuts):
+        x = xq[i]
+        panels = (
+            (tq_el[k], wt_el[k], wte_el[k], -1.0),
+            (th[j, :n], wh[j, :n], whe[j, :n], 1.0),
+            (th[j, n:], wh[j, n:], whe[j, n:], 1.0),
+        )
+        for tn, wn, wne, sign in panels:
+            ex, disc = {}, {}
+            for name, (d_x, d_t, which, exact_name) in _FIELDS.items():
+                ex[name] = getattr(exact, exact_name)(x, tn)
+                disc[name] = _time_slice_values(solution, x, tn, d_x, d_t, which)
             for mat, weighted in _SUM_KEYS:
                 xw = wx[i] * (c2(x) if mat == "cgradU" else 1.0)
                 w = wne if weighted else wn
@@ -129,26 +130,16 @@ def error_report(solution, problem, n_quad=None, relative=True):
         raise ValueError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
     n = n_quad or max(sx.degree, st.degree) + 3
-    T = problem.T
     xq, wx = panel_points(sx.breakpoints, n)
-    tq, wt = panel_points(st.breakpoints, n)
-    wt_e = wt * np.exp(-tq / T)
+    tq, wt, wt_e = time_panel_points(st.breakpoints, n, problem.T)
     c2x = problem.c2(xq)
 
-    X, Tm = xq[:, None], tq[None, :]
-    fields = {
-        "U": (0, 0, "u", exact.u(X, Tm)),
-        "V": (0, 0, "v", exact.v(X, Tm)),
-        "dtU": (0, 1, "u", exact.v(X, Tm)),
-        "cgradU": (1, 0, "u", exact.dx_u(X, Tm)),
-    }
-    if exact.dt_v is not None:
-        fields["dtV"] = (0, 1, "v", exact.dt_v(X, Tm))
-
+    fields = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")) if exact.dt_v is not None else _FIELDS
     E, XV = {}, {}
-    for name, (d_x, d_t, which, ex_vals) in fields.items():
+    for name, (d_x, d_t, which, exact_name) in fields.items():
         u, v = evaluate_grid(solution, xq, tq, d_x, d_t)
         discrete = u if which == "u" else v
+        ex_vals = getattr(exact, exact_name)(xq[:, None], tq[None, :])
         ex_vals = np.broadcast_to(np.asarray(ex_vals, dtype=float), discrete.shape)
         E[name] = ex_vals - discrete
         XV[name] = ex_vals
@@ -161,7 +152,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         norm_sq[(mat, weighted)] = float(wxe @ (XV[mat] ** 2) @ wte)
 
     if exact.kink_time is not None:
-        corr_err, corr_norm = _kink_corrections(solution, problem, xq, wx, n, T)
+        corr_err, corr_norm = _kink_corrections(solution, problem, xq, wx, (tq, wt, wt_e), n)
         for key in err_sq:
             err_sq[key] += corr_err[key]
             norm_sq[key] += corr_norm[key]
@@ -169,14 +160,9 @@ def error_report(solution, problem, n_quad=None, relative=True):
     # Newton seminorm of the time derivative of the velocity error
     solver = make_newton_solver(sx, problem.c2, n)
     B = sx.tabulate(xq, 0)
-
-    def neh_sq(mat):
-        moments = B.T @ (mat * wx[:, None])
-        z = solver.solve_K(moments)
-        return float(wt_e @ np.einsum("aq,aq->q", moments, z))
-
     if "dtV" in E:
-        err_neh_sq, norm_neh_sq = neh_sq(E["dtV"]), neh_sq(XV["dtV"])
+        err_neh_sq = weighted_dual_sq(solver, B, wx, E["dtV"], wt_e)
+        norm_neh_sq = weighted_dual_sq(solver, B, wx, XV["dtV"], wt_e)
     else:
         err_neh_sq = norm_neh_sq = 0.0
 
@@ -212,10 +198,9 @@ def project_space(w, dw, space_x, c2, n_quad=None):
     of w in the c^2-weighted gradient seminorm."""
     n = n_quad or space_x.degree + 3
     xq, wx = panel_points(space_x.breakpoints, n)
-    K = assemble_space_matrix(space_x, space_x, 1, 1, c2, n_points=n).matrix
     dB = space_x.tabulate(xq, 1)
     g = dB.T @ (wx * c2(xq) * dw(xq))
-    return sla.cho_solve(sla.cho_factor(K), g)
+    return make_newton_solver(space_x, c2, n).solve_K(g)
 
 
 def project_time(w, dw, space_t, T, n_quad=None):
@@ -223,8 +208,7 @@ def project_time(w, dw, space_t, T, n_quad=None):
     derivative inner product, zero-left trial basis."""
     n = n_quad or space_t.degree + 3
     test = test_space_of(space_t)
-    tq, wt = panel_points(space_t.breakpoints, n)
-    wt_e = wt * np.exp(-tq / T)
+    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
     S = assemble_time_matrix(space_t, test, 1, 0, T, n_points=n).matrix
     dB = space_t.tabulate(tq, 1)
     r = dB.T @ (wt_e * dw(tq))
@@ -241,42 +225,39 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     """
     n = n_quad or max(space_x.degree, space_t.degree) + 3
     xq, wx = panel_points(space_x.breakpoints, n)
-    tq, wt = panel_points(space_t.breakpoints, n)
-    wt_e = wt * np.exp(-tq / T)
+    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
     c2x = c2(xq)
     W = np.broadcast_to(
         np.asarray(dxdt_w(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
     )
     test_t = test_space_of(space_t)
-    K = assemble_space_matrix(space_x, space_x, 1, 1, c2, n_points=n).matrix
+    space_op = make_newton_solver(space_x, c2, n)
     S = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n).matrix
-    M_x = assemble_space_matrix(space_x, space_x, 0, 0, n_points=n).matrix
     M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n).matrix
     dBx = space_x.tabulate(xq, 1)
     dBt = space_t.tabulate(tq, 1)
-    K_cho, S_cho = sla.cho_factor(K), sla.cho_factor(S)
+    S_cho = sla.cho_factor(S)
 
     # time projection first: per x-node time moments, then space projection
     r_x = W @ (dBt * wt_e[:, None])  # (n_qx, n_t)
     zeta_dx = sla.cho_solve(S_cho, r_x.T).T  # d/dx of the time coefficients
     g = dBx.T @ (zeta_dx * (wx * c2x)[:, None])  # (n_x, n_t)
-    A = sla.cho_solve(K_cho, g)
+    A = space_op.solve_K(g)
 
     # space projection first: per t-node space moments, then time projection
     s_t = W.T @ (dBx * (wx * c2x)[:, None])  # (n_qt, n_x)
-    y_dt = sla.cho_solve(K_cho, s_t.T).T  # d/dt of the space coefficients
+    y_dt = space_op.solve_K(s_t.T).T  # d/dt of the space coefficients
     rho = y_dt.T @ (dBt * wt_e[:, None])  # (n_x, n_t)
     B = sla.cho_solve(S_cho, rho.T).T
 
     D = A - B
-    norm = np.sqrt(max(float(np.sum((M_x @ D @ M_e) * D)), 0.0))
+    norm = np.sqrt(max(float(np.sum((space_op.M_x @ D @ M_e) * D)), 0.0))
     return norm, A, B
 
 
 def _gram_matrices(system):
     """Trial (V_eh) and test (W_eh) Gram matrices of the discrete norms."""
-    solver_N = sla.cho_factor(system.K_x)
-    N = system.M_x @ sla.cho_solve(solver_N, system.M_x)
+    N = system.space_op.N
     X_U = np.kron(system.S_e, system.M_x) + np.kron(system.M_e, system.K_x)
     X_V = np.kron(system.S_e, N) + np.kron(system.M_e, system.M_x)
     Y_lam = np.kron(system.S_e, system.M_x)
@@ -289,8 +270,6 @@ def _gram_matrices(system):
 def estimate_infsup(problem, space_x, space_t, n_quad=None):
     """Smallest generalized singular value of the block form in the discrete
     trial/test norm pair."""
-    from .system import assemble
-
     system = assemble(problem, space_x, space_t, n_quad)
     if system.size > 2000:
         raise ValueError(f"system size {system.size} too large for a dense eigensolve")
@@ -309,7 +288,7 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
 def discrete_veh_norm(system, solution):
     """Stability norm of the discrete (shifted) solution of the block system."""
     Cu, Cv = solution.u_coeffs, solution.v_coeffs
-    N = system.M_x @ sla.cho_solve(sla.cho_factor(system.K_x), system.M_x)
+    N = system.space_op.N
     q = (
         np.sum((system.M_x @ Cu @ system.S_e) * Cu)
         + np.sum((system.K_x @ Cu @ system.M_e) * Cu)
@@ -328,8 +307,7 @@ def stability_data_bound(problem, n_quad=12, n_elements=64):
     xs = np.linspace(problem.omega[0], problem.omega[1], n_elements + 1)
     ts = np.linspace(0.0, T, n_elements + 1)
     xq, wx = panel_points(xs, n_quad)
-    tq, wt = panel_points(ts, n_quad)
-    wt_e = wt * np.exp(-tq / T)
+    tq, _, wt_e = time_panel_points(ts, n_quad, T)
     Fv = np.broadcast_to(
         np.asarray(problem.F(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
     )

@@ -13,12 +13,10 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import expressions
 from .analysis import eoc, error_report, estimate_infsup
 from .errors import ConfigError, SingularSystemError, XTWaveError
-from .problems import by_name
+from .problems import by_name, wave_speed_floor
 from .splines import make_uniform_space
 from .system import ProblemSpec, assemble, dump_solution, solve
 
@@ -37,7 +35,6 @@ _SCHEMA = {
     "regularity": ("regularity", True),
     "levels": ("levels", True),
     "quad_points": ("int", False),
-    "seed": ("int", False),
     "threads": ("int", False),
     "out": ("str", False),
     "omega": ("pair", False),
@@ -62,7 +59,6 @@ class RunConfig:
     regularity: str  # "maximal", "c1" or a decimal string
     levels: tuple  # of (n_elems_x, n_elems_t)
     quad_points: int = None
-    seed: int = 0
     threads: int = None
     out: str = None
     omega: tuple = None
@@ -156,7 +152,6 @@ def parse_config(text, mode=None):
         regularity=values["regularity"],
         levels=values["levels"],
         quad_points=values.get("quad_points"),
-        seed=values.get("seed", 0),
         threads=values.get("threads"),
         out=values.get("out"),
         omega=values.get("omega"),
@@ -176,7 +171,6 @@ def serialize_config(config):
         f"degree = {config.degree}",
         f"regularity = {config.regularity}",
         "levels = " + " ".join(f"{nx}x{nt}" for nx, nt in config.levels),
-        f"seed = {config.seed}",
     ]
     if config.quad_points is not None:
         lines.append(f"quad_points = {config.quad_points}")
@@ -225,19 +219,12 @@ def _inline_problem(config):
     U0e = expressions.parse_expression(data["U0"], ("x",))
     V0e = expressions.parse_expression(data["V0"], ("x",))
     c2 = expressions.lambdify(c2e, ("x",))
-    c0 = config.c0
-    if c0 is None:
-        xs = np.linspace(config.omega[0], config.omega[1], 2001)
-        c2_min = float(np.min(c2(xs)))
-        if c2_min <= 0:
-            raise ConfigError("c2 must be positive on the domain")
-        c0 = float(np.sqrt(c2_min))
     div_flux = expressions.diff(c2e * expressions.diff(U0e, "x"), "x")
     return ProblemSpec(
         omega=config.omega,
         T=config.T,
         c2=c2,
-        c0=c0,
+        c0=wave_speed_floor(c2, config.omega, config.c0),
         F=expressions.lambdify(Fe, ("x", "t")),
         U0=expressions.lambdify(U0e, ("x",)),
         dU0=expressions.lambdify(expressions.diff(U0e, "x"), ("x",)),
@@ -411,7 +398,6 @@ def _build_parser():
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -433,8 +419,6 @@ def main(argv=None):
         overrides["out"] = args.out
     if args.threads is not None:
         overrides["threads"] = args.threads
-    if args.seed is not None:
-        overrides["seed"] = args.seed
     if overrides:
         config = replace(config, **overrides)
     return run(config)

@@ -47,3 +47,11 @@ class SingularSystemError(XTWaveError):
 
 class ConfigError(XTWaveError):
     """Run configuration file is malformed or violates the schema."""
+
+
+class SolutionFileError(XTWaveError):
+    """Solution file is of an unknown or unsupported format, or malformed."""
+
+
+class InvalidProblemError(XTWaveError):
+    """Problem data violate the assumptions of the method (c^2 > 0, c0 bound)."""

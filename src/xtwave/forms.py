@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssemblyError, DomainMismatchError
-from .quadrature import panel_points
+from .quadrature import panel_points, time_panel_points
 
 
 @dataclass(frozen=True)
@@ -42,14 +42,10 @@ def default_n_points(trial, test):
     return max(trial.degree, test.degree) + 2
 
 
-def _weighted_gram(trial, test, d_trial, d_test, factor, n_points):
-    xq, wq = panel_points(trial.breakpoints, n_points)
-    fvals = factor(xq)
-    if not np.all(np.isfinite(fvals)):
-        raise AssemblyError("coefficient is non-finite at a quadrature node")
+def _gram(trial, test, d_trial, d_test, xq, w):
     b_test = test.tabulate(xq, d_test)
     b_trial = trial.tabulate(xq, d_trial)
-    return b_test.T @ (b_trial * (wq * fvals)[:, None])
+    return b_test.T @ (b_trial * w[:, None])
 
 
 def assemble_time_matrix(trial, test, d_trial, d_test, T, n_points=None):
@@ -59,7 +55,8 @@ def assemble_time_matrix(trial, test, d_trial, d_test, T, n_points=None):
     if abs(a) > 1e-12 or abs(b - T) > 1e-12:
         raise DomainMismatchError(f"time spaces must live on (0, {T}), got ({a}, {b})")
     n = n_points or default_n_points(trial, test)
-    matrix = _weighted_gram(trial, test, d_trial, d_test, lambda t: np.exp(-t / T), n)
+    tq, _, wt_e = time_panel_points(trial.breakpoints, n, T)
+    matrix = _gram(trial, test, d_trial, d_test, tq, wt_e)
     return UnivariateForm(trial, test, d_trial, d_test, "expT", matrix)
 
 
@@ -69,5 +66,9 @@ def assemble_space_matrix(trial, test, d_trial, d_test, coefficient=None, n_poin
     if coefficient is None:
         coefficient = np.ones_like
     n = n_points or default_n_points(trial, test)
-    matrix = _weighted_gram(trial, test, d_trial, d_test, coefficient, n)
+    xq, wq = panel_points(trial.breakpoints, n)
+    fvals = coefficient(xq)
+    if not np.all(np.isfinite(fvals)):
+        raise AssemblyError("coefficient is non-finite at a quadrature node")
+    matrix = _gram(trial, test, d_trial, d_test, xq, wq * fvals)
     return UnivariateForm(trial, test, d_trial, d_test, "one", matrix)

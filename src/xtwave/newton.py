@@ -6,17 +6,20 @@ entering the stability and error norms.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import assemble_space_matrix
-from .quadrature import panel_points
+from .forms import assemble_space_matrix, assemble_time_matrix
+from .quadrature import panel_points, time_panel_points
 
 
 @dataclass
 class NewtonSolver:
-    """Cached factorization of the c^2-stiffness on a zero-both spline space."""
+    """The spatial operator: mass M_x, c^2-stiffness K_x and the Cholesky
+    factor of K_x on a zero-both spline space, assembled once and shared by
+    the block system, the discrete norms and the projectors."""
 
     space: object
     c2: callable
@@ -28,6 +31,11 @@ class NewtonSolver:
     def solve_K(self, rhs):
         return sla.cho_solve(self.K_cho, rhs)
 
+    @cached_property
+    def N(self):
+        """Discrete Newton potential matrix M_x K_x^-1 M_x."""
+        return self.M_x @ self.solve_K(self.M_x)
+
 
 def make_newton_solver(space_x, c2, n_quad=None):
     n = n_quad or space_x.degree + 2
@@ -36,10 +44,12 @@ def make_newton_solver(space_x, c2, n_quad=None):
     return NewtonSolver(space_x, c2, M_x, K_x, sla.cho_factor(K_x), n)
 
 
-def moment_vector(solver, load, n_points=None):
-    """Mass moments of a load function against the space basis."""
-    n = n_points or solver.n_quad
-    xq, wq = panel_points(solver.space.breakpoints, n)
+def moment_vector(solver, load):
+    """Mass moments of a load against the space basis: a callable load is
+    integrated by quadrature, a coefficient vector is multiplied by M_x."""
+    if not callable(load):
+        return solver.M_x @ np.asarray(load, dtype=float)
+    xq, wq = panel_points(solver.space.breakpoints, solver.n_quad)
     B = solver.space.tabulate(xq, 0)
     vals = np.asarray(load(xq), dtype=float)
     return B.T @ (wq * vals)
@@ -47,21 +57,23 @@ def moment_vector(solver, load, n_points=None):
 
 def apply(solver, load):
     """Newton potential coefficients: K_x z = (load, basis)."""
-    if callable(load):
-        m = moment_vector(solver, load)
-    else:
-        m = solver.M_x @ np.asarray(load, dtype=float)
-    return solver.solve_K(m)
+    return solver.solve_K(moment_vector(solver, load))
 
 
 def norm_Nh(solver, load):
     """Discrete dual seminorm of a load (norm on the spline space itself)."""
-    if callable(load):
-        m = moment_vector(solver, load)
-    else:
-        m = solver.M_x @ np.asarray(load, dtype=float)
+    m = moment_vector(solver, load)
     val = float(m @ solver.solve_K(m))
     return np.sqrt(max(val, 0.0))
+
+
+def weighted_dual_sq(solver, B, wx, values, wt_e):
+    """Exponentially weighted time integral of the squared dual seminorm of a
+    load given at space nodes (rows, basis table B, weights wx) and time nodes
+    (columns, weights wt_e)."""
+    moments = B.T @ (values * wx[:, None])  # (n_x, n_tq)
+    z = solver.solve_K(moments)
+    return float(wt_e @ np.einsum("aq,aq->q", moments, z))
 
 
 def seminorm_Neh(solver, v, mesh_t, T, n_quad=None):
@@ -74,22 +86,15 @@ def seminorm_Neh(solver, v, mesh_t, T, n_quad=None):
     n = n_quad or solver.n_quad
     if isinstance(v, tuple):
         coeffs, space_t = v
-        # quadratic form w^T (M_e kron M K^-1 M) w evaluated factor-wise
-        from .forms import assemble_time_matrix
-
+        # quadratic form w^T (M_e kron N) w evaluated factor-wise
         M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n).matrix
-        N = solver.M_x @ solver.solve_K(solver.M_x)
-        val = float(np.sum((N @ coeffs @ M_e) * coeffs))
+        val = float(np.sum((solver.N @ coeffs @ M_e) * coeffs))
         return np.sqrt(max(val, 0.0))
     bp_t = mesh_t.breakpoints if hasattr(mesh_t, "breakpoints") else np.asarray(mesh_t)
-    tq, wt = panel_points(bp_t, n)
-    wt_e = wt * np.exp(-tq / T)
+    tq, _, wt_e = time_panel_points(bp_t, n, T)
     xq, wx = panel_points(solver.space.breakpoints, n)
     B = solver.space.tabulate(xq, 0)
     vals = np.broadcast_to(
         np.asarray(v(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
     )
-    moments = B.T @ (vals * wx[:, None])  # (n_x, n_tq)
-    z = solver.solve_K(moments)
-    per_node = np.einsum("aq,aq->q", moments, z)
-    return np.sqrt(max(float(wt_e @ per_node), 0.0))
+    return np.sqrt(max(weighted_dual_sq(solver, B, wx, vals, wt_e), 0.0))

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidProblemError
 from .system import ExactSolution, ProblemSpec
 
 
@@ -134,18 +135,25 @@ def singular_case():
     return NamedProblem("singular", spec)
 
 
+def wave_speed_floor(c2, omega, c0=None):
+    """Wave-speed lower bound c0: sqrt(min c2) over 2001 points of omega, or a
+    given c0 checked against it, because infsup_lower_bound trusts c0."""
+    c2_min = float(np.min(c2(np.linspace(omega[0], omega[1], 2001))))
+    if not c2_min > 0:
+        raise InvalidProblemError(f"c2 must be positive on the domain, its minimum is {c2_min}")
+    floor = float(np.sqrt(c2_min))
+    if c0 is not None and not 0 < c0 <= floor:
+        raise InvalidProblemError(f"c0 = {c0} must lie in (0, sqrt(min c2)] = (0, {floor}]")
+    return floor if c0 is None else c0
+
+
 def manufactured(u, dx_u, dt_u, dtt_u, div_c2_grad_u, c2, omega, T, c0=None, name="manufactured"):
     """Problem with forcing derived from a prescribed exact solution.
 
     All arguments after u are the callables needed to form the forcing
     F = d^2 U/dt^2 - div(c^2 grad U) and the initial data traces.
     """
-    if c0 is None:
-        xs = np.linspace(omega[0], omega[1], 2001)
-        c0 = float(np.sqrt(np.min(c2(xs))))
-        if c0 <= 0:
-            raise ValueError("wave speed must be bounded away from zero")
-
+    c0 = wave_speed_floor(c2, omega, c0)
     exact = ExactSolution(
         u=u,
         dx_u=dx_u,

@@ -30,13 +30,22 @@ def panel_points(breakpoints, n_points):
     """Nodes and weights of the composite rule over all elements.
 
     Returns flat arrays of length n_elements * n_points, element by element.
+    A stack of meshes (last axis the breakpoints) gives one such row per mesh.
     """
     bp = np.asarray(breakpoints, dtype=float)
     rule = gauss_rule(n_points)
     lengths = np.diff(bp)
-    xq = (bp[:-1, None] + lengths[:, None] * rule.nodes[None, :]).ravel()
-    wq = (lengths[:, None] * rule.weights[None, :]).ravel()
+    shape = (*lengths.shape[:-1], lengths.shape[-1] * n_points)
+    xq = (bp[..., :-1, None] + lengths[..., None] * rule.nodes).reshape(shape)
+    wq = (lengths[..., None] * rule.weights).reshape(shape)
     return xq, wq
+
+
+def time_panel_points(breakpoints, n_points, T):
+    """Composite rule on a time mesh: nodes, plain weights and the weights
+    times the exponential time weight exp(-t/T) of every time integral."""
+    tq, wt = panel_points(breakpoints, n_points)
+    return tq, wt, wt * np.exp(-tq / T)
 
 
 def integrate(f, mesh, n_points):

@@ -17,12 +17,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidSpaceError, OutOfDomainError, SingularSystemError
-from .forms import assemble_space_matrix, assemble_time_matrix
-from .quadrature import panel_points
+from .errors import InvalidSpaceError, OutOfDomainError, SingularSystemError, SolutionFileError
+from .forms import assemble_time_matrix
+from .newton import NewtonSolver, make_newton_solver
+from .quadrature import panel_points, time_panel_points
 from .splines import make_space, test_space_of
 
 RESIDUAL_TOL = 1e-10
+SOLUTION_HEADER = "# xtwave solution v2"
 
 
 @dataclass
@@ -73,8 +75,9 @@ class BlockSystem:
     space_t: object
     n_x: int
     n_t: int
-    M_x: np.ndarray  # space mass (coefficient 1)
-    K_x: np.ndarray  # space stiffness (coefficient c^2)
+    space_op: NewtonSolver  # M_x, K_x, the factor of K_x and N, built once
+    M_x: np.ndarray  # space mass (coefficient 1), space_op.M_x
+    K_x: np.ndarray  # space stiffness (coefficient c^2), space_op.K_x
     M_e: np.ndarray  # weighted time mass
     S_e: np.ndarray  # weighted time stiffness of theta'
     A_e: np.ndarray  # A_e[b, b'] = int theta_b' theta_{b'} exp(-t/T)
@@ -121,19 +124,17 @@ def assemble(problem, space_x, space_t, n_quad=None):
     n = n_quad or (max(space_x.degree, space_t.degree) + 2)
     T = problem.T
 
-    M_x = assemble_space_matrix(space_x, space_x, 0, 0, n_points=n).matrix
-    K_x = assemble_space_matrix(space_x, space_x, 1, 1, problem.c2, n_points=n).matrix
+    space_op = make_newton_solver(space_x, problem.c2, n)
     M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n).matrix
     S_e = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n).matrix
     A_e = assemble_time_matrix(space_t, test_t, 0, 0, T, n_points=n).matrix
 
-    tq, wt = panel_points(space_t.breakpoints, n)
-    wt_e = wt * np.exp(-tq / T)
+    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
     Bt_test = test_t.tabulate(tq, 0)  # theta_b'(t_q)
     d_e = Bt_test.T @ wt_e
 
     n_x, n_t = space_x.dim, space_t.dim
-    Ks, Ms = sp.csr_matrix(K_x), sp.csr_matrix(M_x)
+    Ks, Ms = sp.csr_matrix(space_op.K_x), sp.csr_matrix(space_op.M_x)
     Ss, As = sp.csr_matrix(S_e), sp.csr_matrix(A_e)
     B_lam_U = sp.kron(As, Ks)
     B_lam_V = sp.kron(Ss, Ms)
@@ -161,8 +162,9 @@ def assemble(problem, space_x, space_t, n_quad=None):
         space_t=space_t,
         n_x=n_x,
         n_t=n_t,
-        M_x=M_x,
-        K_x=K_x,
+        space_op=space_op,
+        M_x=space_op.M_x,
+        K_x=space_op.K_x,
         M_e=M_e,
         S_e=S_e,
         A_e=A_e,
@@ -238,48 +240,49 @@ def evaluate(solution, x, t, d_x=0, d_t=0):
 
 
 def dump_solution(solution, path):
-    """Write the coefficients as text, one line `block,i_x,i_t,value`."""
-    sx, st = solution.space_x, solution.space_t
-    kx, kt = sx.knots, st.knots
+    """Write the coefficients as text, one line `block,i_x,i_t,value`, after a
+    header that records each space's breakpoints, degree and constraint."""
     with open(path, "w") as f:
-        f.write("# xtwave solution v1\n")
-        f.write(
-            f"# space interval={sx.interval[0]:.17g},{sx.interval[1]:.17g} "
-            f"n_elements={kx.n_elements} degree={kx.degree} "
-            f"multiplicity={kx.interior_multiplicity} constraint={sx.constraint}\n"
-        )
-        f.write(
-            f"# time interval={st.interval[0]:.17g},{st.interval[1]:.17g} "
-            f"n_elements={kt.n_elements} degree={kt.degree} "
-            f"multiplicity={kt.interior_multiplicity} constraint={st.constraint}\n"
-        )
+        f.write(SOLUTION_HEADER + "\n")
+        for name, space in (("space", solution.space_x), ("time", solution.space_t)):
+            kv = space.knots
+            bp = ",".join(f"{b:.17g}" for b in kv.breakpoints)
+            f.write(
+                f"# {name} breakpoints={bp} degree={kv.degree} "
+                f"multiplicity={kv.interior_multiplicity} constraint={space.constraint}\n"
+            )
         for name, coeffs in (("U", solution.u_coeffs), ("V", solution.v_coeffs)):
             for i_x in range(coeffs.shape[0]):
                 for i_t in range(coeffs.shape[1]):
                     f.write(f"{name},{i_x},{i_t},{coeffs[i_x, i_t]:.17g}\n")
 
 
-def _parse_space_header(line):
-    fields = dict(item.split("=", 1) for item in line.split()[2:])
-    a, b = (float(s) for s in fields["interval"].split(","))
-    bp = np.linspace(a, b, int(fields["n_elements"]) + 1)
+def _parse_space_header(line, name):
+    tag, key, *items = line.split()
+    if (tag, key) != ("#", name):
+        raise ValueError(f"expected the {name} header, got {line!r}")
+    fields = dict(item.split("=", 1) for item in items)
+    bp = [float(s) for s in fields["breakpoints"].split(",")]
     return make_space(bp, int(fields["degree"]), int(fields["multiplicity"]), fields["constraint"])
 
 
 def load_solution(path, problem=None):
-    """Round-trip counterpart of dump_solution; spaces are rebuilt uniform."""
+    """Round-trip counterpart of dump_solution."""
     with open(path) as f:
         lines = f.read().splitlines()
-    if not lines or lines[0] != "# xtwave solution v1":
-        raise ValueError(f"{path} is not an xtwave solution file")
-    space_x = _parse_space_header(lines[1])
-    space_t = _parse_space_header(lines[2])
-    u = np.zeros((space_x.dim, space_t.dim))
-    v = np.zeros((space_x.dim, space_t.dim))
-    for line in lines[3:]:
-        if not line:
-            continue
-        name, i_x, i_t, value = line.split(",")
-        target = u if name == "U" else v
-        target[int(i_x), int(i_t)] = float(value)
-    return DiscreteSolution(u, v, space_x, space_t, problem)
+    if lines[:1] != [SOLUTION_HEADER]:
+        raise SolutionFileError(f"{path} is not an xtwave v2 solution file (v1 has no mesh)")
+    try:
+        space_x = _parse_space_header(lines[1], "space")
+        space_t = _parse_space_header(lines[2], "time")
+        shape = (space_x.dim, space_t.dim)
+        coeffs = {"U": np.zeros(shape), "V": np.zeros(shape)}
+        for line in filter(None, lines[3:]):
+            name, i_x, i_t, value = line.split(",")
+            index = (int(i_x), int(i_t))
+            if not (0 <= index[0] < shape[0] and 0 <= index[1] < shape[1]):
+                raise ValueError(f"index in {line!r} outside the dims {shape}")
+            coeffs[name][index] = float(value)
+    except (ValueError, KeyError, IndexError) as exc:
+        raise SolutionFileError(f"{path}: malformed solution file ({exc!r})") from exc
+    return DiscreteSolution(coeffs["U"], coeffs["V"], space_x, space_t, problem)

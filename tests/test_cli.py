@@ -1,9 +1,11 @@
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from xtwave import cli
-from xtwave.errors import ConfigError
+from xtwave.errors import ConfigError, InvalidProblemError
 
 SMOOTH_CONV = """\
 problem = smooth
@@ -46,9 +48,18 @@ def test_parse_round_trip():
         assert config == again
 
 
+def test_readme_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for text in blocks:
+        cli.parse_config(text)
+
+
 def test_unknown_key_rejected():
-    with pytest.raises(ConfigError):
-        cli.parse_config(SMOOTH_CONV + "frobnicate = 1\n", mode="solve")
+    for line in ("frobnicate = 1\n", "seed = 0\n"):
+        with pytest.raises(ConfigError):
+            cli.parse_config(SMOOTH_CONV + line, mode="solve")
 
 
 def test_duplicate_key_rejected():
@@ -146,6 +157,15 @@ def test_solve_run_inline(tmp_path):
     assert cli.run(config) == 0
     sol = xw.load_solution(tmp_path / "solution_L0.txt")
     assert sol.u_coeffs.shape == (4, 5)
+
+
+def test_inline_c0_above_wave_speed_rejected(tmp_path):
+    config = cli.parse_config(INLINE + "c0 = 1.01\n")
+    with pytest.raises(InvalidProblemError):
+        cli.build_problem(config)
+    assert cli.run(replace(config, out=str(tmp_path))) == 2
+    # c2 = 1 + x^2 has minimum 1 on (0, 1), so c0 = 1 is admissible
+    assert cli.build_problem(cli.parse_config(INLINE + "c0 = 1\n")).c0 == 1.0
 
 
 def test_main_exit_codes(tmp_path):

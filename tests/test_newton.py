@@ -46,6 +46,14 @@ def test_self_adjointness(rng):
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def test_newton_matrix():
+    solver = _solver(n_x=12, p=3, c2=lambda x: 1.0 + x**2)
+    N = solver.N
+    assert np.allclose(N, solver.M_x @ np.linalg.solve(solver.K_x, solver.M_x), rtol=1e-12, atol=0)
+    assert np.max(np.abs(N - N.T)) <= 1e-12 * np.max(np.abs(N))
+    assert solver.N is N
+
+
 def test_norm_positivity(rng):
     solver = _solver(n_x=10, p=2)
     for _ in range(10):

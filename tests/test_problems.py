@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import xtwave as xw
+from xtwave.errors import InvalidProblemError
 from xtwave.problems import by_name, manufactured, residual_check
 
 
@@ -124,6 +125,16 @@ def test_manufactured_zero_solution():
     assert np.allclose(prob.F(xs, 0.3), 0.0)
     assert np.allclose(prob.U0(xs), 0.0)
     assert np.allclose(prob.V0(xs), 0.0)
+
+
+def test_manufactured_rejects_nonpositive_c2():
+    zero2 = lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
+    with pytest.raises(InvalidProblemError):
+        manufactured(
+            u=zero2, dx_u=zero2, dt_u=zero2, dtt_u=zero2, div_c2_grad_u=zero2,
+            c2=lambda x: x - 0.5,
+            omega=(0.0, 1.0), T=1.0,
+        )
 
 
 def test_poincare_constant(smooth_problem, singular_problem):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xtwave.errors import IntegrationError, UnsupportedRuleError
-from xtwave.quadrature import MAX_POINTS, gauss_rule, integrate, panel_points
+from xtwave.quadrature import MAX_POINTS, gauss_rule, integrate, panel_points, time_panel_points
 
 
 def test_midpoint_rule():
@@ -47,6 +47,10 @@ def test_panel_points_cover_elements():
     assert xq.size == wq.size == 6
     assert abs(wq.sum() - 2.0) < 1e-14
     assert np.all((xq > 0) & (xq < 2))
+    # a stack of meshes gives the rows of the separate calls
+    xs, ws = panel_points(np.array([bp, [0.0, 1.5, 2.0]]), 3)
+    assert np.array_equal(xs[0], xq) and np.array_equal(ws[0], wq)
+    assert np.array_equal(xs[1], panel_points([0.0, 1.5, 2.0], 3)[0])
 
 
 def test_integrate_constant():
@@ -62,6 +66,9 @@ def test_integrate_weighted_exponential():
     oracle, _ = scipy.integrate.quad(lambda t: np.exp(-t / T), 0.0, T)
     assert abs(value - closed) < 1e-12
     assert abs(value - oracle) < 1e-12
+    # the same integral through the weights of the time-mesh rule
+    _, _, wt_e = time_panel_points(mesh, 10, T)
+    assert abs(wt_e.sum() - closed) < 1e-12
 
 
 def test_integrate_t_times_weight():

@@ -5,7 +5,12 @@ import scipy.sparse as sp
 
 import xtwave as xw
 from xtwave import splines
-from xtwave.errors import InvalidSpaceError, OutOfDomainError, SingularSystemError
+from xtwave.errors import (
+    InvalidSpaceError,
+    OutOfDomainError,
+    SingularSystemError,
+    SolutionFileError,
+)
 from xtwave.system import evaluate, evaluate_grid
 
 
@@ -150,12 +155,47 @@ def test_error_regression_anchor(smooth_solution_cache, smooth_problem):
 
 
 def test_dump_load_round_trip(tmp_path, smooth_problem):
-    sx, st = _spaces(smooth_problem, 4, 6, 2)
-    sol = xw.solve(xw.assemble(smooth_problem, sx, st))
+    uniform = _spaces(smooth_problem, 4, 6, 2)
+    graded = (
+        xw.make_space([0.0, 0.1, 0.5, 1.0], 2, 1, "zero-both"),
+        xw.make_space(np.array([0.0, 0.2, 1.1, 3.0]), 2, 1, "zero-left"),
+    )
+    xs, ts = np.linspace(0.0, 1.0, 13), np.linspace(0.0, smooth_problem.T, 11)
+    for sx, st in (uniform, graded):
+        sol = xw.solve(xw.assemble(smooth_problem, sx, st))
+        path = tmp_path / "solution.txt"
+        xw.dump_solution(sol, path)
+        loaded = xw.load_solution(path, smooth_problem)
+        assert np.array_equal(loaded.u_coeffs, sol.u_coeffs)
+        assert np.array_equal(loaded.v_coeffs, sol.v_coeffs)
+        assert loaded.space_x.dim == sx.dim
+        assert loaded.space_t.dim == st.dim
+        for before, after in zip(evaluate_grid(sol, xs, ts), evaluate_grid(loaded, xs, ts)):
+            assert np.array_equal(before, after)
+
+
+def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
+    sx, st = _spaces(smooth_problem, 2, 2, 1)
     path = tmp_path / "solution.txt"
-    xw.dump_solution(sol, path)
-    loaded = xw.load_solution(path, smooth_problem)
-    assert np.array_equal(loaded.u_coeffs, sol.u_coeffs)
-    assert np.array_equal(loaded.v_coeffs, sol.v_coeffs)
-    assert loaded.space_x.dim == sx.dim
-    assert loaded.space_t.dim == st.dim
+    xw.dump_solution(xw.solve(xw.assemble(smooth_problem, sx, st)), path)
+    assert xw.load_solution(path).u_coeffs.shape == (1, 2)
+    good = path.read_text().splitlines()
+    v1 = [
+        "# xtwave solution v1",
+        "# space interval=0,1 n_elements=2 degree=1 multiplicity=1 constraint=zero-both",
+        "# time interval=0,3 n_elements=2 degree=1 multiplicity=1 constraint=zero-left",
+        "U,0,0,1",
+    ]
+    bad_files = (
+        v1,
+        ["# some other file"] + good[1:],
+        good[:3] + ["U,1,0,1.0"],  # space dim is 1
+        good[:3] + ["V,0,-1,1.0"],
+        good[:3] + ["W,0,0,1.0"],
+        good[:1] + [good[1].replace("breakpoints=", "points=")] + good[2:],
+        good[:3] + ["U,0,0"],
+    )
+    for lines in bad_files:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SolutionFileError):
+            xw.load_solution(path)
