@@ -27,6 +27,7 @@ from .errors import (
     OutOfDomainError,
     SingularSystemError,
     SolutionFileError,
+    SystemTooLargeError,
     UnsupportedRuleError,
     XTWaveError,
 )

@@ -5,12 +5,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .errors import SystemTooLargeError
 from .forms import assemble_time_matrix
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, time_panel_points
 from .splines import test_space_of
 from .system import _shift_values, assemble, evaluate_grid
 
+DENSE_SIZE_CAP = 2000  # largest block system estimate_infsup solves densely
 # error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
 _FIELDS = {
     "U": (0, 0, "u", "u"),
@@ -65,61 +67,50 @@ def infsup_lower_bound(problem):
     return 1.0 / (2.0 * np.sqrt(c**2 + 4.0 * problem.T**2))
 
 
-def _time_slice_values(solution, x, ts, d_x, d_t, which):
-    """Discrete field values along a fixed-x line, shift included."""
-    Bx = solution.space_x.tabulate([x], d_x)[0]
-    coeffs = solution.u_coeffs if which == "u" else solution.v_coeffs
-    vals = solution.space_t.tabulate(ts, d_t) @ (Bx @ coeffs)
-    return vals + _shift_values(solution.problem, x, d_x, d_t, which)
-
-
 def _kink_corrections(solution, problem, xq, wx, time_rule, n):
     """Quadrature corrections for time elements cut by the discontinuity line.
 
     A Gauss rule is only legitimate where the integrand is smooth, so the
     contribution of each cut element, taken with the main sum's time rule
     (tq, wt, wt_e) of n points per element, is replaced by two panels meeting
-    at the kink.  Returns per-key corrections for both the squared errors and
-    the squared exact norms.
+    at the kink.  All cuts are done at once: row c of the (n_cuts, 3n) node
+    and weight arrays holds the whole element with negated weights, then both
+    halves.  Returns per-key corrections for both the squared errors and the
+    squared exact norms.
     """
     exact = problem.exact
-    bp_t = solution.space_t.breakpoints
-    at, bt = float(bp_t[0]), float(bp_t[-1])
-    c2 = problem.c2
-    corr_err = {key: 0.0 for key in _SUM_KEYS}
-    corr_norm = {key: 0.0 for key in _SUM_KEYS}
-    tq_el, wt_el, wte_el = (a.reshape(-1, n) for a in time_rule)
+    st = solution.space_t
+    bp_t = st.breakpoints
+    # kink time of every space node (NaN where there is none) and its element;
+    # space node i cuts time element k unless the kink is within 1e-13 of its ends
+    ts = np.array([exact.kink_time(x) for x in xq], dtype=float)
+    k = np.clip(np.searchsorted(bp_t, ts, side="right") - 1, 0, bp_t.size - 2)
+    cut = (bp_t[0] + 1e-13 < ts) & (ts < bp_t[-1] - 1e-13)
+    cut &= np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
+    i = np.flatnonzero(cut)
+    k, ts = k[i], ts[i]
+    th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
+    tq, wt, wt_e = (a.reshape(-1, n)[k] for a in time_rule)
+    tn = np.hstack((tq, th))
+    weights = {False: np.hstack((-wt, wh)), True: np.hstack((-wt_e, whe))}
 
-    cuts = []  # (space node, cut time element, kink time)
-    for i, x in enumerate(xq):
-        ts_kink = exact.kink_time(x)
-        if ts_kink is None or not (at + 1e-13 < ts_kink < bt - 1e-13):
-            continue
-        k = int(np.searchsorted(bp_t, ts_kink, side="right") - 1)
-        if min(ts_kink - bp_t[k], bp_t[k + 1] - ts_kink) < 1e-13:
-            continue
-        cuts.append((i, k, ts_kink))
-    # one mesh t0 < t* < t1 per cut element; row j holds both halves' rules
-    meshes = np.reshape([(bp_t[k], ts, bp_t[k + 1]) for _, k, ts in cuts], (-1, 3))
-    th, wh, whe = time_panel_points(meshes, n, problem.T)
-
-    for j, (i, k, _) in enumerate(cuts):
-        x = xq[i]
-        panels = (
-            (tq_el[k], wt_el[k], wte_el[k], -1.0),
-            (th[j, :n], wh[j, :n], whe[j, :n], 1.0),
-            (th[j, n:], wh[j, n:], whe[j, n:], 1.0),
-        )
-        for tn, wn, wne, sign in panels:
-            ex, disc = {}, {}
-            for name, (d_x, d_t, which, exact_name) in _FIELDS.items():
-                ex[name] = getattr(exact, exact_name)(x, tn)
-                disc[name] = _time_slice_values(solution, x, tn, d_x, d_t, which)
-            for mat, weighted in _SUM_KEYS:
-                xw = wx[i] * (c2(x) if mat == "cgradU" else 1.0)
-                w = wne if weighted else wn
-                corr_err[(mat, weighted)] += sign * xw * float(w @ (ex[mat] - disc[mat]) ** 2)
-                corr_norm[(mat, weighted)] += sign * xw * float(w @ ex[mat] ** 2)
+    x = xq[i]
+    Bx = {d: solution.space_x.tabulate(x, d) for d in (0, 1)}
+    Bt = {d: st.tabulate(tn.ravel(), d).reshape(*tn.shape, st.dim) for d in (0, 1)}
+    ex, err = {}, {}
+    for name, (d_x, d_t, which, exact_name) in _FIELDS.items():
+        coeffs = solution.u_coeffs if which == "u" else solution.v_coeffs
+        disc = np.einsum("cqb,cb->cq", Bt[d_t], Bx[d_x] @ coeffs)
+        disc += _shift_values(solution.problem, x, d_x, d_t, which)[:, None]
+        ex_vals = np.asarray(getattr(exact, exact_name)(x[:, None], tn), dtype=float)
+        ex[name] = np.broadcast_to(ex_vals, tn.shape)
+        err[name] = ex[name] - disc
+    corr_err, corr_norm = {}, {}
+    for mat, weighted in _SUM_KEYS:
+        xw = wx[i] * problem.c2(x) if mat == "cgradU" else wx[i]
+        w = weights[weighted]
+        corr_err[(mat, weighted)] = float(np.einsum("c,cq,cq->", xw, w, err[mat] ** 2))
+        corr_norm[(mat, weighted)] = float(np.einsum("c,cq,cq->", xw, w, ex[mat] ** 2))
     return corr_err, corr_norm
 
 
@@ -271,12 +262,12 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
     """Smallest generalized singular value of the block form in the discrete
     trial/test norm pair."""
     system = assemble(problem, space_x, space_t, n_quad)
-    if system.size > 2000:
-        raise ValueError(f"system size {system.size} too large for a dense eigensolve")
+    if system.size > DENSE_SIZE_CAP:
+        raise SystemTooLargeError(system.size, DENSE_SIZE_CAP)
     B = system.matrix.toarray()
     X, Y = _gram_matrices(system)
-    YinvB = sla.cho_solve(sla.cho_factor(Y), B)
-    A = B.T @ YinvB
+    A = B.T @ sla.cho_solve(sla.cho_factor(Y), B)
+    del B, Y  # eigh copies A and X; the copies can take this memory
     lam = sla.eigh(A, X, eigvals_only=True, subset_by_index=[0, 0])[0]
     return InfSupEstimate(
         gamma_h=float(np.sqrt(max(lam, 0.0))),

@@ -45,6 +45,14 @@ class SingularSystemError(XTWaveError):
     """Direct factorization of the block system failed."""
 
 
+class SystemTooLargeError(XTWaveError):
+    """Block system is larger than the cap of a dense computation."""
+
+    def __init__(self, size, cap):
+        super().__init__(f"system size {size} too large for a dense eigensolve (cap {cap})")
+        self.size, self.cap = size, cap
+
+
 class ConfigError(XTWaveError):
     """Run configuration file is malformed or violates the schema."""
 

@@ -66,28 +66,36 @@ class KnotVector:
         )
 
 
-def _find_span(knots, p, x):
-    """Index i with knots[i] <= x < knots[i+1], clamped to the last element."""
-    n = knots.size - p - 1  # number of basis functions
-    if x >= knots[n]:
-        return n - 1
-    return int(np.searchsorted(knots, x, side="right") - 1)
+def clip_to_interval(xs, interval):
+    """Points xs clipped to the closed interval; OutOfDomainError names the
+    first point outside it by more than 1e-14 * max(1, interval length)."""
+    a, b = interval
+    xs = np.asarray(xs, dtype=float)
+    tol = 1e-14 * max(1.0, b - a)
+    bad = ~((xs >= a - tol) & (xs <= b + tol))
+    if np.any(bad):
+        raise OutOfDomainError(f"point {xs[bad][0]} outside [{a}, {b}]")
+    return np.clip(xs, a, b)
 
 
-def _ders_basis_funs(knots, p, span, x, n_ders):
-    """Values and derivatives of the p+1 B-splines active on the span at x.
+def _ders_basis_funs(knots, p, xs, n_ders):
+    """Values and derivatives of the p+1 B-splines active at each point.
 
-    Returns an array of shape (n_ders + 1, p + 1); standard triangular-table
-    recursion (Cox-de Boor for values, inverted-table differences for
-    derivatives).
+    Returns the knot spans i with knots[i] <= x < knots[i+1] (clamped to the
+    last element) and an array of shape (n_ders + 1, p + 1, len(xs)); standard
+    triangular-table recursion (Cox-de Boor for values, inverted-table
+    differences for derivatives), run on all points at once.  The branches
+    depend on the degree and derivative order only, so every point takes the
+    same sequence of operations.
     """
-    ndu = np.zeros((p + 1, p + 1))
-    left = np.zeros(p + 1)
-    right = np.zeros(p + 1)
+    spans = np.minimum(np.searchsorted(knots, xs, side="right") - 1, knots.size - p - 2)
+    ndu = np.zeros((p + 1, p + 1, xs.size))
+    left = np.zeros((p + 1, xs.size))
+    right = np.zeros((p + 1, xs.size))
     ndu[0, 0] = 1.0
     for j in range(1, p + 1):
-        left[j] = x - knots[span + 1 - j]
-        right[j] = knots[span + j] - x
+        left[j] = xs - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - xs
         saved = 0.0
         for r in range(j):
             ndu[j, r] = right[r + 1] + left[j - r]
@@ -96,9 +104,9 @@ def _ders_basis_funs(knots, p, span, x, n_ders):
             saved = left[j - r] * temp
         ndu[j, j] = saved
 
-    ders = np.zeros((n_ders + 1, p + 1))
-    ders[0, :] = ndu[:, p]
-    a = np.zeros((2, p + 1))
+    ders = np.zeros((n_ders + 1, p + 1, xs.size))
+    ders[0] = ndu[:, p]
+    a = np.zeros((2, p + 1, xs.size))
     for r in range(p + 1):
         s1, s2 = 0, 1
         a[0, 0] = 1.0
@@ -121,9 +129,9 @@ def _ders_basis_funs(knots, p, span, x, n_ders):
             s1, s2 = s2, s1
     fac = float(p)
     for k in range(1, n_ders + 1):
-        ders[k, :] *= fac
+        ders[k] *= fac
         fac *= p - k
-    return ders
+    return spans, ders
 
 
 @dataclass(frozen=True)
@@ -179,30 +187,31 @@ class SplineSpace:
     def dim(self):
         return self.dim_unconstrained - self._left_removed - self._right_removed
 
-    def eval_basis(self, x, deriv_order=0):
-        """All basis functions active at x, differentiated deriv_order times."""
-        a, b = self.interval
-        if not (a - 1e-14 <= x <= b + 1e-14):
-            raise OutOfDomainError(f"point {x} outside [{a}, {b}]")
-        x = min(max(x, a), b)
+    def _local_basis(self, xs, deriv_order):
+        """Index (constrained numbering) of each point's first active function,
+        and the (len(xs), p+1) values of the active functions."""
         if deriv_order > self.degree:
             raise ValueError("derivative order exceeds degree")
-        knots = self._full_knots
-        p = self.degree
-        span = _find_span(knots, p, x)
-        vals = _ders_basis_funs(knots, p, span, x, deriv_order)[deriv_order]
-        first = span - p - self._left_removed
+        xs = clip_to_interval(xs, self.interval)
+        spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, deriv_order)
+        return spans - self.degree - self._left_removed, ders[deriv_order].T
+
+    def eval_basis(self, x, deriv_order=0):
+        """All basis functions active at x, differentiated deriv_order times."""
+        firsts, vals = self._local_basis(np.array([x], dtype=float), deriv_order)
+        first = int(firsts[0])
         lo = max(0, -first)
-        hi = min(p + 1, self.dim - first)
-        return BasisEval(first_active_index=first + lo, values=vals[lo:hi].copy())
+        hi = min(self.degree + 1, self.dim - first)
+        return BasisEval(first_active_index=first + lo, values=vals[0, lo:hi].copy())
 
     def tabulate(self, xs, deriv_order=0):
         """Dense matrix of basis values, shape (len(xs), dim)."""
         xs = np.atleast_1d(np.asarray(xs, dtype=float))
+        firsts, vals = self._local_basis(xs, deriv_order)
+        cols = firsts[:, None] + np.arange(self.degree + 1)
+        kept = (cols >= 0) & (cols < self.dim)
         out = np.zeros((xs.size, self.dim))
-        for i, x in enumerate(xs):
-            be = self.eval_basis(x, deriv_order)
-            out[i, be.first_active_index : be.first_active_index + be.values.size] = be.values
+        out[np.nonzero(kept)[0], cols[kept]] = vals[kept]
         return out
 
     def evaluate(self, coeffs, xs, deriv_order=0):

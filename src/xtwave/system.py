@@ -17,11 +17,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import InvalidSpaceError, OutOfDomainError, SingularSystemError, SolutionFileError
+from .errors import InvalidSpaceError, SingularSystemError, SolutionFileError
 from .forms import assemble_time_matrix
 from .newton import NewtonSolver, make_newton_solver
 from .quadrature import panel_points, time_panel_points
-from .splines import make_space, test_space_of
+from .splines import clip_to_interval, make_space, test_space_of
 
 RESIDUAL_TOL = 1e-10
 SOLUTION_HEADER = "# xtwave solution v2"
@@ -231,10 +231,8 @@ def evaluate_grid(solution, xs, ts, d_x=0, d_t=0):
 
 def evaluate(solution, x, t, d_x=0, d_t=0):
     """Point evaluation of (U, V) including the initial-data shift."""
-    ax, bx = solution.space_x.interval
-    at, bt = solution.space_t.interval
-    if not (ax - 1e-14 <= x <= bx + 1e-14) or not (at - 1e-14 <= t <= bt + 1e-14):
-        raise OutOfDomainError(f"point ({x}, {t}) outside the space-time cylinder")
+    clip_to_interval(x, solution.space_x.interval)
+    clip_to_interval(t, solution.space_t.interval)
     u, v = evaluate_grid(solution, [x], [t], d_x, d_t)
     return float(u[0, 0]), float(v[0, 0])
 

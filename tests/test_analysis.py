@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,8 +160,9 @@ def test_infsup_examples(smooth_problem, unit_problem):
 def test_infsup_size_cap(smooth_problem):
     sx = xw.make_uniform_space(smooth_problem.omega, 64, 2, None, "zero-both")
     st = xw.make_uniform_space((0.0, smooth_problem.T), 64, 2, None, "zero-left")
-    with pytest.raises(ValueError):
+    with pytest.raises(xw.SystemTooLargeError) as info:
         xw.estimate_infsup(smooth_problem, sx, st)
+    assert (info.value.size, info.value.cap) == (2 * 64 * 65, analysis.DENSE_SIZE_CAP)
 
 
 def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):
@@ -167,3 +170,67 @@ def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):
     norm = analysis.discrete_veh_norm(system, sol)
     bound = xw.stability_data_bound(smooth_problem)
     assert 0 < norm <= bound
+
+
+# frozen values of the eight ErrorReport fields on the singular front, computed
+# with the earlier cut-by-cut kink quadrature; keyed by (p, n_x, n_t, relative),
+# in the field order of ErrorReport
+SINGULAR_ANCHOR = {
+    (2, 12, 4, True): (
+        7.643602787894e-01, 9.007499997586e-01, 9.932102982383e-01, 1.012140157811e+00,
+        9.106873303407e-01, 4.374820249970e-01, 4.581894974455e-01, 1.020684917066e+00,
+    ),
+    (2, 12, 4, False): (
+        1.338838172278e+00, 3.848182607412e+00, 1.739687287895e+00, 1.772844451205e+00,
+        4.771843075727e+00, 1.057253269259e-01, 1.392720346892e-01, 2.248650899142e+00,
+    ),
+    (2, 24, 8, True): (
+        4.751415104253e-01, 9.046619460587e-01, 6.619050044108e-01, 5.565793424029e-01,
+        8.119667445483e-01, 1.597811047695e-01, 1.680217843923e-01, 5.745063340783e-01,
+    ),
+    (2, 24, 8, False): (
+        8.322490235277e-01, 3.980727761853e+00, 1.159380482450e+00, 9.748940138190e-01,
+        4.339748079372e+00, 3.861394008038e-02, 5.107217266871e-02, 1.265683690304e+00,
+    ),
+    (3, 12, 4, True): (
+        7.090948081694e-01, 9.047132177531e-01, 9.882165771888e-01, 9.190390454761e-01,
+        8.966626250868e-01, 4.149763624090e-01, 4.175860481754e-01, 9.313468646555e-01,
+    ),
+    (3, 12, 4, False): (
+        1.242037282492e+00, 3.903419374662e+00, 1.730941783672e+00, 1.609771705274e+00,
+        4.729361883717e+00, 1.002864032304e-01, 1.269301289350e-01, 2.051832077146e+00,
+    ),
+    (3, 24, 8, True): (
+        4.122521669096e-01, 9.071147500624e-01, 5.079555156198e-01, 5.792798054953e-01,
+        8.001674695538e-01, 9.886202916970e-02, 1.042011571636e-01, 5.882848429890e-01,
+    ),
+    (3, 24, 8, False): (
+        7.220932216116e-01, 4.000110847621e+00, 8.897254257239e-01, 1.014655724190e+00,
+        4.282924583245e+00, 2.389176413769e-02, 3.167315183044e-02, 1.296038857092e+00,
+    ),
+}
+
+
+def test_singular_error_regression_anchor(singular_problem, monkeypatch):
+    calls = []
+    tabulate = xw.SplineSpace.tabulate
+
+    def counted(self, xs, deriv_order=0):
+        calls.append(np.size(xs))
+        return tabulate(self, xs, deriv_order)
+
+    monkeypatch.setattr(xw.SplineSpace, "tabulate", counted)
+    fields = [f.name for f in dataclasses.fields(analysis.ErrorReport)][:-1]
+    calls_per_report = set()
+    for (p, n_x, n_t, relative), expected in SINGULAR_ANCHOR.items():
+        sx = xw.make_uniform_space(singular_problem.omega, n_x, p, p - 1, "zero-both")
+        st = xw.make_uniform_space((0.0, singular_problem.T), n_t, p, p - 1, "zero-left")
+        sol = xw.solve(xw.assemble(singular_problem, sx, st))
+        calls.clear()
+        rep = xw.error_report(sol, singular_problem, relative=relative)
+        calls_per_report.add(len(calls))
+        assert [getattr(rep, name) for name in fields] == pytest.approx(expected, rel=1e-10)
+    # the kink-split quadrature tabulates once per derivative order, however
+    # many space nodes cut a time element (their number doubles with n_x)
+    (count,) = calls_per_report
+    assert count < 25

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from xtwave import cli
-from xtwave.errors import ConfigError, InvalidProblemError
+from xtwave.errors import ConfigError, InvalidProblemError, SingularSystemError
 
 SMOOTH_CONV = """\
 problem = smooth
@@ -175,6 +175,22 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["convergence", "--config", str(tmp_path / "missing.txt")]) == 2
     cfg.write_text(INLINE)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+
+
+def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
+    # the inf-sup size cap: 2 * 32 * 33 = 2112 unknowns at p = 2
+    text = "problem = smooth\ndegree = 2\nregularity = maximal\nlevels = 32x32\n"
+    config = replace(cli.parse_config(text, mode="infsup"), out=str(tmp_path))
+    assert cli.run(config) == 3
+    assert capsys.readouterr().err.startswith("solver failure: system size 2112 too large")
+
+    def singular(*args):
+        raise SingularSystemError("forced")
+
+    monkeypatch.setattr(cli, "_run_level", singular)
+    config = replace(cli.parse_config(SMOOTH_CONV, mode="convergence"), out=str(tmp_path))
+    assert cli.run(config) == 3
+    assert capsys.readouterr().err == "solver failure: forced\n"
 
 
 def test_env_threads_fallback(tmp_path, monkeypatch):
