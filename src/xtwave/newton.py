@@ -19,7 +19,8 @@ from .quadrature import panel_points, time_panel_points
 class NewtonSolver:
     """The spatial operator: mass M_x, c^2-stiffness K_x and the Cholesky
     factor of K_x on a zero-both spline space, assembled once and shared by
-    the block system, the discrete norms and the projectors."""
+    the block system, the discrete norms and the projectors; N and the
+    eigenpairs of (K_x, M_x) are computed on first use."""
 
     space: object
     c2: callable
@@ -35,6 +36,12 @@ class NewtonSolver:
     def N(self):
         """Discrete Newton potential matrix M_x K_x^-1 M_x."""
         return self.M_x @ self.solve_K(self.M_x)
+
+    @cached_property
+    def eigenpairs(self):
+        """(lam, Phi) with K_x Phi = M_x Phi diag(lam) and Phi^T M_x Phi = I:
+        the space modes that split the block system."""
+        return sla.eigh(self.K_x, self.M_x)
 
 
 def make_newton_solver(space_x, c2, n_quad=None):

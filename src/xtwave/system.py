@@ -1,4 +1,4 @@
-"""Assembly and direct solution of the square Petrov-Galerkin block system.
+"""Assembly and space-mode solution of the square Petrov-Galerkin block system.
 
 Unknowns are the shifted fields (U - U0, V - V0), expanded in the tensor
 basis phi_a(x) * theta_b(t) with a zero-left time basis, so both vanish at
@@ -8,14 +8,24 @@ functions are phi_a(x) * theta_b'(t).
 Degree-of-freedom layout: U block first, then V block; within a block the
 space index runs fastest, so each Kronecker factor pair is stored as
 kron(time_matrix, space_matrix).
+
+The solver never forms that matrix.  The spatial pencil (K_x, M_x) is
+symmetric definite, so its eigenpairs K_x Phi = M_x Phi diag(lam),
+Phi^T M_x Phi = I split the system into one 2 n_t x 2 n_t time system
+[[lam_i A_e, S_e], [-S_e, A_e]] per space mode (fast diagonalization, Lynch,
+Rice & Thomas 1964).  Each is factored as a band matrix, with the U and V
+unknowns of one time index side by side.  One step of iterative refinement
+follows, and a residual guard checks the result with Kronecker products of
+the assembled factors, independently of the eigenpairs.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import InvalidSpaceError, SingularSystemError, SolutionFileError
 from .forms import assemble_time_matrix
@@ -68,27 +78,37 @@ class ProblemSpec:
 
 @dataclass
 class BlockSystem:
-    """Expanded 2x2 Kronecker block matrix, right-hand side and factors."""
+    """Kronecker factors and right-hand side of the 2x2 block system."""
 
     problem: ProblemSpec
     space_x: object
     space_t: object
     n_x: int
     n_t: int
-    space_op: NewtonSolver  # M_x, K_x, the factor of K_x and N, built once
+    space_op: NewtonSolver  # M_x, K_x, the factor of K_x, N and the eigenpairs
     M_x: np.ndarray  # space mass (coefficient 1), space_op.M_x
     K_x: np.ndarray  # space stiffness (coefficient c^2), space_op.K_x
     M_e: np.ndarray  # weighted time mass
     S_e: np.ndarray  # weighted time stiffness of theta'
     A_e: np.ndarray  # A_e[b, b'] = int theta_b' theta_{b'} exp(-t/T)
     d_e: np.ndarray  # d_e[b] = int theta_b' exp(-t/T)
-    matrix: sp.csc_matrix
     rhs: np.ndarray
     n_quad: int
 
     @property
     def size(self):
         return 2 * self.n_x * self.n_t
+
+    @cached_property
+    def matrix(self):
+        """The expanded block matrix (CSC), built on first access; solve
+        works with the factors and never reads it."""
+        Ks, Ms = sp.csr_matrix(self.K_x), sp.csr_matrix(self.M_x)
+        Ss, As = sp.csr_matrix(self.S_e), sp.csr_matrix(self.A_e)
+        return sp.bmat(
+            [[sp.kron(As, Ks), sp.kron(Ss, Ms)], [-sp.kron(Ss, Ms), sp.kron(As, Ms)]],
+            format="csc",
+        )
 
 
 @dataclass
@@ -133,15 +153,6 @@ def assemble(problem, space_x, space_t, n_quad=None):
     Bt_test = test_t.tabulate(tq, 0)  # theta_b'(t_q)
     d_e = Bt_test.T @ wt_e
 
-    n_x, n_t = space_x.dim, space_t.dim
-    Ks, Ms = sp.csr_matrix(space_op.K_x), sp.csr_matrix(space_op.M_x)
-    Ss, As = sp.csr_matrix(S_e), sp.csr_matrix(A_e)
-    B_lam_U = sp.kron(As, Ks)
-    B_lam_V = sp.kron(Ss, Ms)
-    B_chi_U = -sp.kron(Ss, Ms)
-    B_chi_V = sp.kron(As, Ms)
-    matrix = sp.bmat([[B_lam_U, B_lam_V], [B_chi_U, B_chi_V]], format="csc")
-
     # right-hand side: lambda rows then chi rows, space index fastest
     xq, wx = panel_points(space_x.breakpoints, n)
     Bx = space_x.tabulate(xq, 0)
@@ -160,8 +171,8 @@ def assemble(problem, space_x, space_t, n_quad=None):
         problem=problem,
         space_x=space_x,
         space_t=space_t,
-        n_x=n_x,
-        n_t=n_t,
+        n_x=space_x.dim,
+        n_t=space_t.dim,
         space_op=space_op,
         M_x=space_op.M_x,
         K_x=space_op.K_x,
@@ -169,34 +180,87 @@ def assemble(problem, space_x, space_t, n_quad=None):
         S_e=S_e,
         A_e=A_e,
         d_e=d_e,
-        matrix=matrix,
         rhs=rhs,
         n_quad=n,
     )
 
 
+def _block_apply(K_x, M_x, A_e, S_e, U, V):
+    """The block operator on coefficient arrays (n_x, n_t), as Kronecker
+    products: (K U A_e^T + M V S_e^T, -M U S_e^T + M V A_e^T)."""
+    return K_x @ U @ A_e.T + M_x @ (V @ S_e.T), M_x @ (V @ A_e.T - U @ S_e.T)
+
+
+def _factor_modes(lam, Phi, A_e, S_e):
+    """Band LU of every mode system [[lam_i A_e, S_e], [-S_e, A_e]]; returns
+    the solver (R_lam, R_chi) -> (U, V) of the whole block system.
+
+    The unknowns of a mode are interleaved as (u_0, v_0, u_1, v_1, ...), so
+    its band is twice as wide as that of the time factors."""
+    n = 2 * A_e.shape[0]
+    stiff = np.kron(A_e, [[1.0, 0.0], [0.0, 0.0]])  # the part scaled by lam_i
+    rest = np.kron(A_e, [[0.0, 0.0], [0.0, 1.0]]) + np.kron(S_e, [[0.0, 1.0], [-1.0, 0.0]])
+    rows, cols = np.nonzero(stiff + rest)
+    kl, ku = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
+    rows, cols = np.indices((n, n))
+    band = (rows - cols <= kl) & (cols - rows <= ku)
+    at = (kl + ku + (rows - cols)[band], cols[band])  # LAPACK band storage
+    ab_stiff, ab_rest = np.zeros((2, 2 * kl + ku + 1, n))
+    ab_stiff[at], ab_rest[at] = stiff[band], rest[band]
+    gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab_rest,))
+    factors = []
+    for i, lam_i in enumerate(lam):
+        lub, piv, info = gbtrf(ab_rest + lam_i * ab_stiff, kl, ku, overwrite_ab=True)
+        if info > 0:
+            raise SingularSystemError(
+                f"space mode {i}: pivot {info} of its time system is exactly zero"
+            )
+        factors.append((lub, piv))
+
+    def solve_modes(R_lam, R_chi):
+        y = np.empty((len(factors), n))
+        y[:, 0::2], y[:, 1::2] = Phi.T @ R_lam, Phi.T @ R_chi
+        for row, (lub, piv) in zip(y, factors):
+            row[:] = gbtrs(lub, kl, ku, row, piv)[0]
+        return Phi @ y[:, 0::2], Phi @ y[:, 1::2]
+
+    return solve_modes
+
+
 def solve(system):
-    """Sparse direct solve of the expanded block matrix."""
+    """Space-mode solve with one refinement step, checked by a residual guard.
+
+    solve_seconds covers the eigenpairs (when not yet computed), the mode
+    factorization, both mode solves and the refinement residual, not the
+    guard.
+    """
     t0 = time.perf_counter()
-    try:
-        lu = spla.splu(system.matrix)
-        z = lu.solve(system.rhs)
-    except RuntimeError as exc:
-        raise SingularSystemError(f"factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(z)):
-        raise SingularSystemError("factorization produced non-finite values")
+    op, A_e, S_e = system.space_op, system.A_e, system.S_e
+    n_x, n_t = system.n_x, system.n_t
+    R_lam = system.rhs[: n_x * n_t].reshape(n_t, n_x).T
+    R_chi = system.rhs[n_x * n_t :].reshape(n_t, n_x).T
+    solve_modes = _factor_modes(*op.eigenpairs, A_e, S_e)
+    U, V = solve_modes(R_lam, R_chi)
+    # refine against the operator the eigenpairs come from
+    B_lam, B_chi = _block_apply(op.K_x, op.M_x, A_e, S_e, U, V)
+    dU, dV = solve_modes(R_lam - B_lam, R_chi - B_chi)
+    U, V = U + dU, V + dV
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+        raise SingularSystemError("space-mode solve produced non-finite values")
     elapsed = time.perf_counter() - t0
-    res = np.linalg.norm(system.matrix @ z - system.rhs)
+    # the guard reads the system's own factors, so it also catches a system
+    # that no longer matches the eigenpairs
+    B_lam, B_chi = _block_apply(system.K_x, system.M_x, A_e, S_e, U, V)
+    res = np.hypot(np.linalg.norm(B_lam - R_lam), np.linalg.norm(B_chi - R_chi))
     scale = np.linalg.norm(system.rhs)
     residual = res / scale if scale > 0 else res
-    if residual > RESIDUAL_TOL:
-        raise SingularSystemError(f"algebraic residual {residual:.3e} above tolerance")
-    n_x, n_t = system.n_x, system.n_t
-    u = z[: n_x * n_t].reshape(n_t, n_x).T
-    v = z[n_x * n_t :].reshape(n_t, n_x).T
+    if not residual <= RESIDUAL_TOL:
+        raise SingularSystemError(
+            f"algebraic residual {residual:.3e} above tolerance {RESIDUAL_TOL:.0e}"
+        )
     return DiscreteSolution(
-        u_coeffs=u,
-        v_coeffs=v,
+        u_coeffs=U,
+        v_coeffs=V,
         space_x=system.space_x,
         space_t=system.space_t,
         problem=system.problem,

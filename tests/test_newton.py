@@ -54,6 +54,16 @@ def test_newton_matrix():
     assert solver.N is N
 
 
+def test_eigenpairs():
+    solver = _solver(n_x=12, p=3, c2=lambda x: 1.0 + x**2)
+    lam, Phi = solver.eigenpairs
+    assert np.all(lam > 0) and np.all(np.diff(lam) >= 0)
+    assert np.allclose(Phi.T @ solver.M_x @ Phi, np.eye(lam.size), rtol=0, atol=1e-12)
+    residual = solver.K_x @ Phi - solver.M_x @ Phi * lam
+    assert np.max(np.abs(residual)) <= 1e-10 * lam.max()
+    assert solver.eigenpairs is solver.eigenpairs
+
+
 def test_norm_positivity(rng):
     solver = _solver(n_x=10, p=2)
     for _ in range(10):

@@ -1,7 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xtwave as xw
 from xtwave import splines
@@ -127,11 +132,63 @@ def test_constraint_validation(smooth_problem):
 
 
 def test_singular_matrix_detected(unit_problem):
+    # zero time factors make every mode system zero: the first pivot is 0
     sx, st = _spaces(unit_problem, 3, 3, 1, 0)
     system = xw.assemble(unit_problem, sx, st)
-    system.matrix = sp.csc_matrix(system.matrix.shape)
-    with pytest.raises(SingularSystemError):
+    system.A_e = np.zeros_like(system.A_e)
+    system.S_e = np.zeros_like(system.S_e)
+    with pytest.raises(SingularSystemError, match="exactly zero"):
         xw.solve(system)
+
+
+def test_residual_guard_reads_assembled_factors(smooth_problem):
+    # the eigenpairs still belong to the unperturbed K_x; only the guard
+    # sees the perturbed one
+    sx, st = _spaces(smooth_problem, 8, 6, 2)
+    system = xw.assemble(smooth_problem, sx, st)
+    assert xw.solve(system).residual <= 1e-12
+    system.K_x = system.K_x * (1 + 1e-6)
+    with pytest.raises(SingularSystemError, match=r"residual \d\.\d{3}e-0[5-8] above"):
+        xw.solve(system)
+
+
+def test_refinement_margin(smooth_problem):
+    # criterion 3's hardest case: about 1e-10 without the refinement step
+    sx, st = _spaces(smooth_problem, 256, 8, 5, 1)
+    assert xw.solve(xw.assemble(smooth_problem, sx, st)).residual <= 1e-11
+
+
+def _graded(a, b, gaps):
+    return a + (b - a) * np.concatenate(([0.0], np.cumsum(gaps))) / np.sum(gaps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    data=st.data(),
+    gaps_x=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=5),
+    gaps_t=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=4),
+    amplitude=st.floats(0.1, 0.9),
+)
+def test_mode_solve_matches_sparse_lu(smooth_problem, p, data, gaps_x, gaps_t, amplitude):
+    r = data.draw(st.integers(0, p - 1), label="regularity")
+    prob = replace(smooth_problem, c2=lambda x: 1.0 + amplitude * np.cos(3.0 * x))
+    space_x = xw.make_space(_graded(*prob.omega, gaps_x), p, p - r, "zero-both")
+    space_t = xw.make_space(_graded(0.0, prob.T, gaps_t), p, p - r, "zero-left")
+    system = xw.assemble(prob, space_x, space_t)
+    sol = xw.solve(system)
+    z = np.concatenate([sol.u_coeffs.T.ravel(), sol.v_coeffs.T.ravel()])
+    # the reference gets the solver's one refinement step too: on p = 5, C^0
+    # cases (condition ~1e8) plain SuperLU is up to 7e-10 off an
+    # extended-precision solution, the mode solve and this about 1e-12
+    lu = spla.splu(system.matrix)
+    z_lu = lu.solve(system.rhs)
+    z_lu += lu.solve(system.rhs - system.matrix @ z_lu)
+    assert np.max(np.abs(z - z_lu)) <= 1e-10 * np.max(np.abs(z_lu))
+    scale = np.linalg.norm(system.rhs)
+    assert sol.residual <= 1e-10
+    assert np.linalg.norm(system.matrix @ z - system.rhs) <= 1e-10 * scale
+    assert np.linalg.norm(system.matrix @ z_lu - system.rhs) <= 1e-10 * scale
 
 
 def test_out_of_domain_evaluation(smooth_problem):
