@@ -27,7 +27,6 @@ from .errors import (
     OutOfDomainError,
     SingularSystemError,
     SolutionFileError,
-    SystemTooLargeError,
     UnsupportedRuleError,
     XTWaveError,
 )

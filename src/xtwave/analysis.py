@@ -5,14 +5,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import SystemTooLargeError
 from .forms import assemble_time_matrix
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, time_panel_points
 from .splines import test_space_of
 from .system import _shift_values, assemble, evaluate_grid
 
-DENSE_SIZE_CAP = 2000  # largest block system estimate_infsup solves densely
 # error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
 _FIELDS = {
     "U": (0, 0, "u", "u"),
@@ -54,6 +52,8 @@ class InfSupEstimate:
     gamma_h: float
     lower_bound: float
     dims: tuple
+    mode_index: int = None  # space mode (eigenpair of (K_x, M_x)) attaining gamma_h
+    lam: float = None  # its eigenvalue
 
 
 def eoc(errors):
@@ -200,7 +200,7 @@ def project_time(w, dw, space_t, T, n_quad=None):
     n = n_quad or space_t.degree + 3
     test = test_space_of(space_t)
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
-    S = assemble_time_matrix(space_t, test, 1, 0, T, n_points=n).matrix
+    S = assemble_time_matrix(space_t, test, 1, 0, T, n_points=n)
     dB = space_t.tabulate(tq, 1)
     r = dB.T @ (wt_e * dw(tq))
     return sla.cho_solve(sla.cho_factor(S), r)
@@ -223,8 +223,8 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     )
     test_t = test_space_of(space_t)
     space_op = make_newton_solver(space_x, c2, n)
-    S = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n).matrix
-    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n).matrix
+    S = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n)
+    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n)
     dBx = space_x.tabulate(xq, 1)
     dBt = space_t.tabulate(tq, 1)
     S_cho = sla.cho_factor(S)
@@ -246,33 +246,35 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     return norm, A, B
 
 
-def _gram_matrices(system):
-    """Trial (V_eh) and test (W_eh) Gram matrices of the discrete norms."""
-    N = system.space_op.N
-    X_U = np.kron(system.S_e, system.M_x) + np.kron(system.M_e, system.K_x)
-    X_V = np.kron(system.S_e, N) + np.kron(system.M_e, system.M_x)
-    Y_lam = np.kron(system.S_e, system.M_x)
-    Y_chi = np.kron(system.S_e, N)
-    X = sla.block_diag(X_U, X_V)
-    Y = sla.block_diag(Y_lam, Y_chi)
-    return X, Y
+def _mode_infsup(lam_i, A_e, S_e, M_e, S_cho):
+    """Smallest mu of B_i^T Y_i^-1 B_i z = mu X_i z for one space mode.
+
+    In the mode basis (Phi^T M_x Phi = I, Phi^T K_x Phi = diag(lam),
+    Phi^T N Phi = diag(1/lam)) the block form is B_i = [[lam_i A_e, S_e],
+    [-S_e, A_e]], the trial Gram X_i = diag(S_e + lam_i M_e, S_e/lam_i + M_e)
+    and the test Gram Y_i = diag(S_e, S_e/lam_i).
+    """
+    n = A_e.shape[0]
+    B = np.block([[lam_i * A_e, S_e], [-S_e, A_e]])
+    Yinv_B = np.vstack((sla.cho_solve(S_cho, B[:n]), lam_i * sla.cho_solve(S_cho, B[n:])))
+    X = sla.block_diag(S_e + lam_i * M_e, S_e / lam_i + M_e)
+    return sla.eigh(B.T @ Yinv_B, X, eigvals_only=True, subset_by_index=[0, 0])[0]
 
 
 def estimate_infsup(problem, space_x, space_t, n_quad=None):
     """Smallest generalized singular value of the block form in the discrete
-    trial/test norm pair."""
+    trial/test norm pair, minimized over the space modes that split it."""
     system = assemble(problem, space_x, space_t, n_quad)
-    if system.size > DENSE_SIZE_CAP:
-        raise SystemTooLargeError(system.size, DENSE_SIZE_CAP)
-    B = system.matrix.toarray()
-    X, Y = _gram_matrices(system)
-    A = B.T @ sla.cho_solve(sla.cho_factor(Y), B)
-    del B, Y  # eigh copies A and X; the copies can take this memory
-    lam = sla.eigh(A, X, eigvals_only=True, subset_by_index=[0, 0])[0]
+    lam = system.space_op.eigenpairs[0]
+    S_cho = sla.cho_factor(system.S_e)
+    mu = [_mode_infsup(lam_i, system.A_e, system.S_e, system.M_e, S_cho) for lam_i in lam]
+    i = int(np.argmin(mu))
     return InfSupEstimate(
-        gamma_h=float(np.sqrt(max(lam, 0.0))),
+        gamma_h=float(np.sqrt(max(mu[i], 0.0))),
         lower_bound=infsup_lower_bound(problem),
         dims=(system.n_x, system.n_t),
+        mode_index=i,
+        lam=float(lam[i]),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 from . import expressions
 from .analysis import eoc, error_report, estimate_infsup
-from .errors import ConfigError, SingularSystemError, SystemTooLargeError, XTWaveError
+from .errors import ConfigError, SingularSystemError
 from .problems import by_name, wave_speed_floor
 from .splines import make_uniform_space
 from .system import ProblemSpec, assemble, dump_solution, solve
@@ -366,7 +366,7 @@ def run(config):
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = [pool.submit(_run_level, config, problem, *job) for job in jobs]
                 results = [f.result() for f in futures]
-    except (SingularSystemError, SystemTooLargeError) as exc:
+    except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
     except (ConfigError, ValueError) as exc:

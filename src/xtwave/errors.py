@@ -42,15 +42,8 @@ class InvalidSpaceError(XTWaveError):
 
 
 class SingularSystemError(XTWaveError):
-    """Direct factorization of the block system failed."""
-
-
-class SystemTooLargeError(XTWaveError):
-    """Block system is larger than the cap of a dense computation."""
-
-    def __init__(self, size, cap):
-        super().__init__(f"system size {size} too large for a dense eigensolve (cap {cap})")
-        self.size, self.cap = size, cap
+    """A space mode's time system has an exactly zero pivot, or the solution
+    fails the residual guard."""
 
 
 class ConfigError(XTWaveError):

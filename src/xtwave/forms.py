@@ -4,28 +4,10 @@ Time matrices carry the exponential weight exp(-t/T); space matrices carry a
 pointwise coefficient (typically the squared wave speed).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import AssemblyError, DomainMismatchError
 from .quadrature import panel_points, time_panel_points
-
-
-@dataclass(frozen=True)
-class UnivariateForm:
-    """Rectangular matrix of integrals of (derivatives of) basis products."""
-
-    trial: object
-    test: object
-    d_trial: int
-    d_test: int
-    weight: str  # "expT" or "one"
-    matrix: np.ndarray
-
-    @property
-    def shape(self):
-        return self.matrix.shape
 
 
 def _check_same_interval(trial, test):
@@ -56,8 +38,7 @@ def assemble_time_matrix(trial, test, d_trial, d_test, T, n_points=None):
         raise DomainMismatchError(f"time spaces must live on (0, {T}), got ({a}, {b})")
     n = n_points or default_n_points(trial, test)
     tq, _, wt_e = time_panel_points(trial.breakpoints, n, T)
-    matrix = _gram(trial, test, d_trial, d_test, tq, wt_e)
-    return UnivariateForm(trial, test, d_trial, d_test, "expT", matrix)
+    return _gram(trial, test, d_trial, d_test, tq, wt_e)
 
 
 def assemble_space_matrix(trial, test, d_trial, d_test, coefficient=None, n_points=None):
@@ -70,5 +51,4 @@ def assemble_space_matrix(trial, test, d_trial, d_test, coefficient=None, n_poin
     fvals = coefficient(xq)
     if not np.all(np.isfinite(fvals)):
         raise AssemblyError("coefficient is non-finite at a quadrature node")
-    matrix = _gram(trial, test, d_trial, d_test, xq, wq * fvals)
-    return UnivariateForm(trial, test, d_trial, d_test, "one", matrix)
+    return _gram(trial, test, d_trial, d_test, xq, wq * fvals)

@@ -46,8 +46,8 @@ class NewtonSolver:
 
 def make_newton_solver(space_x, c2, n_quad=None):
     n = n_quad or space_x.degree + 2
-    M_x = assemble_space_matrix(space_x, space_x, 0, 0, n_points=n).matrix
-    K_x = assemble_space_matrix(space_x, space_x, 1, 1, c2, n_points=n).matrix
+    M_x = assemble_space_matrix(space_x, space_x, 0, 0, n_points=n)
+    K_x = assemble_space_matrix(space_x, space_x, 1, 1, c2, n_points=n)
     return NewtonSolver(space_x, c2, M_x, K_x, sla.cho_factor(K_x), n)
 
 
@@ -94,7 +94,7 @@ def seminorm_Neh(solver, v, mesh_t, T, n_quad=None):
     if isinstance(v, tuple):
         coeffs, space_t = v
         # quadratic form w^T (M_e kron N) w evaluated factor-wise
-        M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n).matrix
+        M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n)
         val = float(np.sum((solver.N @ coeffs @ M_e) * coeffs))
         return np.sqrt(max(val, 0.0))
     bp_t = mesh_t.breakpoints if hasattr(mesh_t, "breakpoints") else np.asarray(mesh_t)

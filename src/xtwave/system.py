@@ -101,8 +101,8 @@ class BlockSystem:
 
     @cached_property
     def matrix(self):
-        """The expanded block matrix (CSC), built on first access; solve
-        works with the factors and never reads it."""
+        """The expanded block matrix (CSC), built on first access; solve and
+        the inf-sup estimate work with the factors and never read it."""
         Ks, Ms = sp.csr_matrix(self.K_x), sp.csr_matrix(self.M_x)
         Ss, As = sp.csr_matrix(self.S_e), sp.csr_matrix(self.A_e)
         return sp.bmat(
@@ -145,9 +145,9 @@ def assemble(problem, space_x, space_t, n_quad=None):
     T = problem.T
 
     space_op = make_newton_solver(space_x, problem.c2, n)
-    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n).matrix
-    S_e = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n).matrix
-    A_e = assemble_time_matrix(space_t, test_t, 0, 0, T, n_points=n).matrix
+    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n)
+    S_e = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n)
+    A_e = assemble_time_matrix(space_t, test_t, 0, 0, T, n_points=n)
 
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
     Bt_test = test_t.tabulate(tq, 0)  # theta_b'(t_q)

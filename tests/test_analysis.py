@@ -1,7 +1,11 @@
 import dataclasses
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xtwave as xw
 from xtwave import analysis
@@ -26,8 +30,6 @@ def test_infsup_lower_bound_values(smooth_problem, unit_problem):
 
 
 def test_zero_data_errors(unit_problem):
-    from dataclasses import replace
-
     zeros_x = unit_problem.U0
     exact = xw.ExactSolution(
         u=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))),
@@ -79,9 +81,8 @@ def test_space_projector_idempotent_and_stable(smooth_problem, rng):
     assert proj_grad <= full_grad + 1e-12
     # best approximation: normal equations give the same minimizer
     from xtwave.forms import assemble_space_matrix
-    import scipy.linalg as sla
 
-    K = assemble_space_matrix(space, space, 1, 1, prob.c2, n_points=8).matrix
+    K = assemble_space_matrix(space, space, 1, 1, prob.c2, n_points=8)
     dB = space.tabulate(xq, 1)
     z2 = sla.solve(K, dB.T @ (wx * c2q * dw(xq)), assume_a="pos")
     assert np.max(np.abs(z - z2)) < 1e-12
@@ -158,11 +159,60 @@ def test_infsup_examples(smooth_problem, unit_problem):
 
 
 def test_infsup_size_cap(smooth_problem):
+    # 2 * 64 * 65 = 8320 unknowns: the per-mode estimate has no size cap
     sx = xw.make_uniform_space(smooth_problem.omega, 64, 2, None, "zero-both")
     st = xw.make_uniform_space((0.0, smooth_problem.T), 64, 2, None, "zero-left")
-    with pytest.raises(xw.SystemTooLargeError) as info:
-        xw.estimate_infsup(smooth_problem, sx, st)
-    assert (info.value.size, info.value.cap) == (2 * 64 * 65, analysis.DENSE_SIZE_CAP)
+    est = xw.estimate_infsup(smooth_problem, sx, st)
+    assert est.dims == (64, 65)
+    assert est.gamma_h >= est.lower_bound - 1e-10
+
+
+def _dense_infsup_operators(system):
+    """The dense Kronecker route: B^T Y^-1 B and the trial Gram X of the
+    expanded block system."""
+    N = system.space_op.N
+    X = sla.block_diag(
+        np.kron(system.S_e, system.M_x) + np.kron(system.M_e, system.K_x),
+        np.kron(system.S_e, N) + np.kron(system.M_e, system.M_x),
+    )
+    Y = sla.block_diag(np.kron(system.S_e, system.M_x), np.kron(system.S_e, N))
+    B = system.matrix.toarray()
+    return B.T @ sla.cho_solve(sla.cho_factor(Y), B), X
+
+
+def _smallest_mu(A, X):
+    return sla.eigh(A, X, eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
+def _graded(a, b, gaps):
+    return a + (b - a) * np.concatenate(([0.0], np.cumsum(gaps))) / np.sum(gaps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    data=st.data(),
+    gaps_x=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=5),
+    gaps_t=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=4),
+    amplitude=st.floats(0.1, 0.9),
+)
+def test_infsup_matches_dense_reference(smooth_problem, p, data, gaps_x, gaps_t, amplitude):
+    r = data.draw(st.integers(0, p - 1), label="regularity")
+    prob = replace(smooth_problem, c2=lambda x: 1.0 + amplitude * np.cos(3.0 * x))
+    space_x = xw.make_space(_graded(*prob.omega, gaps_x), p, p - r, "zero-both")
+    space_t = xw.make_space(_graded(0.0, prob.T, gaps_t), p, p - r, "zero-left")
+    est = xw.estimate_infsup(prob, space_x, space_t)
+    system = xw.assemble(prob, space_x, space_t)
+    A, X = _dense_infsup_operators(system)
+    assert est.dims == (system.n_x, system.n_t)
+    assert est.gamma_h == pytest.approx(np.sqrt(_smallest_mu(A, X)), rel=1e-9)
+    # restricted to its own space mode (U and V columns I kron phi_i), the
+    # dense problem attains gamma_h
+    lam, Phi = system.space_op.eigenpairs
+    assert est.lam == lam[est.mode_index]
+    P = sla.block_diag(*[np.kron(np.eye(system.n_t), Phi[:, [est.mode_index]])] * 2)
+    mu_i = _smallest_mu(P.T @ A @ P, P.T @ X @ P)
+    assert est.gamma_h == pytest.approx(np.sqrt(mu_i), rel=1e-9)
 
 
 def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):

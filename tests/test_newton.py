@@ -106,7 +106,7 @@ def test_weighted_dual_norm_bounds(rng, smooth_problem):
     solver = newton.make_newton_solver(space_x, prob.c2)
     T = prob.T
     space_t = xw.make_uniform_space((0.0, T), 8, 2, None, "zero-left")
-    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=8).matrix
+    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=8)
     C = prob.poincare_constant / prob.c0
     for _ in range(20):
         w = rng.standard_normal((space_x.dim, space_t.dim))
