@@ -5,7 +5,7 @@ exponentially weighted scalar product give an unconditionally stable square
 linear system for the first-order-in-time formulation.
 """
 
-from . import analysis, cli, expressions, forms, newton, problems, quadrature, splines, system
+from . import analysis, cli, forms, newton, problems, quadrature, splines, system
 from .analysis import (
     ErrorReport,
     InfSupEstimate,

@@ -28,6 +28,9 @@ _SUM_KEYS = (
     ("dtU", True),
     ("cgradU", True),
 )
+# bytes of one stack of space-mode matrices in estimate_infsup, which bounds
+# its working memory for any number of modes
+_MODE_STACK_BYTES = 16 << 20
 
 
 @dataclass
@@ -246,19 +249,48 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     return norm, A, B
 
 
-def _mode_infsup(lam_i, A_e, S_e, M_e, S_cho):
-    """Smallest mu of B_i^T Y_i^-1 B_i z = mu X_i z for one space mode.
+def _modes_infsup(lam, A_e, S_e, M_e):
+    """Smallest mu of B_i^T Y_i^-1 B_i z = mu X_i z for every space mode i.
 
     In the mode basis (Phi^T M_x Phi = I, Phi^T K_x Phi = diag(lam),
-    Phi^T N Phi = diag(1/lam)) the block form is B_i = [[lam_i A_e, S_e],
-    [-S_e, A_e]], the trial Gram X_i = diag(S_e + lam_i M_e, S_e/lam_i + M_e)
-    and the test Gram Y_i = diag(S_e, S_e/lam_i).
+    Phi^T N Phi = diag(1/lam)) mode i with l = lam_i has the block form
+    B_i = [[l A, S], [-S, A]], the test Gram Y_i = diag(S, S/l) and the trial
+    Gram X_i = diag(G, G/l) with G = S + l M (A = A_e, S = S_e symmetric,
+    M = M_e).  Since Y_i^-1 B_i = [[l S^-1 A, I], [-l I, l S^-1 A]],
+
+        C(l) = B_i^T Y_i^-1 B_i = [[l^2 P + l S, -l D], [l D, S + l P]],
+        P = A^T S^-1 A,  D = A - A^T.
+
+    The congruence by diag(I, sqrt(l) I) turns X_i into diag(G, G) and C(l)
+    into [[H, -K], [K, H]] with H = l^2 P + l S symmetric and K = l^1.5 D
+    antisymmetric: the real form of the Hermitian H + iK, whose eigenvalues
+    it has twice each.  So mu_i is the smallest eigenvalue of the n_t x n_t
+    Hermitian pencil (H + iK, G).  With S V = M V diag(sigma) and
+    V^T M V = I, V^T G V = diag(sigma + l), and the pencil is the Hermitian
+    matrix E V^T (H + iK) V E with E = diag(sigma + l)^-1/2.  V^T P V and
+    V^T D V are shared by all modes; each mode costs one scaling and one
+    eigvalsh of its stacked matrix, in stacks of at most _MODE_STACK_BYTES.
     """
     n = A_e.shape[0]
-    B = np.block([[lam_i * A_e, S_e], [-S_e, A_e]])
-    Yinv_B = np.vstack((sla.cho_solve(S_cho, B[:n]), lam_i * sla.cho_solve(S_cho, B[n:])))
-    X = sla.block_diag(S_e + lam_i * M_e, S_e / lam_i + M_e)
-    return sla.eigh(B.T @ Yinv_B, X, eigvals_only=True, subset_by_index=[0, 0])[0]
+    sigma, V = sla.eigh(S_e, M_e)
+    AV = A_e @ V
+    P = AV.T @ sla.cho_solve(sla.cho_factor(S_e), AV)  # V^T P V
+    D = V.T @ AV - AV.T @ V  # V^T D V
+    diag = np.arange(n)
+    step = max(1, min(lam.size, _MODE_STACK_BYTES // (16 * n * n)))
+    stack = np.empty((step, n, n), dtype=complex)
+    mu = np.empty(lam.size)
+    for s in range(0, lam.size, step):
+        l = lam[s : s + step, None]  # (modes, 1)
+        H = stack[: l.shape[0]]
+        np.multiply((l * l)[:, :, None], P, out=H.real)
+        np.multiply((l * np.sqrt(l))[:, :, None], D, out=H.imag)
+        H.real[:, diag, diag] += l * sigma
+        e = 1.0 / np.sqrt(sigma + l)  # (modes, n)
+        H *= e[:, :, None]
+        H *= e[:, None, :]
+        mu[s : s + step] = np.linalg.eigvalsh(H)[:, 0]
+    return mu
 
 
 def estimate_infsup(problem, space_x, space_t, n_quad=None):
@@ -266,8 +298,7 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
     trial/test norm pair, minimized over the space modes that split it."""
     system = assemble(problem, space_x, space_t, n_quad)
     lam = system.space_op.eigenpairs[0]
-    S_cho = sla.cho_factor(system.S_e)
-    mu = [_mode_infsup(lam_i, system.A_e, system.S_e, system.M_e, S_cho) for lam_i in lam]
+    mu = _modes_infsup(lam, system.A_e, system.S_e, system.M_e)
     i = int(np.argmin(mu))
     return InfSupEstimate(
         gamma_h=float(np.sqrt(max(mu[i], 0.0))),

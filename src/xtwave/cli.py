@@ -13,7 +13,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from . import expressions
 from .analysis import eoc, error_report, estimate_infsup
 from .errors import ConfigError, SingularSystemError
 from .problems import by_name, wave_speed_floor
@@ -213,6 +212,9 @@ def validate_config(config):
 
 
 def _inline_problem(config):
+    # sympy is imported only by configs that define their problem inline
+    from . import expressions
+
     data = dict(config.inline)
     c2e = expressions.parse_expression(data["c2"], ("x",))
     Fe = expressions.parse_expression(data["F"], ("x", "t"))

@@ -215,6 +215,60 @@ def test_infsup_matches_dense_reference(smooth_problem, p, data, gaps_x, gaps_t,
     assert est.gamma_h == pytest.approx(np.sqrt(mu_i), rel=1e-9)
 
 
+def _loop_mode_infsup(lam, A_e, S_e, M_e):
+    """The per-mode loop: smallest mu of B_i^T Y_i^-1 B_i z = mu X_i z with
+    B_i = [[lam_i A_e, S_e], [-S_e, A_e]], X_i = diag(S_e + lam_i M_e,
+    S_e/lam_i + M_e) and Y_i = diag(S_e, S_e/lam_i), one eigh per mode."""
+    n = A_e.shape[0]
+    S_cho = sla.cho_factor(S_e)
+    mu = []
+    for lam_i in lam:
+        B = np.block([[lam_i * A_e, S_e], [-S_e, A_e]])
+        Yinv_B = np.vstack((sla.cho_solve(S_cho, B[:n]), lam_i * sla.cho_solve(S_cho, B[n:])))
+        X = sla.block_diag(S_e + lam_i * M_e, S_e / lam_i + M_e)
+        mu.append(_smallest_mu(B.T @ Yinv_B, X))
+    return np.array(mu)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    data=st.data(),
+    gaps_x=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=6),
+    gaps_t=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=6),
+    log_T=st.floats(-3.0, 2.0),
+    amplitude=st.floats(0.1, 0.9),
+)
+def test_batched_modes_match_loop(smooth_problem, p, data, gaps_x, gaps_t, log_T, amplitude):
+    r = data.draw(st.integers(0, p - 1), label="regularity")
+    T = 10.0**log_T
+    prob = replace(smooth_problem, T=T, c2=lambda x: 1.0 + amplitude * np.cos(3.0 * x))
+    space_x = xw.make_space(_graded(*prob.omega, gaps_x), p, p - r, "zero-both")
+    space_t = xw.make_space(_graded(0.0, T, gaps_t), p, p - r, "zero-left")
+    system = xw.assemble(prob, space_x, space_t)
+    lam = system.space_op.eigenpairs[0]
+    mu = analysis._modes_infsup(lam, system.A_e, system.S_e, system.M_e)
+    mu_loop = _loop_mode_infsup(lam, system.A_e, system.S_e, system.M_e)
+    assert mu == pytest.approx(mu_loop, rel=1e-9)
+    est = xw.estimate_infsup(prob, space_x, space_t)
+    assert est.lam == lam[est.mode_index]
+    assert est.gamma_h == pytest.approx(np.sqrt(np.min(mu_loop)), rel=1e-9)
+
+
+def test_batched_modes_chunking_is_exact(smooth_problem, monkeypatch):
+    sx = xw.make_uniform_space(smooth_problem.omega, 24, 3, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, smooth_problem.T), 6, 3, 1, "zero-left")
+    system = xw.assemble(smooth_problem, sx, st_)
+    lam = system.space_op.eigenpairs[0]
+    factors = (system.A_e, system.S_e, system.M_e)
+    whole = analysis._modes_infsup(lam, *factors)
+    # room for 7 mode matrices per stack: 6 full stacks and a partial one
+    monkeypatch.setattr(analysis, "_MODE_STACK_BYTES", 7 * 16 * system.n_t**2 + 1)
+    chunked = analysis._modes_infsup(lam, *factors)
+    assert lam.size == 48
+    assert np.array_equal(chunked, whole)
+
+
 def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):
     system, sol = smooth_solution_cache(2, 1, 8, 24)
     norm = analysis.discrete_veh_norm(system, sol)

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -203,3 +206,33 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
     config = replace(config, out=str(tmp_path))
     assert cli.run(config) == 0
     assert (tmp_path / "results.csv").exists()
+
+
+def _fresh_main(tmp_path, config_text, mode):
+    """Run cli.main in a fresh interpreter; returns its exit code and whether
+    sympy got imported."""
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(config_text)
+    script = (
+        "import sys, xtwave\n"
+        f"code = xtwave.cli.main([{mode!r}, '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'sympy' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    code, loaded = out.stdout.split()
+    return int(code), loaded == "True"
+
+
+def test_named_problem_leaves_sympy_unimported(tmp_path):
+    text = "problem = smooth\ndegree = 1\nregularity = maximal\nlevels = 4x4\n"
+    assert _fresh_main(tmp_path, text, "infsup") == (0, False)
+
+
+def test_inline_problem_imports_sympy(tmp_path):
+    assert _fresh_main(tmp_path, INLINE, "solve") == (0, True)

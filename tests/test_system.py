@@ -231,6 +231,42 @@ def test_dump_load_round_trip(tmp_path, smooth_problem):
             assert np.array_equal(before, after)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    data=st.data(),
+    gaps_x=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
+    gaps_t=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6),
+    constraints=st.tuples(st.sampled_from(splines.CONSTRAINTS), st.sampled_from(splines.CONSTRAINTS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dump_load_is_identity(
+    tmp_path_factory, smooth_problem, p, data, gaps_x, gaps_t, constraints, seed
+):
+    mult_x = data.draw(st.integers(1, p), label="space multiplicity")
+    mult_t = data.draw(st.integers(1, p), label="time multiplicity")
+    sx = xw.make_space(_graded(*smooth_problem.omega, gaps_x), p, mult_x, constraints[0])
+    st_ = xw.make_space(_graded(0.0, smooth_problem.T, gaps_t), p, mult_t, constraints[1])
+    # coefficients over the whole exponent range, where %.17g must round-trip
+    rng = np.random.default_rng(seed)
+    shape = (sx.dim, st_.dim)
+    u, v = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in "uv")
+    sol = xw.DiscreteSolution(u, v, sx, st_, smooth_problem)
+    path = tmp_path_factory.mktemp("round_trip") / "solution.txt"
+    xw.dump_solution(sol, path)
+    loaded = xw.load_solution(path, smooth_problem)
+    assert loaded.u_coeffs.tobytes() == u.tobytes()
+    assert loaded.v_coeffs.tobytes() == v.tobytes()
+    for before, after in ((sx, loaded.space_x), (st_, loaded.space_t)):
+        assert after.breakpoints.tobytes() == before.breakpoints.tobytes()
+        assert after.degree == before.degree and after.constraint == before.constraint
+        assert after.knots.interior_multiplicity == before.knots.interior_multiplicity
+    xs = np.linspace(*smooth_problem.omega, 17)
+    ts = np.linspace(0.0, smooth_problem.T, 13)
+    for before, after in zip(evaluate_grid(sol, xs, ts), evaluate_grid(loaded, xs, ts)):
+        assert np.array_equal(before, after)
+
+
 def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
     sx, st = _spaces(smooth_problem, 2, 2, 1)
     path = tmp_path / "solution.txt"
