@@ -3,16 +3,18 @@
 Configs are flat `key = value` text files with a strict schema; unknown keys
 are errors.  Each run writes `results.csv` (fixed column schema), a
 plotter-agnostic `curves.dat` with two-column log-log series, and an echo of
-the resolved config.  Exit codes: 0 success, 2 config error, 3 solver
-failure.
+the resolved config; both result files read their error columns from one
+table, `ERROR_COLUMNS`.  Levels run one after another; the `threads` key of
+older configs is accepted and has no effect.  Exit codes: 0 success, 2 config
+error, 3 solver failure.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
+from . import quadrature
 from .analysis import eoc, error_report, estimate_infsup
 from .errors import ConfigError, SingularSystemError
 from .problems import by_name, wave_speed_floor
@@ -34,7 +36,7 @@ _SCHEMA = {
     "regularity": ("regularity", True),
     "levels": ("levels", True),
     "quad_points": ("int", False),
-    "threads": ("int", False),
+    "threads": ("int", False),  # accepted and ignored: levels run one after another
     "out": ("str", False),
     "omega": ("pair", False),
     "T": ("float", False),
@@ -58,7 +60,6 @@ class RunConfig:
     regularity: str  # "maximal", "c1" or a decimal string
     levels: tuple  # of (n_elems_x, n_elems_t)
     quad_points: int = None
-    threads: int = None
     out: str = None
     omega: tuple = None
     T: float = None
@@ -151,7 +152,6 @@ def parse_config(text, mode=None):
         regularity=values["regularity"],
         levels=values["levels"],
         quad_points=values.get("quad_points"),
-        threads=values.get("threads"),
         out=values.get("out"),
         omega=values.get("omega"),
         T=values.get("T"),
@@ -173,8 +173,6 @@ def serialize_config(config):
     ]
     if config.quad_points is not None:
         lines.append(f"quad_points = {config.quad_points}")
-    if config.threads is not None:
-        lines.append(f"threads = {config.threads}")
     if config.out is not None:
         lines.append(f"out = {config.out}")
     if config.problem == "inline":
@@ -199,6 +197,10 @@ def validate_config(config):
         )
     if any(nx < 1 or nt < 1 for nx, nt in config.levels):
         raise ConfigError("element counts must be positive")
+    # degree + 1 Gauss points integrate the mass matrices exactly
+    lo, hi = config.degree + 1, quadrature.MAX_POINTS
+    if config.quad_points is not None and not lo <= config.quad_points <= hi:
+        raise ConfigError(f"quad_points must be in [{lo}, {hi}] for degree {config.degree}")
     if config.mode == "convergence":
         for (nx0, nt0), (nx1, nt1) in zip(config.levels, config.levels[1:]):
             if nx1 != 2 * nx0 or nt1 != 2 * nt0:
@@ -262,7 +264,7 @@ class LevelResult:
     report: object = None
     gamma_h: float = None
     lower_bound: float = None
-    solve_seconds: float = 0.0
+    solve_seconds: float = None
     solution: object = None
 
 
@@ -292,64 +294,57 @@ def _fmt(value):
     return "" if value is None else f"{value:.12e}"
 
 
-def _csv_rows(config, results):
-    r = config.regularity_order()
-    err_cols = ("err_Veh", "err_U_L2", "err_V_L2", "err_cgradU_L2e")
-    series = {name: [None] * len(results) for name in err_cols}
-    for i, res in enumerate(results):
-        if res.report is not None:
-            rep = res.report
-            series["err_Veh"][i] = rep.err_Veh
-            series["err_U_L2"][i] = rep.err_U_L2
-            series["err_V_L2"][i] = rep.err_V_L2
-            series["err_cgradU_L2e"][i] = rep.err_cgradU_L2e
+# error columns of results.csv and curve names of curves.dat -> ErrorReport field
+ERROR_COLUMNS = (
+    ("err_Veh", "err_Veh"),
+    ("err_U_L2", "err_U_L2"),
+    ("err_V_L2", "err_V_L2"),
+    ("err_cgradU", "err_cgradU_L2e"),
+)
 
+
+def _errors(res):
+    """The level's errors in ERROR_COLUMNS order; None without an exact solution."""
+    if res.report is None:
+        return (None,) * len(ERROR_COLUMNS)
+    return tuple(getattr(res.report, field) for _, field in ERROR_COLUMNS)
+
+
+def _csv_rows(config, results):
+    p, r = str(config.degree), str(config.regularity_order())
     with_eoc = config.mode == "convergence"
     rows = []
-    for i, res in enumerate(results):
-        cells = [
-            str(res.level),
-            _fmt(res.h_x),
-            _fmt(res.h_t),
-            str(config.degree),
-            str(r),
-            str(res.dofs),
-        ]
-        for name in err_cols:
-            cells.append(_fmt(series[name][i]))
+    previous = (None,) * len(ERROR_COLUMNS)
+    for res in results:
+        cells = [str(res.level), _fmt(res.h_x), _fmt(res.h_t), p, r, str(res.dofs)]
+        errors = _errors(res)
+        for before, err in zip(previous, errors):
             rate = None
-            if with_eoc and i > 0 and series[name][i] is not None:
-                rate = float(eoc([series[name][i - 1], series[name][i]])[0])
-            cells.append(_fmt(rate))
+            if with_eoc and before is not None and err is not None:
+                rate = float(eoc([before, err])[0])
+            cells += [_fmt(err), _fmt(rate)]
+        previous = errors
         cells.append(_fmt(res.gamma_h))
         cells.append(_fmt(res.lower_bound))
-        cells.append(_fmt(res.solve_seconds if config.mode != "infsup" else None))
+        cells.append(_fmt(res.solve_seconds))
         rows.append(",".join(cells))
     return rows
 
 
+def _curve(name, config, points):
+    lines = [f"# curve {name} vs h_x ({config.problem}, p={config.degree})"]
+    lines.extend(f"{h:.12e} {v:.12e}" for h, v in points)
+    return "\n".join(lines)
+
+
 def _curves(config, results):
     """Two-column (h, value) series per plotted quantity."""
-    blocks = []
     if config.mode == "infsup":
-        lines = [f"# curve gamma_h vs h_x ({config.problem}, p={config.degree})"]
-        for res in results:
-            lines.append(f"{res.h_x:.12e} {res.gamma_h:.12e}")
-        blocks.append("\n".join(lines))
-        return "\n\n".join(blocks) + "\n"
-    names = (
-        ("err_Veh", lambda rep: rep.err_Veh),
-        ("err_U_L2", lambda rep: rep.err_U_L2),
-        ("err_V_L2", lambda rep: rep.err_V_L2),
-        ("err_cgradU", lambda rep: rep.err_cgradU_L2e),
-    )
-    for name, pick in names:
-        pts = [(res.h_x, pick(res.report)) for res in results if res.report is not None]
-        if not pts:
-            continue
-        lines = [f"# curve {name} vs h_x ({config.problem}, p={config.degree})"]
-        lines.extend(f"{h:.12e} {v:.12e}" for h, v in pts)
-        blocks.append("\n".join(lines))
+        return _curve("gamma_h", config, [(res.h_x, res.gamma_h) for res in results]) + "\n"
+    solved = [res for res in results if res.report is not None]
+    h = [res.h_x for res in solved]
+    columns = zip(*map(_errors, solved))
+    blocks = [_curve(name, config, zip(h, col)) for (name, _), col in zip(ERROR_COLUMNS, columns)]
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
@@ -359,15 +354,9 @@ def run(config):
     os.makedirs(out, exist_ok=True)
     try:
         problem = build_problem(config)
-        workers = config.threads or int(os.environ.get("XTWAVE_THREADS", "1"))
-        workers = max(1, min(workers, len(config.levels)))
-        jobs = [(i, nx, nt) for i, (nx, nt) in enumerate(config.levels)]
-        if workers == 1:
-            results = [_run_level(config, problem, *job) for job in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_run_level, config, problem, *job) for job in jobs]
-                results = [f.result() for f in futures]
+        results = [
+            _run_level(config, problem, i, nx, nt) for i, (nx, nt) in enumerate(config.levels)
+        ]
     except SingularSystemError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
@@ -399,7 +388,6 @@ def _build_parser():
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None)
     return parser
 
 
@@ -416,13 +404,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    overrides = {}
     if args.out is not None:
-        overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        config = replace(config, **overrides)
+        config = replace(config, out=args.out)
     return run(config)
 
 

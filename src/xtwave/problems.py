@@ -32,9 +32,6 @@ def smooth_case():
     def ddg(t):
         return 2.0 * 1.25**2 * pi**2 * np.cos(2.5 * pi * t)
 
-    def dddg(t):
-        return -2.0 * 1.25**2 * 2.5 * pi**3 * np.sin(2.5 * pi * t)
-
     def div_c2_grad_shape(x):
         # d/dx((x+1) * d/dx sin(pi x))
         return pi * np.cos(pi * x) - (x + 1.0) * pi**2 * np.sin(pi * x)

@@ -46,10 +46,6 @@ class KnotVector:
         return self.breakpoints.size - 1
 
     @property
-    def h_max(self):
-        return float(np.max(np.diff(self.breakpoints)))
-
-    @property
     def regularity(self):
         return self.degree - self.interior_multiplicity
 
@@ -135,14 +131,6 @@ def _ders_basis_funs(knots, p, xs, n_ders):
 
 
 @dataclass(frozen=True)
-class BasisEval:
-    """Active basis values at a point, indices in constrained numbering."""
-
-    first_active_index: int
-    values: np.ndarray
-
-
-@dataclass(frozen=True)
 class SplineSpace:
     """B-spline space on an interval with optional homogeneous constraints."""
 
@@ -187,31 +175,17 @@ class SplineSpace:
     def dim(self):
         return self.dim_unconstrained - self._left_removed - self._right_removed
 
-    def _local_basis(self, xs, deriv_order):
-        """Index (constrained numbering) of each point's first active function,
-        and the (len(xs), p+1) values of the active functions."""
-        if deriv_order > self.degree:
-            raise ValueError("derivative order exceeds degree")
-        xs = clip_to_interval(xs, self.interval)
-        spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, deriv_order)
-        return spans - self.degree - self._left_removed, ders[deriv_order].T
-
-    def eval_basis(self, x, deriv_order=0):
-        """All basis functions active at x, differentiated deriv_order times."""
-        firsts, vals = self._local_basis(np.array([x], dtype=float), deriv_order)
-        first = int(firsts[0])
-        lo = max(0, -first)
-        hi = min(self.degree + 1, self.dim - first)
-        return BasisEval(first_active_index=first + lo, values=vals[0, lo:hi].copy())
-
     def tabulate(self, xs, deriv_order=0):
         """Dense matrix of basis values, shape (len(xs), dim)."""
-        xs = np.atleast_1d(np.asarray(xs, dtype=float))
-        firsts, vals = self._local_basis(xs, deriv_order)
-        cols = firsts[:, None] + np.arange(self.degree + 1)
+        if deriv_order > self.degree:
+            raise ValueError("derivative order exceeds degree")
+        xs = clip_to_interval(np.atleast_1d(xs), self.interval)
+        spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, deriv_order)
+        # constrained index of each point's p + 1 active functions
+        cols = (spans - self.degree - self._left_removed)[:, None] + np.arange(self.degree + 1)
         kept = (cols >= 0) & (cols < self.dim)
         out = np.zeros((xs.size, self.dim))
-        out[np.nonzero(kept)[0], cols[kept]] = vals[kept]
+        out[np.nonzero(kept)[0], cols[kept]] = ders[deriv_order].T[kept]
         return out
 
     def evaluate(self, coeffs, xs, deriv_order=0):
@@ -247,9 +221,6 @@ class DerivativeTestSpace:
     @property
     def breakpoints(self):
         return self.trial.breakpoints
-
-    def eval_basis(self, x, deriv_order=0):
-        return self.trial.eval_basis(x, deriv_order + 1)
 
     def tabulate(self, xs, deriv_order=0):
         return self.trial.tabulate(xs, deriv_order + 1)

@@ -328,8 +328,13 @@ def _parse_space_header(line, name):
     return make_space(bp, int(fields["degree"]), int(fields["multiplicity"]), fields["constraint"])
 
 
+_BLOCKS = {"U": 0, "V": 1}
+
+
 def load_solution(path, problem=None):
-    """Round-trip counterpart of dump_solution."""
+    """Round-trip counterpart of dump_solution.  Refuses, with
+    SolutionFileError, a file that does not give every coefficient exactly
+    once."""
     with open(path) as f:
         lines = f.read().splitlines()
     if lines[:1] != [SOLUTION_HEADER]:
@@ -337,14 +342,29 @@ def load_solution(path, problem=None):
     try:
         space_x = _parse_space_header(lines[1], "space")
         space_t = _parse_space_header(lines[2], "time")
-        shape = (space_x.dim, space_t.dim)
-        coeffs = {"U": np.zeros(shape), "V": np.zeros(shape)}
-        for line in filter(None, lines[3:]):
+        shape = (2, space_x.dim, space_t.dim)
+        blocks, rows, cols, values = [], [], [], []
+        body = list(filter(None, lines[3:]))
+        for line in body:
             name, i_x, i_t, value = line.split(",")
-            index = (int(i_x), int(i_t))
-            if not (0 <= index[0] < shape[0] and 0 <= index[1] < shape[1]):
-                raise ValueError(f"index in {line!r} outside the dims {shape}")
-            coeffs[name][index] = float(value)
-    except (ValueError, KeyError, IndexError) as exc:
+            blocks.append(_BLOCKS[name])
+            rows.append(int(i_x))
+            cols.append(int(i_t))
+            values.append(float(value))
+        index = np.array((blocks, rows, cols), dtype=np.intp)
+        outside = np.any((index < 0) | (index >= np.array(shape)[:, None]), axis=0)
+        if np.any(outside):
+            line = body[int(np.argmax(outside))]
+            raise ValueError(f"index in {line!r} outside the dims {shape[1:]}")
+        flat = np.ravel_multi_index(index, shape)
+        counts = np.bincount(flat, minlength=np.prod(shape))
+        if np.any(counts != 1):
+            bad = int(np.argmax(counts != 1))
+            b, i, j = (int(k) for k in np.unravel_index(bad, shape))
+            raise ValueError(f"coefficient {'UV'[b]}({i}, {j}) appears {counts[bad]} times")
+        coeffs = np.empty(counts.size)
+        coeffs[flat] = values
+    except (ValueError, KeyError, IndexError, OverflowError) as exc:
         raise SolutionFileError(f"{path}: malformed solution file ({exc!r})") from exc
-    return DiscreteSolution(coeffs["U"], coeffs["V"], space_x, space_t, problem)
+    u, v = coeffs.reshape(shape)
+    return DiscreteSolution(u, v, space_x, space_t, problem)

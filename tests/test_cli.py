@@ -94,6 +94,16 @@ def test_stability_requires_fixed_temporal_mesh():
         )
 
 
+def test_quad_points_range():
+    # degree + 1 = 3 points integrate the p = 2 mass matrices exactly
+    for n in (0, 2, 65):
+        with pytest.raises(ConfigError, match=r"quad_points must be in \[3, 64\]"):
+            cli.parse_config(SMOOTH_CONV + f"quad_points = {n}\n", mode="convergence")
+    for n in (3, 64):
+        config = cli.parse_config(SMOOTH_CONV + f"quad_points = {n}\n", mode="solve")
+        assert config.quad_points == n
+
+
 def test_inline_keys_only_for_inline():
     with pytest.raises(ConfigError):
         cli.parse_config(SMOOTH_CONV + "T = 3\n", mode="solve")
@@ -129,14 +139,43 @@ def test_convergence_run(tmp_path):
     assert curves.count("# curve") == 4
 
 
-def test_determinism_and_threads(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
+def test_runs_repeat_and_ignore_threads(tmp_path):
+    # levels run one after another; `threads` parses and changes nothing
     config = cli.parse_config(SMOOTH_CONV, mode="convergence")
-    cli.run(replace(config, out=str(out1)))
-    cli.run(replace(config, out=str(out2), threads=3))
-    a = _strip_timing(_read(out1 / "results.csv"))
-    b = _strip_timing(_read(out2 / "results.csv"))
-    assert a == b
+    threaded = cli.parse_config(SMOOTH_CONV + "threads = 4\n", mode="convergence")
+    outputs = []
+    for name, cfg in (("a", config), ("b", config), ("threads", threaded)):
+        assert cli.run(replace(cfg, out=str(tmp_path / name))) == 0
+        csv = _strip_timing(_read(tmp_path / name / "results.csv"))
+        outputs.append((csv, _read(tmp_path / name / "curves.dat")))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _curve_blocks(text):
+    """curves.dat as {name: [(h, value) strings]}."""
+    blocks = {}
+    for block in text.strip().split("\n\n"):
+        head, *lines = block.splitlines()
+        blocks[head.split()[2]] = [tuple(line.split()) for line in lines]
+    return blocks
+
+
+def test_curves_match_results_columns(tmp_path):
+    infsup = "problem = smooth\ndegree = 1\nregularity = maximal\nlevels = 4x4 8x8\n"
+    runs = (
+        (SMOOTH_CONV, "convergence", ["err_Veh", "err_U_L2", "err_V_L2", "err_cgradU"]),
+        (infsup, "infsup", ["gamma_h"]),
+    )
+    for text, mode, names in runs:
+        out = tmp_path / mode
+        assert cli.run(replace(cli.parse_config(text, mode=mode), out=str(out))) == 0
+        header, *rows = _read(out / "results.csv").splitlines()
+        cols = header.split(",")
+        table = [dict(zip(cols, row.split(","))) for row in rows]
+        blocks = _curve_blocks(_read(out / "curves.dat"))
+        assert sorted(blocks) == sorted(names)
+        for name in names:
+            assert blocks[name] == [(row["h_x"], row[name]) for row in table]
 
 
 def test_infsup_run(tmp_path):
@@ -199,8 +238,7 @@ def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "solver failure: forced\n"
 
 
-def test_env_threads_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("XTWAVE_THREADS", "2")
+def test_stability_run(tmp_path):
     text = "problem = smooth\ndegree = 1\nregularity = maximal\nlevels = 4x4 8x4\n"
     config = cli.parse_config(text, mode="stability")
     config = replace(config, out=str(tmp_path))

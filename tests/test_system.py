@@ -287,6 +287,9 @@ def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
         good[:3] + ["W,0,0,1.0"],
         good[:1] + [good[1].replace("breakpoints=", "points=")] + good[2:],
         good[:3] + ["U,0,0"],
+        good[:-1],  # truncated
+        good + [good[-1]],  # a line given twice
+        good[:4] + [good[3].rsplit(",", 1)[0] + ",123.0"] + good[5:],  # index repeated
     )
     for lines in bad_files:
         path.write_text("\n".join(lines) + "\n")
