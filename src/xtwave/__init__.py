@@ -5,7 +5,9 @@ exponentially weighted scalar product give an unconditionally stable square
 linear system for the first-order-in-time formulation.
 """
 
-from . import analysis, cli, forms, newton, problems, quadrature, splines, system
+import importlib
+
+from . import analysis, forms, newton, problems, quadrature, splines, system
 from .analysis import (
     ErrorReport,
     InfSupEstimate,
@@ -46,3 +48,11 @@ from .system import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is imported on first use, so `python -m xtwave.cli` finds it not
+    # yet imported and runs it without a RuntimeWarning
+    if name == "cli":
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,7 @@ from .forms import assemble_time_matrix
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, time_panel_points
 from .splines import test_space_of
-from .system import _shift_values, assemble, evaluate_grid
+from .system import _factors, _shift_values
 
 # error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
 _FIELDS = {
@@ -129,10 +129,15 @@ def error_report(solution, problem, n_quad=None, relative=True):
     c2x = problem.c2(xq)
 
     fields = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")) if exact.dt_v is not None else _FIELDS
+    # one table per space and derivative order; each field forms only its
+    # own product, as evaluate_grid would
+    Bx = {d: sx.tabulate(xq, d) for d in (0, 1)}
+    Bt = {d: st.tabulate(tq, d) for d in (0, 1)}
     E, XV = {}, {}
     for name, (d_x, d_t, which, exact_name) in fields.items():
-        u, v = evaluate_grid(solution, xq, tq, d_x, d_t)
-        discrete = u if which == "u" else v
+        coeffs = solution.u_coeffs if which == "u" else solution.v_coeffs
+        shift = _shift_values(solution.problem, xq, d_x, d_t, which)
+        discrete = Bx[d_x] @ coeffs @ Bt[d_t].T + shift[:, None]
         ex_vals = getattr(exact, exact_name)(xq[:, None], tq[None, :])
         ex_vals = np.broadcast_to(np.asarray(ex_vals, dtype=float), discrete.shape)
         E[name] = ex_vals - discrete
@@ -153,10 +158,9 @@ def error_report(solution, problem, n_quad=None, relative=True):
 
     # Newton seminorm of the time derivative of the velocity error
     solver = make_newton_solver(sx, problem.c2, n)
-    B = sx.tabulate(xq, 0)
     if "dtV" in E:
-        err_neh_sq = weighted_dual_sq(solver, B, wx, E["dtV"], wt_e)
-        norm_neh_sq = weighted_dual_sq(solver, B, wx, XV["dtV"], wt_e)
+        err_neh_sq = weighted_dual_sq(solver, Bx[0], wx, E["dtV"], wt_e)
+        norm_neh_sq = weighted_dual_sq(solver, Bx[0], wx, XV["dtV"], wt_e)
     else:
         err_neh_sq = norm_neh_sq = 0.0
 
@@ -295,15 +299,16 @@ def _modes_infsup(lam, A_e, S_e, M_e):
 
 def estimate_infsup(problem, space_x, space_t, n_quad=None):
     """Smallest generalized singular value of the block form in the discrete
-    trial/test norm pair, minimized over the space modes that split it."""
-    system = assemble(problem, space_x, space_t, n_quad)
-    lam = system.space_op.eigenpairs[0]
-    mu = _modes_infsup(lam, system.A_e, system.S_e, system.M_e)
+    trial/test norm pair, minimized over the space modes that split it.
+    Needs only the operator factors, not the problem's data."""
+    space_op, M_e, S_e, A_e, _ = _factors(problem, space_x, space_t, n_quad)
+    lam = space_op.eigenpairs[0]
+    mu = _modes_infsup(lam, A_e, S_e, M_e)
     i = int(np.argmin(mu))
     return InfSupEstimate(
         gamma_h=float(np.sqrt(max(mu[i], 0.0))),
         lower_bound=infsup_lower_bound(problem),
-        dims=(system.n_x, system.n_t),
+        dims=(space_x.dim, space_t.dim),
         mode_index=i,
         lam=float(lam[i]),
     )

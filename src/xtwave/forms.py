@@ -24,10 +24,17 @@ def default_n_points(trial, test):
     return max(trial.degree, test.degree) + 2
 
 
+def weighted_gram(b_test, b_trial, w):
+    """Matrix sum_q w_q b_test[q, i] b_trial[q, j] of two basis tables."""
+    return b_test.T @ (b_trial * w[:, None])
+
+
 def _gram(trial, test, d_trial, d_test, xq, w):
     b_test = test.tabulate(xq, d_test)
-    b_trial = trial.tabulate(xq, d_trial)
-    return b_test.T @ (b_trial * w[:, None])
+    # a symmetric factor (same space, same order) needs one table
+    same = trial is test and d_trial == d_test
+    b_trial = b_test if same else trial.tabulate(xq, d_trial)
+    return weighted_gram(b_test, b_trial, w)
 
 
 def assemble_time_matrix(trial, test, d_trial, d_test, T, n_points=None):

@@ -1,6 +1,8 @@
 """Composite Gauss-Legendre quadrature on breakpoint meshes."""
 
+import operator
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -19,11 +21,27 @@ class QuadratureRule:
 
 
 def gauss_rule(n_points):
-    """Gauss-Legendre rule with n_points nodes on (0, 1)."""
-    if not (1 <= n_points <= MAX_POINTS):
+    """Gauss-Legendre rule with n_points nodes on (0, 1).
+
+    Rules are computed once per size and shared, so their arrays are
+    read-only.
+    """
+    try:
+        n = operator.index(n_points)
+    except TypeError:
+        raise UnsupportedRuleError(f"n_points must be an integer, got {n_points!r}") from None
+    if not (1 <= n <= MAX_POINTS):
         raise UnsupportedRuleError(f"n_points must be in [1, {MAX_POINTS}], got {n_points}")
-    nodes, weights = np.polynomial.legendre.leggauss(n_points)
-    return QuadratureRule(nodes=0.5 * (nodes + 1.0), weights=0.5 * weights)
+    return _cached_rule(n)
+
+
+@cache
+def _cached_rule(n):
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    rule = QuadratureRule(nodes=0.5 * (nodes + 1.0), weights=0.5 * weights)
+    rule.nodes.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
 
 
 def panel_points(breakpoints, n_points):

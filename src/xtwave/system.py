@@ -25,13 +25,12 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from .errors import InvalidSpaceError, SingularSystemError, SolutionFileError
-from .forms import assemble_time_matrix
+from .forms import weighted_gram
 from .newton import NewtonSolver, make_newton_solver
 from .quadrature import panel_points, time_panel_points
-from .splines import clip_to_interval, make_space, test_space_of
+from .splines import clip_to_interval, make_space
 
 RESIDUAL_TOL = 1e-10
 SOLUTION_HEADER = "# xtwave solution v2"
@@ -103,6 +102,8 @@ class BlockSystem:
     def matrix(self):
         """The expanded block matrix (CSC), built on first access; solve and
         the inf-sup estimate work with the factors and never read it."""
+        import scipy.sparse as sp  # only here, so importing xtwave skips it
+
         Ks, Ms = sp.csr_matrix(self.K_x), sp.csr_matrix(self.M_x)
         Ss, As = sp.csr_matrix(self.S_e), sp.csr_matrix(self.A_e)
         return sp.bmat(
@@ -137,20 +138,28 @@ def _check_spaces(problem, space_x, space_t):
         raise InvalidSpaceError("space_t interval does not match (0, T)")
 
 
+def _factors(problem, space_x, space_t, n_quad=None):
+    """The spatial operator and the weighted time factors M_e, S_e, A_e.
+
+    The time factors come from two tables on the time rule: theta and
+    theta', which is also the test basis.  Also returns the rule size n, the
+    time rule (tq, wt_e) and theta' for the right-hand side; no table is kept.
+    """
+    _check_spaces(problem, space_x, space_t)
+    n = n_quad or (max(space_x.degree, space_t.degree) + 2)
+    space_op = make_newton_solver(space_x, problem.c2, n)
+    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, problem.T)
+    theta = space_t.tabulate(tq, 0)
+    dtheta = space_t.tabulate(tq, 1)  # theta_b'(t_q)
+    M_e = weighted_gram(theta, theta, wt_e)
+    S_e = weighted_gram(dtheta, dtheta, wt_e)
+    A_e = weighted_gram(dtheta, theta, wt_e)
+    return space_op, M_e, S_e, A_e, (n, tq, wt_e, dtheta)
+
+
 def assemble(problem, space_x, space_t, n_quad=None):
     """Build the block system for the given trial spaces."""
-    _check_spaces(problem, space_x, space_t)
-    test_t = test_space_of(space_t)
-    n = n_quad or (max(space_x.degree, space_t.degree) + 2)
-    T = problem.T
-
-    space_op = make_newton_solver(space_x, problem.c2, n)
-    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n)
-    S_e = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n)
-    A_e = assemble_time_matrix(space_t, test_t, 0, 0, T, n_points=n)
-
-    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
-    Bt_test = test_t.tabulate(tq, 0)  # theta_b'(t_q)
+    space_op, M_e, S_e, A_e, (n, tq, wt_e, Bt_test) = _factors(problem, space_x, space_t, n_quad)
     d_e = Bt_test.T @ wt_e
 
     # right-hand side: lambda rows then chi rows, space index fastest

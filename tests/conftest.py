@@ -52,3 +52,18 @@ def smooth_solution_cache(smooth_problem):
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def tabulate_calls(monkeypatch):
+    """List that receives the derivative order of every basis tabulation
+    (the test space delegates to its trial space, so it counts too)."""
+    calls = []
+    tabulate = xw.SplineSpace.tabulate
+
+    def counted(self, xs, deriv_order=0):
+        calls.append(deriv_order)
+        return tabulate(self, xs, deriv_order)
+
+    monkeypatch.setattr(xw.SplineSpace, "tabulate", counted)
+    return calls

@@ -274,3 +274,19 @@ def test_named_problem_leaves_sympy_unimported(tmp_path):
 
 def test_inline_problem_imports_sympy(tmp_path):
     assert _fresh_main(tmp_path, INLINE, "solve") == (0, True)
+
+
+def test_module_run_does_not_warn():
+    # `python -m xtwave.cli` must find xtwave.cli not yet imported by the package
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "xtwave.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "Warning" not in out.stderr
+    assert "convergence" in out.stdout

@@ -41,6 +41,29 @@ def test_rule_size_limits():
         gauss_rule(MAX_POINTS + 1)
 
 
+def test_rule_size_must_be_an_integer():
+    for n in (2.0, 2.5):
+        with pytest.raises(UnsupportedRuleError):
+            gauss_rule(n)
+    rule = gauss_rule(np.int64(3))
+    assert rule is gauss_rule(3)
+    assert rule.nodes.size == 3
+
+
+def test_cached_rule_is_read_only():
+    rule = gauss_rule(4)
+    assert gauss_rule(4) is rule
+    for arr in (rule.nodes, rule.weights):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the composite rule built from it is the caller's own
+    xq, wq = panel_points([0.0, 1.0, 3.0], 4)
+    assert xq.flags.writeable and wq.flags.writeable
+    xq[0] = wq[0] = -1.0
+    assert gauss_rule(4).nodes[0] > 0.0
+
+
 def test_panel_points_cover_elements():
     bp = np.array([0.0, 0.5, 2.0])
     xq, wq = panel_points(bp, 3)

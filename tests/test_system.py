@@ -1,21 +1,28 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xtwave as xw
-from xtwave import splines
+from xtwave import analysis, splines
 from xtwave.errors import (
     InvalidSpaceError,
     OutOfDomainError,
     SingularSystemError,
     SolutionFileError,
 )
+from xtwave.forms import assemble_space_matrix, assemble_time_matrix
+from xtwave.quadrature import panel_points, time_panel_points
 from xtwave.system import evaluate, evaluate_grid
 
 
@@ -189,6 +196,93 @@ def test_mode_solve_matches_sparse_lu(smooth_problem, p, data, gaps_x, gaps_t, a
     assert sol.residual <= 1e-10
     assert np.linalg.norm(system.matrix @ z - system.rhs) <= 1e-10 * scale
     assert np.linalg.norm(system.matrix @ z_lu - system.rhs) <= 1e-10 * scale
+
+
+def _reference_assemble(problem, space_x, space_t):
+    """The block system factor by factor: one forms call per matrix, each
+    with its own tables, and a right-hand side from tables of its own."""
+    test_t = splines.test_space_of(space_t)
+    n = max(space_x.degree, space_t.degree) + 2
+    T = problem.T
+    ref = {
+        "M_x": assemble_space_matrix(space_x, space_x, 0, 0, n_points=n),
+        "K_x": assemble_space_matrix(space_x, space_x, 1, 1, problem.c2, n_points=n),
+        "M_e": assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n),
+        "S_e": assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n),
+        "A_e": assemble_time_matrix(space_t, test_t, 0, 0, T, n_points=n),
+    }
+    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
+    Bt_test = test_t.tabulate(tq, 0)
+    ref["d_e"] = Bt_test.T @ wt_e
+    xq, wx = panel_points(space_x.breakpoints, n)
+    Bx = space_x.tabulate(xq, 0)
+    dBx = space_x.tabulate(xq, 1)
+    Fvals = np.broadcast_to(
+        np.asarray(problem.F(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
+    )
+    rhs_F = (Bx * wx[:, None]).T @ Fvals @ (Bt_test * wt_e[:, None])
+    g_U0 = (dBx * (wx * problem.c2(xq) * problem.dU0(xq))[:, None]).sum(axis=0)
+    m_V0 = (Bx * (wx * problem.V0(xq))[:, None]).sum(axis=0)
+    rhs_lam = rhs_F - np.outer(g_U0, ref["d_e"])
+    rhs_chi = -np.outer(m_V0, ref["d_e"])
+    ref["rhs"] = np.concatenate([rhs_lam.T.ravel(), rhs_chi.T.ravel()])
+    return ref
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    data=st.data(),
+    gaps_x=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=5),
+    gaps_t=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=4),
+    amplitude=st.floats(0.1, 0.9),
+)
+def test_shared_tables_match_per_factor_assembly(
+    smooth_problem, p, data, gaps_x, gaps_t, amplitude
+):
+    r = data.draw(st.integers(0, p - 1), label="regularity")
+    prob = replace(smooth_problem, c2=lambda x: 1.0 + amplitude * np.cos(3.0 * x))
+    space_x = xw.make_space(_graded(*prob.omega, gaps_x), p, p - r, "zero-both")
+    space_t = xw.make_space(_graded(0.0, prob.T, gaps_t), p, p - r, "zero-left")
+    system = xw.assemble(prob, space_x, space_t)
+    ref = _reference_assemble(prob, space_x, space_t)
+    for name, expected in ref.items():
+        assert np.array_equal(getattr(system, name), expected), name
+    lam = sla.eigh(ref["K_x"], ref["M_x"])[0]
+    mu = analysis._modes_infsup(lam, ref["A_e"], ref["S_e"], ref["M_e"])
+    est = xw.estimate_infsup(prob, space_x, space_t)
+    assert est.gamma_h == float(np.sqrt(max(np.min(mu), 0.0)))
+
+
+def test_assemble_tabulates_each_basis_once(smooth_problem, tabulate_calls):
+    # M_x, K_x, theta, theta' and the two space tables of the right-hand side
+    sx, st_ = _spaces(smooth_problem, 6, 5, 3)
+    xw.assemble(smooth_problem, sx, st_)
+    assert len(tabulate_calls) <= 6
+
+
+def test_solving_leaves_scipy_sparse_unimported():
+    script = (
+        "import sys, xtwave as xw\n"
+        "prob = xw.by_name('smooth').spec\n"
+        "sx = xw.make_uniform_space(prob.omega, 4, 2, None, 'zero-both')\n"
+        "st = xw.make_uniform_space((0.0, prob.T), 4, 2, None, 'zero-left')\n"
+        "sol = xw.solve(xw.assemble(prob, sx, st))\n"
+        "xw.error_report(sol, prob)\n"
+        "xw.estimate_infsup(prob, sx, st)\n"
+        "print('scipy.sparse' in sys.modules)\n"
+    )
+    src = str(Path(xw.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def test_out_of_domain_evaluation(smooth_problem):
