@@ -5,10 +5,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import assemble_time_matrix
+from .forms import time_factors
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, time_panel_points
-from .splines import test_space_of
 from .system import _factors, _shift_values
 
 # error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
@@ -205,10 +204,7 @@ def project_time(w, dw, space_t, T, n_quad=None):
     """Elliptic projection in time: weighted normal equations in the
     derivative inner product, zero-left trial basis."""
     n = n_quad or space_t.degree + 3
-    test = test_space_of(space_t)
-    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
-    S = assemble_time_matrix(space_t, test, 1, 0, T, n_points=n)
-    dB = space_t.tabulate(tq, 1)
+    _, S, _, (tq, wt_e, dB) = time_factors(space_t, T, n)
     r = dB.T @ (wt_e * dw(tq))
     return sla.cho_solve(sla.cho_factor(S), r)
 
@@ -222,18 +218,14 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     composition); coefficient arrays are (space dim, time dim).
     """
     n = n_quad or max(space_x.degree, space_t.degree) + 3
+    M_e, S, _, (tq, wt_e, dBt) = time_factors(space_t, T, n)
     xq, wx = panel_points(space_x.breakpoints, n)
-    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
     c2x = c2(xq)
     W = np.broadcast_to(
         np.asarray(dxdt_w(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
     )
-    test_t = test_space_of(space_t)
     space_op = make_newton_solver(space_x, c2, n)
-    S = assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n)
-    M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n)
     dBx = space_x.tabulate(xq, 1)
-    dBt = space_t.tabulate(tq, 1)
     S_cho = sla.cho_factor(S)
 
     # time projection first: per x-node time moments, then space projection
@@ -256,8 +248,9 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
 def _modes_infsup(lam, A_e, S_e, M_e):
     """Smallest mu of B_i^T Y_i^-1 B_i z = mu X_i z for every space mode i.
 
-    In the mode basis (Phi^T M_x Phi = I, Phi^T K_x Phi = diag(lam),
-    Phi^T N Phi = diag(1/lam)) mode i with l = lam_i has the block form
+    In the mode basis (Phi^T M_x Phi = I, Phi^T K_x Phi = diag(lam) and
+    Phi^T N Phi = diag(1/lam) for the Newton matrix N = M_x K_x^-1 M_x)
+    mode i with l = lam_i has the block form
     B_i = [[l A, S], [-S, A]], the test Gram Y_i = diag(S, S/l) and the trial
     Gram X_i = diag(G, G/l) with G = S + l M (A = A_e, S = S_e symmetric,
     M = M_e).  Since Y_i^-1 B_i = [[l S^-1 A, I], [-l I, l S^-1 A]],
@@ -317,11 +310,10 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
 def discrete_veh_norm(system, solution):
     """Stability norm of the discrete (shifted) solution of the block system."""
     Cu, Cv = solution.u_coeffs, solution.v_coeffs
-    N = system.space_op.N
     q = (
         np.sum((system.M_x @ Cu @ system.S_e) * Cu)
         + np.sum((system.K_x @ Cu @ system.M_e) * Cu)
-        + np.sum((N @ Cv @ system.S_e) * Cv)
+        + system.space_op.dual_form(Cv, system.S_e)
         + np.sum((system.M_x @ Cv @ system.M_e) * Cv)
     )
     return np.sqrt(max(float(q), 0.0))

@@ -351,7 +351,11 @@ def _curves(config, results):
 def run(config):
     """Execute a run; returns the exit code and writes artifacts to out."""
     out = config.out or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return 2
     try:
         problem = build_problem(config)
         results = [

@@ -55,4 +55,5 @@ class SolutionFileError(XTWaveError):
 
 
 class InvalidProblemError(XTWaveError):
-    """Problem data violate the assumptions of the method (c^2 > 0, c0 bound)."""
+    """Problem data violate the assumptions of the method (c^2 > 0, c0 bound),
+    or a solution that needs its problem carries none."""

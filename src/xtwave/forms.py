@@ -6,7 +6,7 @@ pointwise coefficient (typically the squared wave speed).
 
 import numpy as np
 
-from .errors import AssemblyError, DomainMismatchError
+from .errors import AssemblyError, DomainMismatchError, InvalidSpaceError
 from .quadrature import panel_points, time_panel_points
 
 
@@ -46,6 +46,25 @@ def assemble_time_matrix(trial, test, d_trial, d_test, T, n_points=None):
     n = n_points or default_n_points(trial, test)
     tq, _, wt_e = time_panel_points(trial.breakpoints, n, T)
     return _gram(trial, test, d_trial, d_test, tq, wt_e)
+
+
+def time_factors(space_t, T, n_points):
+    """M_e, S_e and A_e (A_e[b, c] = (theta_b', theta_c)), weighted by
+    exp(-t/T), of a zero-left time space on (0, T), from one table each of
+    theta and theta' (the test basis) on a rule of n_points per element.
+    Also returns (tq, wt_e, theta') for load vectors; no table is kept."""
+    if space_t.constraint != "zero-left":
+        raise InvalidSpaceError("space_t must have constraint zero-left")
+    a, b = space_t.interval
+    if abs(a) > 1e-12 or abs(b - T) > 1e-12:
+        raise InvalidSpaceError(f"space_t interval ({a}, {b}) does not match (0, {T})")
+    tq, _, wt_e = time_panel_points(space_t.breakpoints, n_points, T)
+    theta = space_t.tabulate(tq, 0)
+    dtheta = space_t.tabulate(tq, 1)
+    M_e = weighted_gram(theta, theta, wt_e)
+    S_e = weighted_gram(dtheta, dtheta, wt_e)
+    A_e = weighted_gram(dtheta, theta, wt_e)
+    return M_e, S_e, A_e, (tq, wt_e, dtheta)
 
 
 def assemble_space_matrix(trial, test, d_trial, d_test, coefficient=None, n_points=None):

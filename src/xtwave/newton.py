@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import assemble_space_matrix, assemble_time_matrix
+from .forms import assemble_space_matrix, time_factors
 from .quadrature import panel_points, time_panel_points
 
 
@@ -19,11 +19,11 @@ from .quadrature import panel_points, time_panel_points
 class NewtonSolver:
     """The spatial operator: mass M_x, c^2-stiffness K_x and the Cholesky
     factor of K_x on a zero-both spline space, assembled once and shared by
-    the block system, the discrete norms and the projectors; N and the
+    the block system, the discrete norms and the projectors.  dual_form
+    evaluates the discrete Newton (dual) norm through solve_K; the
     eigenpairs of (K_x, M_x) are computed on first use."""
 
     space: object
-    c2: callable
     M_x: np.ndarray
     K_x: np.ndarray
     K_cho: tuple
@@ -32,10 +32,12 @@ class NewtonSolver:
     def solve_K(self, rhs):
         return sla.cho_solve(self.K_cho, rhs)
 
-    @cached_property
-    def N(self):
-        """Discrete Newton potential matrix M_x K_x^-1 M_x."""
-        return self.M_x @ self.solve_K(self.M_x)
+    def dual_form(self, C, G):
+        """sum((N C G) * C) with the Newton matrix N = M_x K_x^-1 M_x, for a
+        coefficient array C (space dim x time dim) and a symmetric time
+        factor G, computed as sum((K_x^-1 M_x C G) * (M_x C)) without N."""
+        MC = self.M_x @ C
+        return float(np.sum(self.solve_K(MC @ G) * MC))
 
     @cached_property
     def eigenpairs(self):
@@ -48,7 +50,7 @@ def make_newton_solver(space_x, c2, n_quad=None):
     n = n_quad or space_x.degree + 2
     M_x = assemble_space_matrix(space_x, space_x, 0, 0, n_points=n)
     K_x = assemble_space_matrix(space_x, space_x, 1, 1, c2, n_points=n)
-    return NewtonSolver(space_x, c2, M_x, K_x, sla.cho_factor(K_x), n)
+    return NewtonSolver(space_x, M_x, K_x, sla.cho_factor(K_x), n)
 
 
 def moment_vector(solver, load):
@@ -94,9 +96,8 @@ def seminorm_Neh(solver, v, mesh_t, T, n_quad=None):
     if isinstance(v, tuple):
         coeffs, space_t = v
         # quadratic form w^T (M_e kron N) w evaluated factor-wise
-        M_e = assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n)
-        val = float(np.sum((solver.N @ coeffs @ M_e) * coeffs))
-        return np.sqrt(max(val, 0.0))
+        M_e = time_factors(space_t, T, n)[0]
+        return np.sqrt(max(solver.dual_form(coeffs, M_e), 0.0))
     bp_t = mesh_t.breakpoints if hasattr(mesh_t, "breakpoints") else np.asarray(mesh_t)
     tq, _, wt_e = time_panel_points(bp_t, n, T)
     xq, wx = panel_points(solver.space.breakpoints, n)

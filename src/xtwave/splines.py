@@ -41,14 +41,6 @@ class KnotVector:
     def interval(self):
         return float(self.breakpoints[0]), float(self.breakpoints[-1])
 
-    @property
-    def n_elements(self):
-        return self.breakpoints.size - 1
-
-    @property
-    def regularity(self):
-        return self.degree - self.interior_multiplicity
-
     def full_knots(self):
         """Open knot sequence: endpoints repeated degree+1 times."""
         p = self.degree
@@ -150,10 +142,6 @@ class SplineSpace:
     @property
     def interval(self):
         return self.knots.interval
-
-    @property
-    def n_elements(self):
-        return self.knots.n_elements
 
     @property
     def breakpoints(self):

@@ -26,10 +26,10 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidSpaceError, SingularSystemError, SolutionFileError
-from .forms import weighted_gram
+from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError, SolutionFileError
+from .forms import time_factors
 from .newton import NewtonSolver, make_newton_solver
-from .quadrature import panel_points, time_panel_points
+from .quadrature import panel_points
 from .splines import clip_to_interval, make_space
 
 RESIDUAL_TOL = 1e-10
@@ -84,13 +84,12 @@ class BlockSystem:
     space_t: object
     n_x: int
     n_t: int
-    space_op: NewtonSolver  # M_x, K_x, the factor of K_x, N and the eigenpairs
+    space_op: NewtonSolver  # M_x, K_x, the factor of K_x and the eigenpairs
     M_x: np.ndarray  # space mass (coefficient 1), space_op.M_x
     K_x: np.ndarray  # space stiffness (coefficient c^2), space_op.K_x
     M_e: np.ndarray  # weighted time mass
     S_e: np.ndarray  # weighted time stiffness of theta'
     A_e: np.ndarray  # A_e[b, b'] = int theta_b' theta_{b'} exp(-t/T)
-    d_e: np.ndarray  # d_e[b] = int theta_b' exp(-t/T)
     rhs: np.ndarray
     n_quad: int
 
@@ -125,42 +124,29 @@ class DiscreteSolution:
     solve_seconds: float = 0.0
 
 
-def _check_spaces(problem, space_x, space_t):
+def _check_space_x(problem, space_x):
     if space_x.constraint != "zero-both":
         raise InvalidSpaceError("space_x must have constraint zero-both")
-    if space_t.constraint != "zero-left":
-        raise InvalidSpaceError("space_t must have constraint zero-left")
     ax, bx = space_x.interval
     if abs(ax - problem.omega[0]) > 1e-12 or abs(bx - problem.omega[1]) > 1e-12:
         raise InvalidSpaceError("space_x interval does not match the problem domain")
-    at, bt = space_t.interval
-    if abs(at) > 1e-12 or abs(bt - problem.T) > 1e-12:
-        raise InvalidSpaceError("space_t interval does not match (0, T)")
 
 
 def _factors(problem, space_x, space_t, n_quad=None):
-    """The spatial operator and the weighted time factors M_e, S_e, A_e.
-
-    The time factors come from two tables on the time rule: theta and
-    theta', which is also the test basis.  Also returns the rule size n, the
-    time rule (tq, wt_e) and theta' for the right-hand side; no table is kept.
-    """
-    _check_spaces(problem, space_x, space_t)
+    """The spatial operator, the weighted time factors M_e, S_e, A_e and
+    (n, tq, wt_e, theta'): the rule size, and the time rule with the test
+    basis for the right-hand side."""
+    _check_space_x(problem, space_x)
     n = n_quad or (max(space_x.degree, space_t.degree) + 2)
+    M_e, S_e, A_e, time_rule = time_factors(space_t, problem.T, n)
     space_op = make_newton_solver(space_x, problem.c2, n)
-    tq, _, wt_e = time_panel_points(space_t.breakpoints, n, problem.T)
-    theta = space_t.tabulate(tq, 0)
-    dtheta = space_t.tabulate(tq, 1)  # theta_b'(t_q)
-    M_e = weighted_gram(theta, theta, wt_e)
-    S_e = weighted_gram(dtheta, dtheta, wt_e)
-    A_e = weighted_gram(dtheta, theta, wt_e)
-    return space_op, M_e, S_e, A_e, (n, tq, wt_e, dtheta)
+    return space_op, M_e, S_e, A_e, (n, *time_rule)
 
 
 def assemble(problem, space_x, space_t, n_quad=None):
     """Build the block system for the given trial spaces."""
     space_op, M_e, S_e, A_e, (n, tq, wt_e, Bt_test) = _factors(problem, space_x, space_t, n_quad)
-    d_e = Bt_test.T @ wt_e
+    d_e = Bt_test.T @ wt_e  # d_e[b] = int theta_b' exp(-t/T)
 
     # right-hand side: lambda rows then chi rows, space index fastest
     xq, wx = panel_points(space_x.breakpoints, n)
@@ -188,7 +174,6 @@ def assemble(problem, space_x, space_t, n_quad=None):
         M_e=M_e,
         S_e=S_e,
         A_e=A_e,
-        d_e=d_e,
         rhs=rhs,
         n_quad=n,
     )
@@ -281,6 +266,11 @@ def solve(system):
 def _shift_values(problem, xs, d_x, d_t, which):
     if d_t > 0:
         return np.zeros_like(xs)
+    if problem is None:
+        raise InvalidProblemError(
+            "the solution carries no problem for its initial-data shift; "
+            "pass problem to load_solution"
+        )
     if which == "u":
         return problem.dU0(xs) if d_x else problem.U0(xs)
     if d_x:

@@ -145,6 +145,31 @@ def test_commutation_smooth_exact(smooth_problem):
     assert norm < 1e-10
 
 
+def test_projectors_tabulate_each_time_basis_once(smooth_problem, tabulate_calls):
+    # theta and theta' for the time factors and the loads, then M_x, K_x and
+    # the space derivative table
+    prob = smooth_problem
+    sx = xw.make_uniform_space(prob.omega, 6, 2, None, "zero-both")
+    st_ = xw.make_uniform_space((0.0, prob.T), 5, 2, None, "zero-left")
+    analysis.project_time(np.sin, np.cos, st_, prob.T)
+    assert len(tabulate_calls) <= 2
+    tabulate_calls.clear()
+    analysis.commutation_check(prob.exact.dxdt_u, sx, st_, prob.c2, prob.T)
+    assert len(tabulate_calls) <= 5
+
+
+def test_projectors_refuse_bad_time_spaces(smooth_problem):
+    prob = smooth_problem
+    sx = xw.make_uniform_space(prob.omega, 4, 2, None, "zero-both")
+    zero_both = xw.make_uniform_space((0.0, prob.T), 4, 2, None, "zero-both")
+    wrong_interval = xw.make_uniform_space((0.0, 1.0), 4, 2, None, "zero-left")
+    for bad in (zero_both, wrong_interval):
+        with pytest.raises(xw.InvalidSpaceError):
+            analysis.project_time(np.sin, np.cos, bad, prob.T)
+        with pytest.raises(xw.InvalidSpaceError):
+            analysis.commutation_check(prob.exact.dxdt_u, sx, bad, prob.c2, prob.T)
+
+
 def test_infsup_examples(smooth_problem, unit_problem):
     sx = xw.make_uniform_space(smooth_problem.omega, 4, 1, None, "zero-both")
     st = xw.make_uniform_space((0.0, smooth_problem.T), 4, 1, None, "zero-left")
@@ -202,7 +227,7 @@ def test_infsup_size_cap(smooth_problem):
 def _dense_infsup_operators(system):
     """The dense Kronecker route: B^T Y^-1 B and the trial Gram X of the
     expanded block system."""
-    N = system.space_op.N
+    N = system.M_x @ np.linalg.solve(system.K_x, system.M_x)  # Newton matrix
     X = sla.block_diag(
         np.kron(system.S_e, system.M_x) + np.kron(system.M_e, system.K_x),
         np.kron(system.S_e, N) + np.kron(system.M_e, system.M_x),

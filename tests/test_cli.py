@@ -219,6 +219,16 @@ def test_main_exit_codes(tmp_path):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
 
 
+def test_out_that_is_a_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(INLINE)
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot create output directory:")
+    assert taken.read_text() == "keep"
+
+
 def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
     # 2 * 32 * 33 = 2112 unknowns at p = 2: the inf-sup estimate has no size cap
     text = "problem = smooth\ndegree = 2\nregularity = maximal\nlevels = 32x32\n"

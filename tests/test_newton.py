@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import xtwave as xw
 from xtwave import newton
@@ -46,12 +47,15 @@ def test_self_adjointness(rng):
         assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
-def test_newton_matrix():
+def test_newton_matrix(rng):
+    # sum((N C G) * C) with the dense Newton matrix N = M_x K_x^-1 M_x
     solver = _solver(n_x=12, p=3, c2=lambda x: 1.0 + x**2)
-    N = solver.N
-    assert np.allclose(N, solver.M_x @ np.linalg.solve(solver.K_x, solver.M_x), rtol=1e-12, atol=0)
-    assert np.max(np.abs(N - N.T)) <= 1e-12 * np.max(np.abs(N))
-    assert solver.N is N
+    N = solver.M_x @ np.linalg.solve(solver.K_x, solver.M_x)
+    space_t = xw.make_uniform_space((0.0, 2.0), 5, 2, None, "zero-left")
+    for G in (np.eye(space_t.dim), assemble_time_matrix(space_t, space_t, 1, 1, 2.0)):
+        C = rng.standard_normal((solver.space.dim, space_t.dim))
+        expected = np.sum((N @ C @ G) * C)
+        assert solver.dual_form(C, G) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_eigenpairs():

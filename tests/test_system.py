@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import xtwave as xw
 from xtwave import analysis, splines
 from xtwave.errors import (
+    InvalidProblemError,
     InvalidSpaceError,
     OutOfDomainError,
     SingularSystemError,
@@ -213,7 +214,7 @@ def _reference_assemble(problem, space_x, space_t):
     }
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
     Bt_test = test_t.tabulate(tq, 0)
-    ref["d_e"] = Bt_test.T @ wt_e
+    d_e = Bt_test.T @ wt_e
     xq, wx = panel_points(space_x.breakpoints, n)
     Bx = space_x.tabulate(xq, 0)
     dBx = space_x.tabulate(xq, 1)
@@ -223,8 +224,8 @@ def _reference_assemble(problem, space_x, space_t):
     rhs_F = (Bx * wx[:, None]).T @ Fvals @ (Bt_test * wt_e[:, None])
     g_U0 = (dBx * (wx * problem.c2(xq) * problem.dU0(xq))[:, None]).sum(axis=0)
     m_V0 = (Bx * (wx * problem.V0(xq))[:, None]).sum(axis=0)
-    rhs_lam = rhs_F - np.outer(g_U0, ref["d_e"])
-    rhs_chi = -np.outer(m_V0, ref["d_e"])
+    rhs_lam = rhs_F - np.outer(g_U0, d_e)
+    rhs_chi = -np.outer(m_V0, d_e)
     ref["rhs"] = np.concatenate([rhs_lam.T.ravel(), rhs_chi.T.ravel()])
     return ref
 
@@ -358,6 +359,21 @@ def test_dump_load_is_identity(
     xs = np.linspace(*smooth_problem.omega, 17)
     ts = np.linspace(0.0, smooth_problem.T, 13)
     for before, after in zip(evaluate_grid(sol, xs, ts), evaluate_grid(loaded, xs, ts)):
+        assert np.array_equal(before, after)
+
+
+def test_solution_loaded_without_problem_asks_for_it(tmp_path, smooth_problem):
+    sx, st = _spaces(smooth_problem, 2, 2, 1)
+    sol = xw.solve(xw.assemble(smooth_problem, sx, st))
+    path = tmp_path / "solution.txt"
+    xw.dump_solution(sol, path)
+    loaded = xw.load_solution(path)
+    with pytest.raises(InvalidProblemError, match="pass problem to load_solution"):
+        evaluate_grid(loaded, [0.5], [1.0])
+    # time derivatives carry no initial-data shift, so they need no problem
+    for before, after in zip(
+        evaluate_grid(sol, [0.5], [1.0], d_t=1), evaluate_grid(loaded, [0.5], [1.0], d_t=1)
+    ):
         assert np.array_equal(before, after)
 
 
