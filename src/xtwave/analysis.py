@@ -7,7 +7,7 @@ import scipy.linalg as sla
 
 from .forms import time_factors
 from .newton import make_newton_solver, weighted_dual_sq
-from .quadrature import panel_points, time_panel_points
+from .quadrature import panel_points, sample, time_panel_points
 from .system import _factors, _shift_values
 
 # error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
@@ -30,6 +30,10 @@ _SUM_KEYS = (
 # bytes of one stack of space-mode matrices in estimate_infsup, which bounds
 # its working memory for any number of modes
 _MODE_STACK_BYTES = 16 << 20
+# uniform elements per axis and Gauss points per element of the quadrature
+# in stability_data_bound
+_BOUND_ELEMENTS = 64
+_BOUND_POINTS = 12
 
 
 @dataclass
@@ -69,51 +73,36 @@ def infsup_lower_bound(problem):
     return 1.0 / (2.0 * np.sqrt(c**2 + 4.0 * problem.T**2))
 
 
-def _kink_corrections(solution, problem, xq, wx, time_rule, n):
-    """Quadrature corrections for time elements cut by the discontinuity line.
+def _field_values(solution, problem, fields, x, t, Bx, Bt):
+    """Exact values and errors of every field at space nodes x and time nodes
+    t: one time vector for all rows, or one row of times per space node.
+    Bx and Bt hold the basis tables at x and t by derivative order.  Each
+    ExactSolution callable is evaluated once, and the initial-data shift is
+    that of problem, so a solution loaded without one can be measured."""
+    exact = {a: sample(getattr(problem.exact, a), x, t) for a in {f[3] for f in fields.values()}}
+    values, errors = {}, {}
+    for name, (d_x, d_t, which, exact_name) in fields.items():
+        BxC = Bx[d_x] @ (solution.u_coeffs if which == "u" else solution.v_coeffs)
+        disc = BxC @ Bt[d_t].T if np.ndim(t) == 1 else np.einsum("cqb,cb->cq", Bt[d_t], BxC)
+        disc += _shift_values(problem, x, d_x, d_t, which)[:, None]
+        values[name] = exact[exact_name]
+        errors[name] = values[name] - disc
+    return values, errors
 
-    A Gauss rule is only legitimate where the integrand is smooth, so the
-    contribution of each cut element, taken with the main sum's time rule
-    (tq, wt, wt_e) of n points per element, is replaced by two panels meeting
-    at the kink.  All cuts are done at once: row c of the (n_cuts, 3n) node
-    and weight arrays holds the whole element with negated weights, then both
-    halves.  Returns per-key corrections for both the squared errors and the
-    squared exact norms.
-    """
-    exact = problem.exact
-    st = solution.space_t
-    bp_t = st.breakpoints
-    # kink time of every space node (NaN where there is none) and its element;
-    # space node i cuts time element k unless the kink is within 1e-13 of its ends
-    ts = np.array([exact.kink_time(x) for x in xq], dtype=float)
-    k = np.clip(np.searchsorted(bp_t, ts, side="right") - 1, 0, bp_t.size - 2)
-    cut = (bp_t[0] + 1e-13 < ts) & (ts < bp_t[-1] - 1e-13)
-    cut &= np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
-    i = np.flatnonzero(cut)
-    k, ts = k[i], ts[i]
-    th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
-    tq, wt, wt_e = (a.reshape(-1, n)[k] for a in time_rule)
-    tn = np.hstack((tq, th))
-    weights = {False: np.hstack((-wt, wh)), True: np.hstack((-wt_e, whe))}
 
-    x = xq[i]
-    Bx = {d: solution.space_x.tabulate(x, d) for d in (0, 1)}
-    Bt = {d: st.tabulate(tn.ravel(), d).reshape(*tn.shape, st.dim) for d in (0, 1)}
-    ex, err = {}, {}
-    for name, (d_x, d_t, which, exact_name) in _FIELDS.items():
-        coeffs = solution.u_coeffs if which == "u" else solution.v_coeffs
-        disc = np.einsum("cqb,cb->cq", Bt[d_t], Bx[d_x] @ coeffs)
-        disc += _shift_values(solution.problem, x, d_x, d_t, which)[:, None]
-        ex_vals = np.asarray(getattr(exact, exact_name)(x[:, None], tn), dtype=float)
-        ex[name] = np.broadcast_to(ex_vals, tn.shape)
-        err[name] = ex[name] - disc
-    corr_err, corr_norm = {}, {}
-    for mat, weighted in _SUM_KEYS:
-        xw = wx[i] * problem.c2(x) if mat == "cgradU" else wx[i]
-        w = weights[weighted]
-        corr_err[(mat, weighted)] = float(np.einsum("c,cq,cq->", xw, w, err[mat] ** 2))
-        corr_norm[(mat, weighted)] = float(np.einsum("c,cq,cq->", xw, w, ex[mat] ** 2))
-    return corr_err, corr_norm
+def _weighted_sq_sums(values, wx, c2x, wt, wt_e):
+    """Squared sums of _SUM_KEYS over a node set: values[name] and the time
+    weights are (space node, time node) arrays, or the weights one time
+    vector for all rows; wx and c2x are per space node."""
+    sums = {}
+    for name, weighted in _SUM_KEYS:
+        w_x = wx * c2x if name == "cgradU" else wx
+        w_t = wt_e if weighted else wt
+        sq = values[name] ** 2
+        sums[(name, weighted)] = float(
+            w_x @ sq @ w_t if w_t.ndim == 1 else w_x @ np.einsum("cq,cq->c", sq, w_t)
+        )
+    return sums
 
 
 def error_report(solution, problem, n_quad=None, relative=True):
@@ -132,28 +121,33 @@ def error_report(solution, problem, n_quad=None, relative=True):
     # own product, as evaluate_grid would
     Bx = {d: sx.tabulate(xq, d) for d in (0, 1)}
     Bt = {d: st.tabulate(tq, d) for d in (0, 1)}
-    E, XV = {}, {}
-    for name, (d_x, d_t, which, exact_name) in fields.items():
-        coeffs = solution.u_coeffs if which == "u" else solution.v_coeffs
-        shift = _shift_values(solution.problem, xq, d_x, d_t, which)
-        discrete = Bx[d_x] @ coeffs @ Bt[d_t].T + shift[:, None]
-        ex_vals = getattr(exact, exact_name)(xq[:, None], tq[None, :])
-        ex_vals = np.broadcast_to(np.asarray(ex_vals, dtype=float), discrete.shape)
-        E[name] = ex_vals - discrete
-        XV[name] = ex_vals
-
-    err_sq, norm_sq = {}, {}
-    for mat, weighted in _SUM_KEYS:
-        wxe = wx * c2x if mat == "cgradU" else wx
-        wte = wt_e if weighted else wt
-        err_sq[(mat, weighted)] = float(wxe @ (E[mat] ** 2) @ wte)
-        norm_sq[(mat, weighted)] = float(wxe @ (XV[mat] ** 2) @ wte)
+    XV, E = _field_values(solution, problem, fields, xq, tq, Bx, Bt)
+    err_sq = _weighted_sq_sums(E, wx, c2x, wt, wt_e)
+    norm_sq = _weighted_sq_sums(XV, wx, c2x, wt, wt_e)
 
     if exact.kink_time is not None:
-        corr_err, corr_norm = _kink_corrections(solution, problem, xq, wx, (tq, wt, wt_e), n)
-        for key in err_sq:
-            err_sq[key] += corr_err[key]
-            norm_sq[key] += corr_norm[key]
+        # A Gauss rule is only legitimate where the integrand is smooth, so
+        # time element k cut by the kink at space node i is integrated by two
+        # panels meeting at the kink: its share of the main sums (row i, time
+        # block k) enters again with negated weights, next to both halves.
+        # Node i cuts element k unless the kink is within 1e-13 of its ends.
+        bp_t = st.breakpoints
+        ts = np.array([exact.kink_time(x) for x in xq], dtype=float)
+        k = np.clip(np.searchsorted(bp_t, ts, side="right") - 1, 0, bp_t.size - 2)
+        cut = (bp_t[0] + 1e-13 < ts) & (ts < bp_t[-1] - 1e-13)
+        cut &= np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
+        i = np.flatnonzero(cut)
+        k, ts = k[i], ts[i]
+        th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
+        Bth = {d: st.tabulate(th.ravel(), d).reshape(*th.shape, st.dim) for d in (0, 1)}
+        Bxi = {d: B[i] for d, B in Bx.items()}
+        XVh, Eh = _field_values(solution, problem, _FIELDS, xq[i], th, Bxi, Bth)
+        rows, cols = i[:, None], k[:, None] * n + np.arange(n)
+        w_cut = (np.hstack((-wt[cols], wh)), np.hstack((-wt_e[cols], whe)))
+        for sums, V, Vh in ((err_sq, E, Eh), (norm_sq, XV, XVh)):
+            split = {name: np.hstack((V[name][rows, cols], Vh[name])) for name in _FIELDS}
+            for key, value in _weighted_sq_sums(split, wx[i], c2x[i], *w_cut).items():
+                sums[key] += value
 
     # Newton seminorm of the time derivative of the velocity error
     solver = make_newton_solver(sx, problem.c2, n)
@@ -221,9 +215,7 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     M_e, S, _, (tq, wt_e, dBt) = time_factors(space_t, T, n)
     xq, wx = panel_points(space_x.breakpoints, n)
     c2x = c2(xq)
-    W = np.broadcast_to(
-        np.asarray(dxdt_w(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
-    )
+    W = sample(dxdt_w, xq, tq)
     space_op = make_newton_solver(space_x, c2, n)
     dBx = space_x.tabulate(xq, 1)
     S_cho = sla.cho_factor(S)
@@ -319,20 +311,18 @@ def discrete_veh_norm(system, solution):
     return np.sqrt(max(float(q), 0.0))
 
 
-def stability_data_bound(problem, n_quad=12, n_elements=64):
-    """Upper bound on the stability norm in terms of the problem data."""
+def stability_data_bound(problem):
+    """Upper bound on the stability norm in terms of the problem data, by
+    quadrature on _BOUND_ELEMENTS uniform elements per axis."""
     beta = 1.0 / infsup_lower_bound(problem)
     if problem.div_c2_grad_U0 is None:
         raise ValueError("problem does not provide div(c^2 grad U0)")
     T = problem.T
-    xs = np.linspace(problem.omega[0], problem.omega[1], n_elements + 1)
-    ts = np.linspace(0.0, T, n_elements + 1)
-    xq, wx = panel_points(xs, n_quad)
-    tq, _, wt_e = time_panel_points(ts, n_quad, T)
-    Fv = np.broadcast_to(
-        np.asarray(problem.F(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
-    )
-    norm_F = np.sqrt(float(wx @ Fv**2 @ wt_e))
+    xs = np.linspace(problem.omega[0], problem.omega[1], _BOUND_ELEMENTS + 1)
+    ts = np.linspace(0.0, T, _BOUND_ELEMENTS + 1)
+    xq, wx = panel_points(xs, _BOUND_POINTS)
+    tq, _, wt_e = time_panel_points(ts, _BOUND_POINTS, T)
+    norm_F = np.sqrt(float(wx @ sample(problem.F, xq, tq) ** 2 @ wt_e))
     norm_div = np.sqrt(float(wx @ problem.div_c2_grad_U0(xq) ** 2))
     if problem.dV0 is None:
         norm_cgradV0 = 0.0

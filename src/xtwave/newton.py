@@ -11,8 +11,9 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
+from .errors import InvalidSpaceError
 from .forms import assemble_space_matrix, time_factors
-from .quadrature import panel_points, time_panel_points
+from .quadrature import panel_points, sample, time_panel_points
 
 
 @dataclass
@@ -47,6 +48,10 @@ class NewtonSolver:
 
 
 def make_newton_solver(space_x, c2, n_quad=None):
+    """The spatial operator of a zero-both space; any other constraint
+    leaves K_x singular and is refused with InvalidSpaceError."""
+    if space_x.constraint != "zero-both":
+        raise InvalidSpaceError("space_x must have constraint zero-both")
     n = n_quad or space_x.degree + 2
     M_x = assemble_space_matrix(space_x, space_x, 0, 0, n_points=n)
     K_x = assemble_space_matrix(space_x, space_x, 1, 1, c2, n_points=n)
@@ -102,7 +107,4 @@ def seminorm_Neh(solver, v, mesh_t, T, n_quad=None):
     tq, _, wt_e = time_panel_points(bp_t, n, T)
     xq, wx = panel_points(solver.space.breakpoints, n)
     B = solver.space.tabulate(xq, 0)
-    vals = np.broadcast_to(
-        np.asarray(v(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
-    )
-    return np.sqrt(max(weighted_dual_sq(solver, B, wx, vals, wt_e), 0.0))
+    return np.sqrt(max(weighted_dual_sq(solver, B, wx, sample(v, xq, tq), wt_e), 0.0))

@@ -181,7 +181,7 @@ def by_name(name):
     raise KeyError(f"unknown problem {name!r}")
 
 
-def residual_check(problem, rng, n_points=100, tol=1e-8):
+def residual_check(problem, rng, n_points=100):
     """Max wave-equation residual of the exact solution at random points.
 
     Uses fourth-order finite differences for both second derivatives, so it

@@ -66,6 +66,15 @@ def time_panel_points(breakpoints, n_points, T):
     return tq, wt, wt * np.exp(-tq / T)
 
 
+def sample(f, x, t):
+    """Values of f(x, t) at space nodes x and time nodes t as a float array
+    (len(x), n_t): t is one time vector for all rows or one row of times per
+    space node.  A read-only broadcast view when f returns fewer axes."""
+    t = np.asarray(t)
+    t = t[None, :] if t.ndim == 1 else t
+    return np.broadcast_to(np.asarray(f(x[:, None], t), dtype=float), (x.size, t.shape[-1]))
+
+
 def integrate(f, mesh, n_points):
     """Composite Gauss integral of f over the breakpoint mesh."""
     bp = mesh.breakpoints if isinstance(mesh, KnotVector) else np.asarray(mesh, dtype=float)

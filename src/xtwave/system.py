@@ -29,7 +29,7 @@ import scipy.linalg as sla
 from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError, SolutionFileError
 from .forms import time_factors
 from .newton import NewtonSolver, make_newton_solver
-from .quadrature import panel_points
+from .quadrature import panel_points, sample
 from .splines import clip_to_interval, make_space
 
 RESIDUAL_TOL = 1e-10
@@ -125,8 +125,6 @@ class DiscreteSolution:
 
 
 def _check_space_x(problem, space_x):
-    if space_x.constraint != "zero-both":
-        raise InvalidSpaceError("space_x must have constraint zero-both")
     ax, bx = space_x.interval
     if abs(ax - problem.omega[0]) > 1e-12 or abs(bx - problem.omega[1]) > 1e-12:
         raise InvalidSpaceError("space_x interval does not match the problem domain")
@@ -152,8 +150,7 @@ def assemble(problem, space_x, space_t, n_quad=None):
     xq, wx = panel_points(space_x.breakpoints, n)
     Bx = space_x.tabulate(xq, 0)
     dBx = space_x.tabulate(xq, 1)
-    Fvals = problem.F(xq[:, None], tq[None, :])
-    Fvals = np.broadcast_to(np.asarray(Fvals, dtype=float), (xq.size, tq.size))
+    Fvals = sample(problem.F, xq, tq)
     rhs_F = (Bx * wx[:, None]).T @ Fvals @ (Bt_test * wt_e[:, None])  # (n_x, n_t)
 
     g_U0 = (dBx * (wx * problem.c2(xq) * problem.dU0(xq))[:, None]).sum(axis=0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -66,4 +68,26 @@ def tabulate_calls(monkeypatch):
         return tabulate(self, xs, deriv_order)
 
     monkeypatch.setattr(xw.SplineSpace, "tabulate", counted)
+    return calls
+
+
+@pytest.fixture
+def exact_calls(monkeypatch, smooth_problem, singular_problem):
+    """List that receives the name of every ExactSolution callable evaluated
+    on the smooth and singular problems (their initial data call the
+    underlying functions directly, so they do not count)."""
+    calls = []
+
+    def counted(name, f):
+        def call(*args):
+            calls.append(name)
+            return f(*args)
+
+        return call
+
+    for problem in (smooth_problem, singular_problem):
+        for field in dataclasses.fields(problem.exact):
+            f = getattr(problem.exact, field.name)
+            if f is not None:
+                monkeypatch.setattr(problem.exact, field.name, counted(field.name, f))
     return calls

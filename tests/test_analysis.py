@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -158,6 +159,17 @@ def test_projectors_tabulate_each_time_basis_once(smooth_problem, tabulate_calls
     assert len(tabulate_calls) <= 5
 
 
+def test_projectors_refuse_unconstrained_space_x(smooth_problem):
+    # without the zero-both constraint K_x is singular
+    prob = smooth_problem
+    free = xw.make_uniform_space(prob.omega, 4, 2, None, "none")
+    st_ = xw.make_uniform_space((0.0, prob.T), 4, 2, None, "zero-left")
+    with pytest.raises(xw.InvalidSpaceError, match="zero-both"):
+        analysis.project_space(np.sin, np.cos, free, prob.c2)
+    with pytest.raises(xw.InvalidSpaceError, match="zero-both"):
+        analysis.commutation_check(prob.exact.dxdt_u, free, st_, prob.c2, prob.T)
+
+
 def test_projectors_refuse_bad_time_spaces(smooth_problem):
     prob = smooth_problem
     sx = xw.make_uniform_space(prob.omega, 4, 2, None, "zero-both")
@@ -205,6 +217,17 @@ def test_error_report_tabulates_each_basis_once(
     tabulate_calls.clear()
     xw.error_report(sol, smooth_problem)
     assert len(tabulate_calls) <= 6
+
+
+def test_error_report_shifts_with_its_problem_argument(tmp_path, smooth_problem):
+    sx = xw.make_uniform_space(smooth_problem.omega, 4, 2, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, smooth_problem.T), 4, 2, 1, "zero-left")
+    sol = xw.solve(xw.assemble(smooth_problem, sx, st_))
+    path = tmp_path / "solution.txt"
+    xw.dump_solution(sol, path)
+    loaded = xw.load_solution(path)
+    assert loaded.problem is None
+    assert xw.error_report(loaded, smooth_problem) == xw.error_report(sol, smooth_problem)
 
 
 def test_error_report_needs_no_dV0(smooth_problem, smooth_solution_cache):
@@ -384,7 +407,55 @@ def test_singular_error_regression_anchor(singular_problem, tabulate_calls):
         rep = xw.error_report(sol, singular_problem, relative=relative)
         calls_per_report.add(len(calls))
         assert [getattr(rep, name) for name in fields] == pytest.approx(expected, rel=1e-10)
-    # the kink-split quadrature tabulates once per derivative order, however
-    # many space nodes cut a time element (their number doubles with n_x)
+    # the kink-split quadrature tabulates only the halves' times, once per
+    # derivative order, however many space nodes cut a time element (their
+    # number doubles with n_x); the cut rows reuse the main space tables
     (count,) = calls_per_report
-    assert count <= 10
+    assert count <= 8
+
+
+def _graded_breakpoints(n_left, n_right, omega, kink=-1.0):
+    """Breakpoints on omega graded quadratically toward the initial kink."""
+    s_left = np.linspace(0.0, 1.0, n_left + 1)
+    s_right = np.linspace(0.0, 1.0, n_right + 1)
+    left = kink - (kink - omega[0]) * (1.0 - s_left) ** 2
+    right = kink + (omega[1] - kink) * s_right**2
+    return np.concatenate([left, right[1:]])
+
+
+# frozen values of the graded singular level (p=2, 8 + 40 space elements
+# graded toward x = -1, 16 time elements), keyed by relative, in the field
+# order of ErrorReport
+GRADED_SINGULAR_ANCHOR = {
+    True: (
+        3.420562758134e-01, 9.130552217072e-01, 3.694675869812e-01, 3.700059629756e-01,
+        7.804189993122e-01, 5.102586365238e-02, 5.505457415930e-02, 3.853836576822e-01,
+    ),
+    False: (
+        5.991277912257e-01, 4.044724225571e+00, 6.471400028875e-01, 6.480829939774e-01,
+        4.190173018094e+00, 1.233130611106e-02, 1.673447824763e-02, 8.490026673093e-01,
+    ),
+}
+
+
+def test_graded_singular_error_regression_anchor(singular_problem):
+    prob = singular_problem
+    sx = xw.make_space(_graded_breakpoints(8, 40, prob.omega), 2, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, prob.T), 16, 2, 1, "zero-left")
+    sol = xw.solve(xw.assemble(prob, sx, st_))
+    fields = [f.name for f in dataclasses.fields(analysis.ErrorReport)][:-1]
+    for relative, expected in GRADED_SINGULAR_ANCHOR.items():
+        rep = xw.error_report(sol, prob, relative=relative)
+        assert [getattr(rep, name) for name in fields] == pytest.approx(expected, rel=1e-10)
+
+
+def test_singular_error_report_evaluates_each_exact_callable_once(singular_problem, exact_calls):
+    sx = xw.make_uniform_space(singular_problem.omega, 24, 2, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, singular_problem.T), 8, 2, 1, "zero-left")
+    sol = xw.solve(xw.assemble(singular_problem, sx, st_))
+    exact_calls.clear()
+    xw.error_report(sol, singular_problem)
+    # the main grid needs u, v, dx_u and dt_v, the kink halves u, v and dx_u;
+    # V and dtU share the values of v; kink_time is a function of one node
+    fields = Counter(name for name in exact_calls if name != "kink_time")
+    assert fields == {"u": 2, "v": 2, "dx_u": 2, "dt_v": 1}
