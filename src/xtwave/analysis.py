@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .forms import time_factors
+from .forms import default_n_points, space_tables, time_factors
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, sample, time_panel_points
 from .system import _factors, _shift_values
@@ -76,14 +76,16 @@ def infsup_lower_bound(problem):
 def _field_values(solution, problem, fields, x, t, Bx, Bt):
     """Exact values and errors of every field at space nodes x and time nodes
     t: one time vector for all rows, or one row of times per space node.
-    Bx and Bt hold the basis tables at x and t by derivative order.  Each
+    Bx and Bt are the basis tables of orders 0 and 1 at x and t, the order
+    on the second-to-last axis, as tabulate returns them.  Each
     ExactSolution callable is evaluated once, and the initial-data shift is
     that of problem, so a solution loaded without one can be measured."""
     exact = {a: sample(getattr(problem.exact, a), x, t) for a in {f[3] for f in fields.values()}}
     values, errors = {}, {}
     for name, (d_x, d_t, which, exact_name) in fields.items():
-        BxC = Bx[d_x] @ (solution.u_coeffs if which == "u" else solution.v_coeffs)
-        disc = BxC @ Bt[d_t].T if np.ndim(t) == 1 else np.einsum("cqb,cb->cq", Bt[d_t], BxC)
+        BxC = Bx[:, d_x] @ (solution.u_coeffs if which == "u" else solution.v_coeffs)
+        Bt_d = Bt[..., d_t, :]
+        disc = BxC @ Bt_d.T if np.ndim(t) == 1 else np.einsum("cqb,cb->cq", Bt_d, BxC)
         disc += _shift_values(problem, x, d_x, d_t, which)[:, None]
         values[name] = exact[exact_name]
         errors[name] = values[name] - disc
@@ -106,21 +108,26 @@ def _weighted_sq_sums(values, wx, c2x, wt, wt_e):
 
 
 def error_report(solution, problem, n_quad=None, relative=True):
-    """Weighted norm components of the error against the exact solution."""
+    """Weighted norm components of the error against the exact solution.
+
+    The fields are integrated on a rule of n_quad points per element (by
+    default the system's rule plus one).  The Newton seminorm of the dtV
+    error is the dual norm of the spatial operator the solution was solved
+    with; a solution loaded from a file builds that operator on the system's
+    rule (n_quad, or default_n_points of both spaces), as assemble would."""
     exact = problem.exact
     if exact is None:
         raise ValueError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
-    n = n_quad or max(sx.degree, st.degree) + 3
-    xq, wx = panel_points(sx.breakpoints, n)
+    n = n_quad or default_n_points(sx, st, extra=3)
+    xq, wx, Bx = space_tables(sx, n)
     tq, wt, wt_e = time_panel_points(st.breakpoints, n, problem.T)
     c2x = problem.c2(xq)
 
     fields = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")) if exact.dt_v is not None else _FIELDS
-    # one table per space and derivative order; each field forms only its
-    # own product, as evaluate_grid would
-    Bx = {d: sx.tabulate(xq, d) for d in (0, 1)}
-    Bt = {d: st.tabulate(tq, d) for d in (0, 1)}
+    # one table of both derivative orders per space; each field forms only
+    # its own product, as evaluate_grid would
+    Bt = st.tabulate(tq, (0, 1))
     XV, E = _field_values(solution, problem, fields, xq, tq, Bx, Bt)
     err_sq = _weighted_sq_sums(E, wx, c2x, wt, wt_e)
     norm_sq = _weighted_sq_sums(XV, wx, c2x, wt, wt_e)
@@ -139,9 +146,8 @@ def error_report(solution, problem, n_quad=None, relative=True):
         i = np.flatnonzero(cut)
         k, ts = k[i], ts[i]
         th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
-        Bth = {d: st.tabulate(th.ravel(), d).reshape(*th.shape, st.dim) for d in (0, 1)}
-        Bxi = {d: B[i] for d, B in Bx.items()}
-        XVh, Eh = _field_values(solution, problem, _FIELDS, xq[i], th, Bxi, Bth)
+        Bth = st.tabulate(th.ravel(), (0, 1)).reshape(*th.shape, 2, st.dim)
+        XVh, Eh = _field_values(solution, problem, _FIELDS, xq[i], th, Bx[i], Bth)
         rows, cols = i[:, None], k[:, None] * n + np.arange(n)
         w_cut = (np.hstack((-wt[cols], wh)), np.hstack((-wt_e[cols], whe)))
         for sums, V, Vh in ((err_sq, E, Eh), (norm_sq, XV, XVh)):
@@ -150,10 +156,12 @@ def error_report(solution, problem, n_quad=None, relative=True):
                 sums[key] += value
 
     # Newton seminorm of the time derivative of the velocity error
-    solver = make_newton_solver(sx, problem.c2, n)
     if "dtV" in E:
-        err_neh_sq = weighted_dual_sq(solver, Bx[0], wx, E["dtV"], wt_e)
-        norm_neh_sq = weighted_dual_sq(solver, Bx[0], wx, XV["dtV"], wt_e)
+        solver = solution.space_op or make_newton_solver(
+            sx, problem.c2, n_quad or default_n_points(sx, st)
+        )
+        err_neh_sq = weighted_dual_sq(solver, Bx[:, 0], wx, E["dtV"], wt_e)
+        norm_neh_sq = weighted_dual_sq(solver, Bx[:, 0], wx, XV["dtV"], wt_e)
     else:
         err_neh_sq = norm_neh_sq = 0.0
 
@@ -187,17 +195,16 @@ def error_report(solution, problem, n_quad=None, relative=True):
 def project_space(w, dw, space_x, c2, n_quad=None):
     """Elliptic projection in space: coefficients of the best approximation
     of w in the c^2-weighted gradient seminorm."""
-    n = n_quad or space_x.degree + 3
-    xq, wx = panel_points(space_x.breakpoints, n)
-    dB = space_x.tabulate(xq, 1)
-    g = dB.T @ (wx * c2(xq) * dw(xq))
-    return make_newton_solver(space_x, c2, n).solve_K(g)
+    n = n_quad or default_n_points(space_x, extra=3)
+    tables = xq, wx, B = space_tables(space_x, n)
+    g = B[:, 1].T @ (wx * c2(xq) * dw(xq))
+    return make_newton_solver(space_x, c2, n, tables).solve_K(g)
 
 
 def project_time(w, dw, space_t, T, n_quad=None):
     """Elliptic projection in time: weighted normal equations in the
     derivative inner product, zero-left trial basis."""
-    n = n_quad or space_t.degree + 3
+    n = n_quad or default_n_points(space_t, extra=3)
     _, S, _, (tq, wt_e, dB) = time_factors(space_t, T, n)
     r = dB.T @ (wt_e * dw(tq))
     return sla.cho_solve(sla.cho_factor(S), r)
@@ -211,13 +218,13 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     of time-then-space composition, coefficients of space-then-time
     composition); coefficient arrays are (space dim, time dim).
     """
-    n = n_quad or max(space_x.degree, space_t.degree) + 3
+    n = n_quad or default_n_points(space_x, space_t, extra=3)
     M_e, S, _, (tq, wt_e, dBt) = time_factors(space_t, T, n)
-    xq, wx = panel_points(space_x.breakpoints, n)
+    tables = xq, wx, Bx = space_tables(space_x, n)
     c2x = c2(xq)
     W = sample(dxdt_w, xq, tq)
-    space_op = make_newton_solver(space_x, c2, n)
-    dBx = space_x.tabulate(xq, 1)
+    space_op = make_newton_solver(space_x, c2, n, tables)
+    dBx = Bx[:, 1]
     S_cho = sla.cho_factor(S)
 
     # time projection first: per x-node time moments, then space projection
@@ -286,7 +293,7 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
     """Smallest generalized singular value of the block form in the discrete
     trial/test norm pair, minimized over the space modes that split it.
     Needs only the operator factors, not the problem's data."""
-    space_op, M_e, S_e, A_e, _ = _factors(problem, space_x, space_t, n_quad)
+    space_op, M_e, S_e, A_e, *_ = _factors(problem, space_x, space_t, n_quad)
     lam = space_op.eigenpairs[0]
     mu = _modes_infsup(lam, A_e, S_e, M_e)
     i = int(np.argmin(mu))

@@ -284,7 +284,9 @@ def _run_level(config, problem, level, nx, nt):
     system = assemble(problem, space_x, space_t, config.quad_points)
     solution = solve(system)
     result.solve_seconds = solution.solve_seconds
-    result.solution = solution
+    if config.mode == "solve":
+        # kept only to be written out: it holds the level's spatial operator
+        result.solution = solution
     if problem.exact is not None:
         result.report = error_report(solution, problem, config.quad_points)
     return result

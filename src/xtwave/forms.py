@@ -19,9 +19,19 @@ def _check_same_interval(trial, test):
         )
 
 
-def default_n_points(trial, test):
-    """Exact for the polynomial part plus two points for analytic factors."""
-    return max(trial.degree, test.degree) + 2
+def default_n_points(*spaces, extra=2):
+    """Gauss points per element on meshes of these spaces: the largest degree
+    plus extra.  The system's rule (extra=2) integrates a product of two basis
+    functions times a cubic exactly; errors and projectors use extra=3."""
+    return max(space.degree for space in spaces) + extra
+
+
+def space_tables(space, n_points):
+    """(xq, wq, B): the composite rule of n_points per element on the mesh of
+    space and its basis tables of orders 0 and 1, B[:, d] of order d, from
+    one recursion, to be shared by every matrix and load on that rule."""
+    xq, wq = panel_points(space.breakpoints, n_points)
+    return xq, wq, space.tabulate(xq, (0, 1))
 
 
 def weighted_gram(b_test, b_trial, w):
@@ -59,22 +69,30 @@ def time_factors(space_t, T, n_points):
     if abs(a) > 1e-12 or abs(b - T) > 1e-12:
         raise InvalidSpaceError(f"space_t interval ({a}, {b}) does not match (0, {T})")
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n_points, T)
-    theta = space_t.tabulate(tq, 0)
-    dtheta = space_t.tabulate(tq, 1)
+    B = space_t.tabulate(tq, (0, 1))
+    theta, dtheta = B[:, 0], B[:, 1]
     M_e = weighted_gram(theta, theta, wt_e)
     S_e = weighted_gram(dtheta, dtheta, wt_e)
     A_e = weighted_gram(dtheta, theta, wt_e)
     return M_e, S_e, A_e, (tq, wt_e, dtheta)
 
 
-def assemble_space_matrix(trial, test, d_trial, d_test, coefficient=None, n_points=None):
-    """Matrix of unweighted space integrals with a pointwise coefficient."""
+def assemble_space_matrix(
+    trial, test, d_trial, d_test, coefficient=None, n_points=None, tables=None
+):
+    """Matrix of unweighted space integrals with a pointwise coefficient.
+    tables, the space_tables of trial when test is trial, replace the rule
+    of n_points and the tabulation of both bases."""
     _check_same_interval(trial, test)
     if coefficient is None:
         coefficient = np.ones_like
-    n = n_points or default_n_points(trial, test)
-    xq, wq = panel_points(trial.breakpoints, n)
+    if tables is None:
+        xq, wq = panel_points(trial.breakpoints, n_points or default_n_points(trial, test))
+    else:
+        xq, wq, B = tables
     fvals = coefficient(xq)
     if not np.all(np.isfinite(fvals)):
         raise AssemblyError("coefficient is non-finite at a quadrature node")
-    return _gram(trial, test, d_trial, d_test, xq, wq * fvals)
+    if tables is None:
+        return _gram(trial, test, d_trial, d_test, xq, wq * fvals)
+    return weighted_gram(B[:, d_test], B[:, d_trial], wq * fvals)

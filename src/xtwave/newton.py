@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidSpaceError
-from .forms import assemble_space_matrix, time_factors
+from .forms import assemble_space_matrix, default_n_points, space_tables, time_factors
 from .quadrature import panel_points, sample, time_panel_points
 
 
@@ -47,14 +47,18 @@ class NewtonSolver:
         return sla.eigh(self.K_x, self.M_x)
 
 
-def make_newton_solver(space_x, c2, n_quad=None):
+def make_newton_solver(space_x, c2, n_quad=None, tables=None):
     """The spatial operator of a zero-both space; any other constraint
-    leaves K_x singular and is refused with InvalidSpaceError."""
+    leaves K_x singular and is refused with InvalidSpaceError.  M_x and K_x
+    come from one table of both orders: tables, the space_tables of space_x
+    on the rule of n_quad points when the caller shares them, else its own."""
     if space_x.constraint != "zero-both":
         raise InvalidSpaceError("space_x must have constraint zero-both")
-    n = n_quad or space_x.degree + 2
-    M_x = assemble_space_matrix(space_x, space_x, 0, 0, n_points=n)
-    K_x = assemble_space_matrix(space_x, space_x, 1, 1, c2, n_points=n)
+    n = n_quad or default_n_points(space_x)
+    if tables is None:
+        tables = space_tables(space_x, n)
+    M_x = assemble_space_matrix(space_x, space_x, 0, 0, tables=tables)
+    K_x = assemble_space_matrix(space_x, space_x, 1, 1, c2, tables=tables)
     return NewtonSolver(space_x, M_x, K_x, sla.cho_factor(K_x), n)
 
 

@@ -164,17 +164,23 @@ class SplineSpace:
         return self.dim_unconstrained - self._left_removed - self._right_removed
 
     def tabulate(self, xs, deriv_order=0):
-        """Dense matrix of basis values, shape (len(xs), dim)."""
-        if deriv_order > self.degree:
+        """Dense matrix of basis values, shape (len(xs), dim).
+
+        A sequence of derivative orders gives every order from one recursion,
+        shape (len(xs), len(orders), dim); each table [:, k] is C-contiguous
+        and equal bit for bit to the table of that order alone.
+        """
+        orders = np.atleast_1d(deriv_order)
+        if orders.max() > self.degree:
             raise ValueError("derivative order exceeds degree")
         xs = clip_to_interval(np.atleast_1d(xs), self.interval)
-        spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, deriv_order)
+        spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, int(orders.max()))
         # constrained index of each point's p + 1 active functions
         cols = (spans - self.degree - self._left_removed)[:, None] + np.arange(self.degree + 1)
         kept = (cols >= 0) & (cols < self.dim)
-        out = np.zeros((xs.size, self.dim))
-        out[np.nonzero(kept)[0], cols[kept]] = ders[deriv_order].T[kept]
-        return out
+        out = np.zeros((orders.size, xs.size, self.dim))
+        out[:, np.nonzero(kept)[0], cols[kept]] = ders[orders].transpose(0, 2, 1)[:, kept]
+        return out[0] if np.ndim(deriv_order) == 0 else out.transpose(1, 0, 2)
 
     def evaluate(self, coeffs, xs, deriv_order=0):
         """Evaluate the spline with the given coefficients at points xs."""

@@ -27,9 +27,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError, SolutionFileError
-from .forms import time_factors
+from .forms import default_n_points, space_tables, time_factors
 from .newton import NewtonSolver, make_newton_solver
-from .quadrature import panel_points, sample
+from .quadrature import sample
 from .splines import clip_to_interval, make_space
 
 RESIDUAL_TOL = 1e-10
@@ -113,7 +113,12 @@ class BlockSystem:
 
 @dataclass
 class DiscreteSolution:
-    """Coefficient arrays of the shifted unknowns plus the data shift."""
+    """Coefficient arrays of the shifted unknowns plus the data shift.
+
+    A solution from solve carries the spatial operator it was solved with
+    and refine_ratio = ||(dU, dV)||_F / ||(U, V)||_F of its refinement step,
+    an estimate of the relative forward error of the unrefined mode solve;
+    a solution loaded from a file has neither."""
 
     u_coeffs: np.ndarray  # (n_x, n_t)
     v_coeffs: np.ndarray  # (n_x, n_t)
@@ -122,6 +127,8 @@ class DiscreteSolution:
     problem: ProblemSpec
     residual: float = 0.0
     solve_seconds: float = 0.0
+    space_op: NewtonSolver = None
+    refine_ratio: float = None
 
 
 def _check_space_x(problem, space_x):
@@ -131,25 +138,26 @@ def _check_space_x(problem, space_x):
 
 
 def _factors(problem, space_x, space_t, n_quad=None):
-    """The spatial operator, the weighted time factors M_e, S_e, A_e and
+    """The spatial operator, the weighted time factors M_e, S_e, A_e,
     (n, tq, wt_e, theta'): the rule size, and the time rule with the test
-    basis for the right-hand side."""
+    basis, and the space_tables the operator was built from, so the
+    right-hand side tabulates neither space again."""
     _check_space_x(problem, space_x)
-    n = n_quad or (max(space_x.degree, space_t.degree) + 2)
+    n = n_quad or default_n_points(space_x, space_t)
     M_e, S_e, A_e, time_rule = time_factors(space_t, problem.T, n)
-    space_op = make_newton_solver(space_x, problem.c2, n)
-    return space_op, M_e, S_e, A_e, (n, *time_rule)
+    space_rule = space_tables(space_x, n)
+    space_op = make_newton_solver(space_x, problem.c2, n, space_rule)
+    return space_op, M_e, S_e, A_e, (n, *time_rule), space_rule
 
 
 def assemble(problem, space_x, space_t, n_quad=None):
     """Build the block system for the given trial spaces."""
-    space_op, M_e, S_e, A_e, (n, tq, wt_e, Bt_test) = _factors(problem, space_x, space_t, n_quad)
+    factors = _factors(problem, space_x, space_t, n_quad)
+    space_op, M_e, S_e, A_e, (n, tq, wt_e, Bt_test), (xq, wx, B) = factors
     d_e = Bt_test.T @ wt_e  # d_e[b] = int theta_b' exp(-t/T)
 
     # right-hand side: lambda rows then chi rows, space index fastest
-    xq, wx = panel_points(space_x.breakpoints, n)
-    Bx = space_x.tabulate(xq, 0)
-    dBx = space_x.tabulate(xq, 1)
+    Bx, dBx = B[:, 0], B[:, 1]
     Fvals = sample(problem.F, xq, tq)
     rhs_F = (Bx * wx[:, None]).T @ Fvals @ (Bt_test * wt_e[:, None])  # (n_x, n_t)
 
@@ -235,6 +243,8 @@ def solve(system):
     # refine against the operator the eigenpairs come from
     B_lam, B_chi = _block_apply(op.K_x, op.M_x, A_e, S_e, U, V)
     dU, dV = solve_modes(R_lam - B_lam, R_chi - B_chi)
+    size = np.hypot(np.linalg.norm(U), np.linalg.norm(V))
+    step = np.hypot(np.linalg.norm(dU), np.linalg.norm(dV))
     U, V = U + dU, V + dV
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise SingularSystemError("space-mode solve produced non-finite values")
@@ -257,6 +267,8 @@ def solve(system):
         problem=system.problem,
         residual=residual,
         solve_seconds=elapsed,
+        space_op=op,
+        refine_ratio=float(step / size if size > 0 else step),
     )
 
 
@@ -310,9 +322,11 @@ def dump_solution(solution, path):
                 f"multiplicity={kv.interior_multiplicity} constraint={space.constraint}\n"
             )
         for name, coeffs in (("U", solution.u_coeffs), ("V", solution.v_coeffs)):
-            for i_x in range(coeffs.shape[0]):
-                for i_t in range(coeffs.shape[1]):
-                    f.write(f"{name},{i_x},{i_t},{coeffs[i_x, i_t]:.17g}\n")
+            # one % per block; rows (i_x, i_t, value) with i_t fastest
+            rows = np.empty((coeffs.size, 3), dtype=object)
+            rows[:, :2] = np.indices(coeffs.shape).reshape(2, -1).T
+            rows[:, 2] = coeffs.ravel()
+            f.write((f"{name},%d,%d,%.17g\n" * coeffs.size) % tuple(rows.ravel()))
 
 
 def _parse_space_header(line, name):
@@ -324,7 +338,9 @@ def _parse_space_header(line, name):
     return make_space(bp, int(fields["degree"]), int(fields["multiplicity"]), fields["constraint"])
 
 
-_BLOCKS = {"U": 0, "V": 1}
+# one body line; a block name longer than one character is kept as two, so
+# it is refused, never truncated to a valid one
+_ROW = np.dtype([("block", "U2"), ("i_x", np.intp), ("i_t", np.intp), ("value", float)])
 
 
 def load_solution(path, problem=None):
@@ -339,15 +355,17 @@ def load_solution(path, problem=None):
         space_x = _parse_space_header(lines[1], "space")
         space_t = _parse_space_header(lines[2], "time")
         shape = (2, space_x.dim, space_t.dim)
-        blocks, rows, cols, values = [], [], [], []
         body = list(filter(None, lines[3:]))
-        for line in body:
-            name, i_x, i_t, value = line.split(",")
-            blocks.append(_BLOCKS[name])
-            rows.append(int(i_x))
-            cols.append(int(i_t))
-            values.append(float(value))
-        index = np.array((blocks, rows, cols), dtype=np.intp)
+        # numpy's parser refuses a line without exactly 4 fields, or with an
+        # index that is not an integer or a value that is not a float
+        table = np.empty(0, _ROW)
+        if body:  # loadtxt warns on no lines, the body of a space of dim 0
+            table = np.loadtxt(body, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+        unknown = (table["block"] != "U") & (table["block"] != "V")
+        if np.any(unknown):
+            raise ValueError(f"unknown block in {body[int(np.argmax(unknown))]!r}")
+        index = np.vstack((table["block"] == "V", table["i_x"], table["i_t"]))
+        values = table["value"]
         outside = np.any((index < 0) | (index >= np.array(shape)[:, None]), axis=0)
         if np.any(outside):
             line = body[int(np.argmax(outside))]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import xtwave as xw
-from xtwave import analysis
+from xtwave import analysis, newton, splines, system
 from xtwave.quadrature import panel_points
 
 
@@ -147,16 +147,19 @@ def test_commutation_smooth_exact(smooth_problem):
 
 
 def test_projectors_tabulate_each_time_basis_once(smooth_problem, tabulate_calls):
-    # theta and theta' for the time factors and the loads, then M_x, K_x and
-    # the space derivative table
+    # theta and theta' for the time factors and the loads in one table, then
+    # both orders of the space basis for M_x, K_x and the space loads
     prob = smooth_problem
     sx = xw.make_uniform_space(prob.omega, 6, 2, None, "zero-both")
     st_ = xw.make_uniform_space((0.0, prob.T), 5, 2, None, "zero-left")
     analysis.project_time(np.sin, np.cos, st_, prob.T)
-    assert len(tabulate_calls) <= 2
+    assert len(tabulate_calls) <= 1
+    tabulate_calls.clear()
+    analysis.project_space(np.sin, np.cos, sx, prob.c2)
+    assert len(tabulate_calls) <= 1
     tabulate_calls.clear()
     analysis.commutation_check(prob.exact.dxdt_u, sx, st_, prob.c2, prob.T)
-    assert len(tabulate_calls) <= 5
+    assert len(tabulate_calls) <= 2
 
 
 def test_projectors_refuse_unconstrained_space_x(smooth_problem):
@@ -205,18 +208,19 @@ def test_infsup_reads_no_problem_data(smooth_problem, tabulate_calls):
     tabulate_calls.clear()
     dataless = replace(smooth_problem, F=no_data, U0=no_data, V0=no_data, dU0=no_data)
     assert xw.estimate_infsup(dataless, sx, st_) == expected
-    # M_x, K_x, theta and theta'
-    assert len(tabulate_calls) <= 4
+    # one table of both orders per space
+    assert len(tabulate_calls) <= 2
 
 
 def test_error_report_tabulates_each_basis_once(
     smooth_problem, smooth_solution_cache, tabulate_calls
 ):
-    # both orders of both spaces, then M_x and K_x of the Newton operator
+    # one table of both orders per space; the Newton seminorm reuses the
+    # operator of the solve
     _, sol = smooth_solution_cache(2, 1, 8, 24)
     tabulate_calls.clear()
     xw.error_report(sol, smooth_problem)
-    assert len(tabulate_calls) <= 6
+    assert len(tabulate_calls) <= 2
 
 
 def test_error_report_shifts_with_its_problem_argument(tmp_path, smooth_problem):
@@ -407,11 +411,11 @@ def test_singular_error_regression_anchor(singular_problem, tabulate_calls):
         rep = xw.error_report(sol, singular_problem, relative=relative)
         calls_per_report.add(len(calls))
         assert [getattr(rep, name) for name in fields] == pytest.approx(expected, rel=1e-10)
-    # the kink-split quadrature tabulates only the halves' times, once per
-    # derivative order, however many space nodes cut a time element (their
-    # number doubles with n_x); the cut rows reuse the main space tables
+    # the kink-split quadrature tabulates only the halves' times, in one
+    # table of both orders, however many space nodes cut a time element
+    # (their number doubles with n_x); the cut rows reuse the main space table
     (count,) = calls_per_report
-    assert count <= 8
+    assert count <= 3
 
 
 def _graded_breakpoints(n_left, n_right, omega, kink=-1.0):
@@ -459,3 +463,44 @@ def test_singular_error_report_evaluates_each_exact_callable_once(singular_probl
     # V and dtU share the values of v; kink_time is a function of one node
     fields = Counter(name for name in exact_calls if name != "kink_time")
     assert fields == {"u": 2, "v": 2, "dx_u": 2, "dt_v": 1}
+
+
+@pytest.mark.parametrize("name, recursions", [("smooth", 4), ("singular", 5)])
+def test_level_runs_each_recursion_and_operator_once(monkeypatch, name, recursions):
+    # assemble tabulates each space once (both orders) and builds the one
+    # operator; error_report tabulates each space once on its finer rule,
+    # the singular kink halves once more, and reuses the solve's operator
+    problem = xw.by_name(name).spec
+    counts = Counter()
+
+    def counted(key, f):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(splines, "_ders_basis_funs", counted("recursion", splines._ders_basis_funs))
+    operator = counted("operator", newton.make_newton_solver)
+    for module in (system, analysis):
+        monkeypatch.setattr(module, "make_newton_solver", operator)
+    sx = xw.make_uniform_space(problem.omega, 24, 3, 2, "zero-both")
+    st_ = xw.make_uniform_space((0.0, problem.T), 8, 3, 2, "zero-left")
+    sol = xw.solve(xw.assemble(problem, sx, st_))
+    xw.error_report(sol, problem)
+    assert counts["recursion"] <= recursions
+    assert counts["operator"] == 1
+
+
+def test_refine_ratio_is_small_on_the_anchor_levels(singular_problem, smooth_solution_cache):
+    solutions = [smooth_solution_cache(2, 1, n_x, 3 * n_x)[1] for n_x in (8, 16)]
+    for p, n_x, n_t, relative in SINGULAR_ANCHOR:
+        if relative:
+            sx = xw.make_uniform_space(singular_problem.omega, n_x, p, p - 1, "zero-both")
+            st_ = xw.make_uniform_space((0.0, singular_problem.T), n_t, p, p - 1, "zero-left")
+            solutions.append(xw.solve(xw.assemble(singular_problem, sx, st_)))
+    sx = xw.make_space(_graded_breakpoints(8, 40, singular_problem.omega), 2, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, singular_problem.T), 16, 2, 1, "zero-left")
+    solutions.append(xw.solve(xw.assemble(singular_problem, sx, st_)))
+    for sol in solutions:
+        assert np.isfinite(sol.refine_ratio) and 0 <= sol.refine_ratio < 1e-6

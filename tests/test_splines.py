@@ -225,3 +225,24 @@ def test_tabulate_matches_references(p, a, gaps, fractions):
                 atol = 1e-12 * np.abs(ref).max(initial=1)
                 np.testing.assert_allclose(B, ref, rtol=1e-12, atol=atol)
                 assert np.array_equal(B, loop_ref[:, cols])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    data=st.data(),
+)
+def test_multi_order_tabulate_is_the_single_order_tables(p, gaps, fractions, data):
+    bp = np.concatenate(([0.0], np.cumsum(gaps)))
+    xs = np.concatenate((bp, bp[-1] * np.asarray(fractions)))
+    orders = data.draw(st.lists(st.integers(0, p), min_size=1, max_size=p + 1, unique=True))
+    for m in range(1, p + 1):
+        for constraint in splines.CONSTRAINTS:
+            s = splines.make_space(bp, p, m, constraint)
+            B = s.tabulate(xs, tuple(orders))
+            assert B.shape == (xs.size, len(orders), s.dim)
+            for k, d in enumerate(orders):
+                assert B[:, k].flags.c_contiguous
+                assert np.array_equal(B[:, k], s.tabulate(xs, d))
