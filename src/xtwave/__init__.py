@@ -20,12 +20,9 @@ from .analysis import (
 from .errors import (
     AssemblyError,
     ConfigError,
-    DomainMismatchError,
-    IntegrationError,
     InvalidProblemError,
     InvalidRegularityError,
     InvalidSpaceError,
-    InvalidTestSpaceError,
     OutOfDomainError,
     SingularSystemError,
     SolutionFileError,
@@ -33,7 +30,7 @@ from .errors import (
     XTWaveError,
 )
 from .problems import by_name, manufactured, singular_case, smooth_case
-from .splines import KnotVector, SplineSpace, make_space, make_uniform_space, test_space_of
+from .splines import KnotVector, SplineSpace, make_space, make_uniform_space
 from .system import (
     BlockSystem,
     DiscreteSolution,

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from .errors import InvalidProblemError
 from .forms import default_n_points, space_tables, time_factors
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, sample, time_panel_points
@@ -117,7 +118,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
     rule (n_quad, or default_n_points of both spaces), as assemble would."""
     exact = problem.exact
     if exact is None:
-        raise ValueError("problem has no exact solution")
+        raise InvalidProblemError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
     n = n_quad or default_n_points(sx, st, extra=3)
     xq, wx, Bx = space_tables(sx, n)
@@ -323,7 +324,7 @@ def stability_data_bound(problem):
     quadrature on _BOUND_ELEMENTS uniform elements per axis."""
     beta = 1.0 / infsup_lower_bound(problem)
     if problem.div_c2_grad_U0 is None:
-        raise ValueError("problem does not provide div(c^2 grad U0)")
+        raise InvalidProblemError("problem does not provide div(c^2 grad U0)")
     T = problem.T
     xs = np.linspace(problem.omega[0], problem.omega[1], _BOUND_ELEMENTS + 1)
     ts = np.linspace(0.0, T, _BOUND_ELEMENTS + 1)

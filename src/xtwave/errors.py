@@ -13,24 +13,8 @@ class OutOfDomainError(XTWaveError):
     """Evaluation point lies outside the closed interval of the space."""
 
 
-class InvalidTestSpaceError(XTWaveError):
-    """Test space can only be derived from a zero-left constrained trial space."""
-
-
 class UnsupportedRuleError(XTWaveError):
     """Requested quadrature rule size is out of the supported range."""
-
-
-class IntegrationError(XTWaveError):
-    """Integrand returned a non-finite value at a quadrature node."""
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
-
-
-class DomainMismatchError(XTWaveError):
-    """Trial and test spaces do not live on the same interval."""
 
 
 class AssemblyError(XTWaveError):
@@ -38,7 +22,7 @@ class AssemblyError(XTWaveError):
 
 
 class InvalidSpaceError(XTWaveError):
-    """Space passed to the system assembler carries the wrong constraints."""
+    """Spline space is malformed, or has the wrong constraints or interval."""
 
 
 class SingularSystemError(XTWaveError):

@@ -6,17 +6,8 @@ pointwise coefficient (typically the squared wave speed).
 
 import numpy as np
 
-from .errors import AssemblyError, DomainMismatchError, InvalidSpaceError
+from .errors import AssemblyError, InvalidSpaceError
 from .quadrature import panel_points, time_panel_points
-
-
-def _check_same_interval(trial, test):
-    a0, b0 = trial.interval
-    a1, b1 = test.interval
-    if abs(a0 - a1) > 1e-12 or abs(b0 - b1) > 1e-12:
-        raise DomainMismatchError(
-            f"trial interval ({a0}, {b0}) does not match test interval ({a1}, {b1})"
-        )
 
 
 def default_n_points(*spaces, extra=2):
@@ -39,23 +30,21 @@ def weighted_gram(b_test, b_trial, w):
     return b_test.T @ (b_trial * w[:, None])
 
 
-def _gram(trial, test, d_trial, d_test, xq, w):
-    b_test = test.tabulate(xq, d_test)
-    # a symmetric factor (same space, same order) needs one table
-    same = trial is test and d_trial == d_test
-    b_trial = b_test if same else trial.tabulate(xq, d_trial)
-    return weighted_gram(b_test, b_trial, w)
-
-
-def assemble_time_matrix(trial, test, d_trial, d_test, T, n_points=None):
-    """Matrix of time integrals with weight exp(-t/T)."""
-    _check_same_interval(trial, test)
-    a, b = trial.interval
+def _check_time_interval(space_t, T):
+    a, b = space_t.interval
     if abs(a) > 1e-12 or abs(b - T) > 1e-12:
-        raise DomainMismatchError(f"time spaces must live on (0, {T}), got ({a}, {b})")
-    n = n_points or default_n_points(trial, test)
-    tq, _, wt_e = time_panel_points(trial.breakpoints, n, T)
-    return _gram(trial, test, d_trial, d_test, tq, wt_e)
+        raise InvalidSpaceError(f"space_t interval ({a}, {b}) does not match (0, {T})")
+
+
+def assemble_time_matrix(space, d_trial, d_test, T, n_points=None):
+    """Matrix of time integrals with weight exp(-t/T) of the basis derivatives
+    of order d_test (rows) and d_trial (columns) of a space on (0, T); the
+    derivative test basis theta' is d_test=1."""
+    _check_time_interval(space, T)
+    n = n_points or default_n_points(space)
+    tq, _, wt_e = time_panel_points(space.breakpoints, n, T)
+    B = space.tabulate(tq, (d_trial, d_test))
+    return weighted_gram(B[:, 1], B[:, 0], wt_e)
 
 
 def time_factors(space_t, T, n_points):
@@ -65,9 +54,7 @@ def time_factors(space_t, T, n_points):
     Also returns (tq, wt_e, theta') for load vectors; no table is kept."""
     if space_t.constraint != "zero-left":
         raise InvalidSpaceError("space_t must have constraint zero-left")
-    a, b = space_t.interval
-    if abs(a) > 1e-12 or abs(b - T) > 1e-12:
-        raise InvalidSpaceError(f"space_t interval ({a}, {b}) does not match (0, {T})")
+    _check_time_interval(space_t, T)
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n_points, T)
     B = space_t.tabulate(tq, (0, 1))
     theta, dtheta = B[:, 0], B[:, 1]
@@ -77,22 +64,13 @@ def time_factors(space_t, T, n_points):
     return M_e, S_e, A_e, (tq, wt_e, dtheta)
 
 
-def assemble_space_matrix(
-    trial, test, d_trial, d_test, coefficient=None, n_points=None, tables=None
-):
-    """Matrix of unweighted space integrals with a pointwise coefficient.
-    tables, the space_tables of trial when test is trial, replace the rule
-    of n_points and the tabulation of both bases."""
-    _check_same_interval(trial, test)
+def assemble_space_matrix(tables, order, coefficient=None):
+    """Matrix of unweighted space integrals of the basis derivatives of one
+    order with a pointwise coefficient, on the space_tables of the space."""
+    xq, wq, B = tables
     if coefficient is None:
         coefficient = np.ones_like
-    if tables is None:
-        xq, wq = panel_points(trial.breakpoints, n_points or default_n_points(trial, test))
-    else:
-        xq, wq, B = tables
     fvals = coefficient(xq)
     if not np.all(np.isfinite(fvals)):
         raise AssemblyError("coefficient is non-finite at a quadrature node")
-    if tables is None:
-        return _gram(trial, test, d_trial, d_test, xq, wq * fvals)
-    return weighted_gram(B[:, d_test], B[:, d_trial], wq * fvals)
+    return weighted_gram(B[:, order], B[:, order], wq * fvals)

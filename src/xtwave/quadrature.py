@@ -6,8 +6,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import IntegrationError, UnsupportedRuleError
-from .splines import KnotVector
+from .errors import UnsupportedRuleError
 
 MAX_POINTS = 64
 
@@ -73,17 +72,3 @@ def sample(f, x, t):
     t = np.asarray(t)
     t = t[None, :] if t.ndim == 1 else t
     return np.broadcast_to(np.asarray(f(x[:, None], t), dtype=float), (x.size, t.shape[-1]))
-
-
-def integrate(f, mesh, n_points):
-    """Composite Gauss integral of f over the breakpoint mesh."""
-    bp = mesh.breakpoints if isinstance(mesh, KnotVector) else np.asarray(mesh, dtype=float)
-    xq, wq = panel_points(bp, n_points)
-    vals = np.asarray(f(xq), dtype=float)
-    if vals.shape != xq.shape:
-        vals = np.broadcast_to(vals, xq.shape)
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        node = float(xq[np.argmax(bad)])
-        raise IntegrationError(f"non-finite integrand value at node {node}", node=node)
-    return float(np.dot(wq, vals))

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidRegularityError, InvalidTestSpaceError, OutOfDomainError
+from .errors import InvalidRegularityError, InvalidSpaceError, OutOfDomainError
 
 CONSTRAINTS = ("none", "zero-left", "zero-both")
 
@@ -26,11 +26,11 @@ class KnotVector:
         bp = np.asarray(self.breakpoints, dtype=float)
         object.__setattr__(self, "breakpoints", bp)
         if bp.ndim != 1 or bp.size < 2:
-            raise ValueError("breakpoints must be a 1d array with at least 2 entries")
+            raise InvalidSpaceError("breakpoints must be a 1d array with at least 2 entries")
         if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
+            raise InvalidSpaceError("breakpoints must be strictly increasing")
         if self.degree < 0:
-            raise ValueError("degree must be non-negative")
+            raise InvalidSpaceError("degree must be non-negative")
         m = self.interior_multiplicity
         if not (1 <= m <= max(self.degree, 1)):
             raise InvalidRegularityError(
@@ -132,7 +132,7 @@ class SplineSpace:
 
     def __post_init__(self):
         if self.constraint not in CONSTRAINTS:
-            raise ValueError(f"unknown constraint {self.constraint!r}")
+            raise InvalidSpaceError(f"unknown constraint {self.constraint!r}")
         object.__setattr__(self, "_full_knots", self.knots.full_knots())
 
     @property
@@ -172,7 +172,7 @@ class SplineSpace:
         """
         orders = np.atleast_1d(deriv_order)
         if orders.max() > self.degree:
-            raise ValueError("derivative order exceeds degree")
+            raise InvalidSpaceError("derivative order exceeds degree")
         xs = clip_to_interval(np.atleast_1d(xs), self.interval)
         spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, int(orders.max()))
         # constrained index of each point's p + 1 active functions
@@ -181,48 +181,6 @@ class SplineSpace:
         out = np.zeros((orders.size, xs.size, self.dim))
         out[:, np.nonzero(kept)[0], cols[kept]] = ders[orders].transpose(0, 2, 1)[:, kept]
         return out[0] if np.ndim(deriv_order) == 0 else out.transpose(1, 0, 2)
-
-    def evaluate(self, coeffs, xs, deriv_order=0):
-        """Evaluate the spline with the given coefficients at points xs."""
-        return self.tabulate(xs, deriv_order) @ np.asarray(coeffs, dtype=float)
-
-
-class DerivativeTestSpace:
-    """View whose basis functions are time derivatives of a zero-left trial basis.
-
-    Same dimension as the trial space, so the Petrov-Galerkin pairing is
-    square.  Evaluation delegates to the trial basis with the derivative
-    order shifted by one.
-    """
-
-    def __init__(self, trial):
-        if trial.constraint != "zero-left":
-            raise InvalidTestSpaceError("test space requires a zero-left trial space")
-        self.trial = trial
-
-    @property
-    def degree(self):
-        return self.trial.degree
-
-    @property
-    def dim(self):
-        return self.trial.dim
-
-    @property
-    def interval(self):
-        return self.trial.interval
-
-    @property
-    def breakpoints(self):
-        return self.trial.breakpoints
-
-    def tabulate(self, xs, deriv_order=0):
-        return self.trial.tabulate(xs, deriv_order + 1)
-
-
-def test_space_of(trial):
-    """Derivative-of-trial test space for the Petrov-Galerkin pairing."""
-    return DerivativeTestSpace(trial)
 
 
 def make_space(breakpoints, degree, interior_multiplicity=1, constraint="none"):
@@ -240,9 +198,9 @@ def make_uniform_space(interval, n_elements, degree, regularity=None, constraint
     knots).
     """
     if n_elements < 1:
-        raise ValueError("n_elements must be >= 1")
+        raise InvalidSpaceError("n_elements must be >= 1")
     if degree < 1:
-        raise ValueError("degree must be >= 1")
+        raise InvalidSpaceError("degree must be >= 1")
     if regularity is None:
         regularity = degree - 1
     if not (0 <= regularity <= degree - 1):

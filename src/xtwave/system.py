@@ -30,7 +30,7 @@ from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError,
 from .forms import default_n_points, space_tables, time_factors
 from .newton import NewtonSolver, make_newton_solver
 from .quadrature import sample
-from .splines import clip_to_interval, make_space
+from .splines import make_space
 
 RESIDUAL_TOL = 1e-10
 SOLUTION_HEADER = "# xtwave solution v2"
@@ -284,7 +284,7 @@ def _shift_values(problem, xs, d_x, d_t, which):
         return problem.dU0(xs) if d_x else problem.U0(xs)
     if d_x:
         if problem.dV0 is None:
-            raise ValueError("problem does not provide dV0")
+            raise InvalidProblemError("problem does not provide dV0")
         return problem.dV0(xs)
     return problem.V0(xs)
 
@@ -303,8 +303,6 @@ def evaluate_grid(solution, xs, ts, d_x=0, d_t=0):
 
 def evaluate(solution, x, t, d_x=0, d_t=0):
     """Point evaluation of (U, V) including the initial-data shift."""
-    clip_to_interval(x, solution.space_x.interval)
-    clip_to_interval(t, solution.space_t.interval)
     u, v = evaluate_grid(solution, [x], [t], d_x, d_t)
     return float(u[0, 0]), float(v[0, 0])
 

@@ -4,11 +4,25 @@ import numpy as np
 import pytest
 
 import xtwave as xw
+from xtwave.forms import default_n_points, space_tables
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(scope="session")
+def load_moments():
+    """Mass moments (load, phi_a) of a callable load against the basis of a
+    Newton solver's space, on the default rule of that space; the discrete
+    dual norm of the load is sqrt(m @ solver.solve_K(m))."""
+
+    def moments(solver, load):
+        xq, wq, B = space_tables(solver.space, default_n_points(solver.space))
+        return B[:, 0].T @ (wq * load(xq))
+
+    return moments
 
 
 @pytest.fixture(scope="session")
@@ -58,8 +72,7 @@ def smooth_solution_cache(smooth_problem):
 
 @pytest.fixture
 def tabulate_calls(monkeypatch):
-    """List that receives the derivative order of every basis tabulation
-    (the test space delegates to its trial space, so it counts too)."""
+    """List that receives the derivative order of every basis tabulation."""
     calls = []
     tabulate = xw.SplineSpace.tabulate
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 
 from xtwave import splines
-from xtwave.errors import InvalidRegularityError, InvalidTestSpaceError, OutOfDomainError
+from xtwave.errors import InvalidRegularityError, OutOfDomainError
 
 
 def test_dimension_examples():
@@ -116,30 +116,12 @@ def test_increasing_breakpoints_required():
         splines.make_space([0.0, 0.5, 0.5, 1.0], 2)
 
 
-def test_derivative_test_space():
-    trial = splines.make_uniform_space((0.0, 3.0), 8, 1, 0, "zero-left")
-    test = splines.test_space_of(trial)
-    assert test.dim == trial.dim == 8
-    # piecewise constant: derivative inside an element is flat
-    v = test.tabulate([0.1, 0.2], 0)
-    assert np.allclose(v[0], v[1])
-    # deriv_order 0 of the view equals first derivative of the trial basis
-    xs = np.linspace(0, 3, 17)
-    assert np.allclose(test.tabulate(xs, 0), trial.tabulate(xs, 1))
-
-
-def test_test_space_requires_zero_left():
-    trial = splines.make_uniform_space((0.0, 1.0), 4, 2, None, "zero-both")
-    with pytest.raises(InvalidTestSpaceError):
-        splines.test_space_of(trial)
-
-
 def test_evaluate_linear_exact():
     # coefficients at Greville points reproduce w(t) = t
     s = splines.make_uniform_space((0.0, 1.0), 5, 1, 0, "zero-left")
     coeffs = s.breakpoints[1:]
     xs = np.linspace(0, 1, 23)
-    assert np.max(np.abs(s.evaluate(coeffs, xs) - xs)) < 1e-13
+    assert np.max(np.abs(s.tabulate(xs, 0) @ coeffs - xs)) < 1e-13
 
 
 def _scalar_tabulate(knots, p, xs, d):

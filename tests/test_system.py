@@ -22,7 +22,7 @@ from xtwave.errors import (
     SingularSystemError,
     SolutionFileError,
 )
-from xtwave.forms import assemble_space_matrix, assemble_time_matrix
+from xtwave.forms import assemble_space_matrix, assemble_time_matrix, space_tables
 from xtwave.quadrature import panel_points, time_panel_points
 from xtwave.system import evaluate, evaluate_grid
 
@@ -73,7 +73,6 @@ def test_rhs_initial_flux_term(smooth_problem):
         F=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))),
     )
     sx, st = _spaces(prob, 4, 3, 2)
-    test_t = splines.test_space_of(st)
     system = xw.assemble(prob, sx, st, n_quad=10)
     T = prob.T
     for a in (0, 2):
@@ -82,7 +81,7 @@ def test_rhs_initial_flux_term(smooth_problem):
         )
         for b in (0, 2):
             d, _ = scipy.integrate.quad(
-                lambda t: test_t.tabulate([t], 0)[0, b] * np.exp(-t / T), 0.0, T, limit=200
+                lambda t: st.tabulate([t], 1)[0, b] * np.exp(-t / T), 0.0, T, limit=200
             )
             assert abs(system.rhs[b * sx.dim + a] - (-g * d)) < 1e-9
 
@@ -202,18 +201,17 @@ def test_mode_solve_matches_sparse_lu(smooth_problem, p, data, gaps_x, gaps_t, a
 def _reference_assemble(problem, space_x, space_t):
     """The block system factor by factor: one forms call per matrix, each
     with its own tables, and a right-hand side from tables of its own."""
-    test_t = splines.test_space_of(space_t)
     n = max(space_x.degree, space_t.degree) + 2
     T = problem.T
     ref = {
-        "M_x": assemble_space_matrix(space_x, space_x, 0, 0, n_points=n),
-        "K_x": assemble_space_matrix(space_x, space_x, 1, 1, problem.c2, n_points=n),
-        "M_e": assemble_time_matrix(space_t, space_t, 0, 0, T, n_points=n),
-        "S_e": assemble_time_matrix(space_t, test_t, 1, 0, T, n_points=n),
-        "A_e": assemble_time_matrix(space_t, test_t, 0, 0, T, n_points=n),
+        "M_x": assemble_space_matrix(space_tables(space_x, n), 0),
+        "K_x": assemble_space_matrix(space_tables(space_x, n), 1, problem.c2),
+        "M_e": assemble_time_matrix(space_t, 0, 0, T, n_points=n),
+        "S_e": assemble_time_matrix(space_t, 1, 1, T, n_points=n),
+        "A_e": assemble_time_matrix(space_t, 0, 1, T, n_points=n),
     }
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
-    Bt_test = test_t.tabulate(tq, 0)
+    Bt_test = space_t.tabulate(tq, 1)
     d_e = Bt_test.T @ wt_e
     xq, wx = panel_points(space_x.breakpoints, n)
     Bx = space_x.tabulate(xq, 0)
