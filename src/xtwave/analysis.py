@@ -18,16 +18,6 @@ _FIELDS = {
     "dtU": (0, 1, "u", "v"),
     "cgradU": (1, 0, "u", "dx_u"),
 }
-# keys of the squared sums accumulated by error_report; "e" suffix marks the
-# exponentially weighted variants
-_SUM_KEYS = (
-    ("U", True),
-    ("U", False),
-    ("V", True),
-    ("V", False),
-    ("dtU", True),
-    ("cgradU", True),
-)
 # bytes of one stack of space-mode matrices in estimate_infsup, which bounds
 # its working memory for any number of modes
 _MODE_STACK_BYTES = 16 << 20
@@ -74,37 +64,57 @@ def infsup_lower_bound(problem):
     return 1.0 / (2.0 * np.sqrt(c**2 + 4.0 * problem.T**2))
 
 
-def _field_values(solution, problem, fields, x, t, Bx, Bt):
-    """Exact values and errors of every field at space nodes x and time nodes
-    t: one time vector for all rows, or one row of times per space node.
-    Bx and Bt are the basis tables of orders 0 and 1 at x and t, the order
-    on the second-to-last axis, as tabulate returns them.  Each
+def _time_sums(sq, w_x, wt, wt_e):
+    """(w_x^T sq wt, w_x^T sq wt_e): the time weights are one vector for all
+    rows, so one product w_x @ sq serves both, or one row per space node."""
+    if wt.ndim == 1:
+        r = w_x @ sq
+        return r @ wt, r @ wt_e
+    return w_x @ np.einsum("cq,cq->c", sq, wt), w_x @ np.einsum("cq,cq->c", sq, wt_e)
+
+
+def _sq_sums(solution, problem, fields, nodes, weights, cells=None, dual=None):
+    """Squared sums of the error and of the exact values of every field over
+    a node set, {name: [[error, error weighted], [exact, exact weighted]]},
+    with the plain time weights wt and the weighted ones wt_e.
+
+    nodes = (x, t, Bx, Bt): space nodes x and time nodes t, one time vector
+    for all rows or one row of times per space node, and the basis tables of
+    orders 0 and 1 at x and t, the order on the second-to-last axis, as
+    tabulate returns them; weights = (wx, c2x, wt, wt_e).  Each
     ExactSolution callable is evaluated once, and the initial-data shift is
-    that of problem, so a solution loaded without one can be measured."""
+    that of problem, so a solution loaded without one can be measured.  Each
+    field goes through one grid buffer: its discrete values, its error, the
+    squared error.  The share of cells = (rows, cols) is taken from the
+    buffer and leaves the sums.  Field dtV enters only as the weighted
+    squared dual seminorm of dual = (operator, Bx[:, 0] * wx[:, None]), in
+    the weighted column."""
+    x, t, Bx, Bt = nodes
+    wx, c2x, wt, wt_e = weights
     exact = {a: sample(getattr(problem.exact, a), x, t) for a in {f[3] for f in fields.values()}}
-    values, errors = {}, {}
+    buf, sq = np.empty((2, x.size, np.shape(t)[-1]))
+    sums = {}
     for name, (d_x, d_t, which, exact_name) in fields.items():
         BxC = Bx[:, d_x] @ (solution.u_coeffs if which == "u" else solution.v_coeffs)
         Bt_d = Bt[..., d_t, :]
-        disc = BxC @ Bt_d.T if np.ndim(t) == 1 else np.einsum("cqb,cb->cq", Bt_d, BxC)
-        disc += _shift_values(problem, x, d_x, d_t, which)[:, None]
-        values[name] = exact[exact_name]
-        errors[name] = values[name] - disc
-    return values, errors
-
-
-def _weighted_sq_sums(values, wx, c2x, wt, wt_e):
-    """Squared sums of _SUM_KEYS over a node set: values[name] and the time
-    weights are (space node, time node) arrays, or the weights one time
-    vector for all rows; wx and c2x are per space node."""
-    sums = {}
-    for name, weighted in _SUM_KEYS:
+        if np.ndim(t) == 1:
+            np.matmul(BxC, Bt_d.T, out=buf)
+        else:
+            np.einsum("cqb,cb->cq", Bt_d, BxC, out=buf)
+        buf += _shift_values(problem, x, d_x, d_t, which)[:, None]
+        values = exact[exact_name]
+        np.subtract(values, buf, out=buf)
+        if name == "dtV":
+            sums[name] = np.array([(0.0, weighted_dual_sq(*dual, v, wt_e)) for v in (buf, values)])
+            continue
+        np.square(buf, out=buf)
+        np.square(values, out=sq)
         w_x = wx * c2x if name == "cgradU" else wx
-        w_t = wt_e if weighted else wt
-        sq = values[name] ** 2
-        sums[(name, weighted)] = float(
-            w_x @ sq @ w_t if w_t.ndim == 1 else w_x @ np.einsum("cq,cq->c", sq, w_t)
-        )
+        sums[name] = np.array([_time_sums(s, w_x, wt, wt_e) for s in (buf, sq)])
+        if cells is not None:
+            rows, cols = cells
+            w_cut = w_x[rows[:, 0]], wt[cols], wt_e[cols]
+            sums[name] -= [_time_sums(s[cells], *w_cut) for s in (buf, sq)]
     return sums
 
 
@@ -125,20 +135,19 @@ def error_report(solution, problem, n_quad=None, relative=True):
     tq, wt, wt_e = time_panel_points(st.breakpoints, n, problem.T)
     c2x = problem.c2(xq)
 
-    fields = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")) if exact.dt_v is not None else _FIELDS
-    # one table of both derivative orders per space; each field forms only
-    # its own product, as evaluate_grid would
-    Bt = st.tabulate(tq, (0, 1))
-    XV, E = _field_values(solution, problem, fields, xq, tq, Bx, Bt)
-    err_sq = _weighted_sq_sums(E, wx, c2x, wt, wt_e)
-    norm_sq = _weighted_sq_sums(XV, wx, c2x, wt, wt_e)
-
+    fields, dual, cells = _FIELDS, None, None
+    if exact.dt_v is not None:
+        # Newton seminorm of the time derivative of the velocity error
+        solver = solution.space_op or make_newton_solver(
+            sx, problem.c2, n_quad or default_n_points(sx, st)
+        )
+        fields, dual = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")), (solver, Bx[:, 0] * wx[:, None])
     if exact.kink_time is not None:
         # A Gauss rule is only legitimate where the integrand is smooth, so
         # time element k cut by the kink at space node i is integrated by two
         # panels meeting at the kink: its share of the main sums (row i, time
-        # block k) enters again with negated weights, next to both halves.
-        # Node i cuts element k unless the kink is within 1e-13 of its ends.
+        # block k) leaves them, and both halves enter.  Node i cuts element k
+        # unless the kink is within 1e-13 of its ends.
         bp_t = st.breakpoints
         ts = np.array([exact.kink_time(x) for x in xq], dtype=float)
         k = np.clip(np.searchsorted(bp_t, ts, side="right") - 1, 0, bp_t.size - 2)
@@ -146,49 +155,36 @@ def error_report(solution, problem, n_quad=None, relative=True):
         cut &= np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
         i = np.flatnonzero(cut)
         k, ts = k[i], ts[i]
+        cells = i[:, None], k[:, None] * n + np.arange(n)
+    # one table of both derivative orders per space; each field forms only
+    # its own product, as evaluate_grid would
+    nodes = (xq, tq, Bx, st.tabulate(tq, (0, 1)))
+    sums = _sq_sums(solution, problem, fields, nodes, (wx, c2x, wt, wt_e), cells, dual)
+    if cells is not None:
         th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
         Bth = st.tabulate(th.ravel(), (0, 1)).reshape(*th.shape, 2, st.dim)
-        XVh, Eh = _field_values(solution, problem, _FIELDS, xq[i], th, Bx[i], Bth)
-        rows, cols = i[:, None], k[:, None] * n + np.arange(n)
-        w_cut = (np.hstack((-wt[cols], wh)), np.hstack((-wt_e[cols], whe)))
-        for sums, V, Vh in ((err_sq, E, Eh), (norm_sq, XV, XVh)):
-            split = {name: np.hstack((V[name][rows, cols], Vh[name])) for name in _FIELDS}
-            for key, value in _weighted_sq_sums(split, wx[i], c2x[i], *w_cut).items():
-                sums[key] += value
+        halves = (xq[i], th, Bx[i], Bth), (wx[i], c2x[i], wh, whe)
+        for name, value in _sq_sums(solution, problem, _FIELDS, *halves).items():
+            sums[name] += value
+    neh = sums.get("dtV", np.zeros((2, 2)))
+    veh = sums["dtU"] + neh + sums["cgradU"] + sums["V"]
 
-    # Newton seminorm of the time derivative of the velocity error
-    if "dtV" in E:
-        solver = solution.space_op or make_newton_solver(
-            sx, problem.c2, n_quad or default_n_points(sx, st)
-        )
-        err_neh_sq = weighted_dual_sq(solver, Bx[:, 0], wx, E["dtV"], wt_e)
-        norm_neh_sq = weighted_dual_sq(solver, Bx[:, 0], wx, XV["dtV"], wt_e)
-    else:
-        err_neh_sq = norm_neh_sq = 0.0
-
-    err_veh_sq = (
-        err_sq[("dtU", True)] + err_neh_sq + err_sq[("cgradU", True)] + err_sq[("V", True)]
-    )
-    norm_veh_sq = (
-        norm_sq[("dtU", True)] + norm_neh_sq + norm_sq[("cgradU", True)] + norm_sq[("V", True)]
-    )
-
-    def component(key_err, key_norm):
-        value = np.sqrt(max(key_err, 0.0))
+    def component(s, col=1):  # column 1 holds the weighted sums
+        value = np.sqrt(max(s[0, col], 0.0))
         if not relative:
             return value
-        norm = np.sqrt(max(key_norm, 0.0))
+        norm = np.sqrt(max(s[1, col], 0.0))
         return value / norm if norm > 0 else value
 
     return ErrorReport(
-        err_dtU_L2e=component(err_sq[("dtU", True)], norm_sq[("dtU", True)]),
-        err_dtV_Neh=component(err_neh_sq, norm_neh_sq),
-        err_cgradU_L2e=component(err_sq[("cgradU", True)], norm_sq[("cgradU", True)]),
-        err_V_L2e=component(err_sq[("V", True)], norm_sq[("V", True)]),
-        err_Veh=component(err_veh_sq, norm_veh_sq),
-        err_U_L2e=component(err_sq[("U", True)], norm_sq[("U", True)]),
-        err_U_L2=component(err_sq[("U", False)], norm_sq[("U", False)]),
-        err_V_L2=component(err_sq[("V", False)], norm_sq[("V", False)]),
+        err_dtU_L2e=component(sums["dtU"]),
+        err_dtV_Neh=component(neh),
+        err_cgradU_L2e=component(sums["cgradU"]),
+        err_V_L2e=component(sums["V"]),
+        err_Veh=component(veh),
+        err_U_L2e=component(sums["U"]),
+        err_U_L2=component(sums["U"], 0),
+        err_V_L2=component(sums["V"], 0),
         relative=relative,
     )
 

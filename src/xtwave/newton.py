@@ -60,10 +60,11 @@ def make_newton_solver(space_x, c2, n_quad=None, tables=None):
     return NewtonSolver(space_x, M_x, K_x, sla.cho_factor(K_x))
 
 
-def weighted_dual_sq(solver, B, wx, values, wt_e):
+def weighted_dual_sq(solver, Bw, values, wt_e):
     """Exponentially weighted time integral of the squared dual seminorm of a
-    load given at space nodes (rows, basis table B, weights wx) and time nodes
-    (columns, weights wt_e)."""
-    moments = B.T @ (values * wx[:, None])  # (n_x, n_tq)
+    load given at space nodes (rows) and time nodes (columns, weights wt_e).
+    Bw = B * wx[:, None] is the basis table at the space nodes times their
+    weights, so the moments need no grid-sized temporary."""
+    moments = Bw.T @ values  # (n_x, n_tq)
     z = solver.solve_K(moments)
     return float(wt_e @ np.einsum("aq,aq->q", moments, z))

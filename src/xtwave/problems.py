@@ -184,8 +184,8 @@ def by_name(name):
 def residual_check(problem, rng, n_points=100):
     """Max wave-equation residual of the exact solution at random points.
 
-    Uses fourth-order finite differences for both second derivatives, so it
-    is an oracle independent of the analytic derivative callables.
+    Uses sixth-order central finite differences for both second derivatives,
+    so it is an oracle independent of the analytic derivative callables.
     """
     exact = problem.exact
     a, b = problem.omega

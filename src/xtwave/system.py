@@ -190,22 +190,29 @@ def _block_apply(K_x, M_x, A_e, S_e, U, V):
     return K_x @ U @ A_e.T + M_x @ (V @ S_e.T), M_x @ (V @ A_e.T - U @ S_e.T)
 
 
-def _factor_modes(lam, Phi, A_e, S_e):
-    """Band LU of every mode system [[lam_i A_e, S_e], [-S_e, A_e]]; returns
-    the solver (R_lam, R_chi) -> (U, V) of the whole block system.
-
-    The unknowns of a mode are interleaved as (u_0, v_0, u_1, v_1, ...), so
-    its band is twice as wide as that of the time factors."""
-    n = 2 * A_e.shape[0]
-    stiff = np.kron(A_e, [[1.0, 0.0], [0.0, 0.0]])  # the part scaled by lam_i
-    rest = np.kron(A_e, [[0.0, 0.0], [0.0, 1.0]]) + np.kron(S_e, [[0.0, 1.0], [-1.0, 0.0]])
-    rows, cols = np.nonzero(stiff + rest)
+def _mode_bands(A_e, S_e):
+    """(kl, ku, ab_stiff, ab_rest): LAPACK band storage (gbtrf layout, kl
+    spare rows on top) of the mode matrices [[lam A_e, S_e], [-S_e, A_e]]
+    = lam * stiff + rest, with the unknowns interleaved as (u_0, v_0, u_1,
+    v_1, ...), so the band is twice as wide as that of the time factors."""
+    (a, b), (s, t) = np.nonzero(A_e), np.nonzero(S_e)
+    # lam A_e at (2a, 2b); A_e at (2a+1, 2b+1), S_e at (2s, 2t+1), -S_e at (2s+1, 2t)
+    rows = np.concatenate((2 * a, 2 * a + 1, 2 * s, 2 * s + 1))
+    cols = np.concatenate((2 * b, 2 * b + 1, 2 * t + 1, 2 * t))
     kl, ku = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
-    rows, cols = np.indices((n, n))
-    band = (rows - cols <= kl) & (cols - rows <= ku)
-    at = (kl + ku + (rows - cols)[band], cols[band])  # LAPACK band storage
-    ab_stiff, ab_rest = np.zeros((2, 2 * kl + ku + 1, n))
-    ab_stiff[at], ab_rest[at] = stiff[band], rest[band]
+    ab_stiff, ab_rest = np.zeros((2, 2 * kl + ku + 1, 2 * A_e.shape[0]))
+    diag, m = kl + ku + rows - cols, a.size
+    ab_stiff[diag[:m], cols[:m]] = A_e[a, b]
+    ab_rest[diag[m:], cols[m:]] = np.concatenate((A_e[a, b], S_e[s, t], -S_e[s, t]))
+    return kl, ku, ab_stiff, ab_rest
+
+
+def _factor_modes(lam, Phi, A_e, S_e):
+    """Band LU of every mode system [[lam_i A_e, S_e], [-S_e, A_e]] of
+    _mode_bands; returns the solver (R_lam, R_chi) -> (U, V) of the whole
+    block system."""
+    n = 2 * A_e.shape[0]
+    kl, ku, ab_stiff, ab_rest = _mode_bands(A_e, S_e)
     gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab_rest,))
     factors = []
     for i, lam_i in enumerate(lam):

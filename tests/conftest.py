@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,28 @@ def smooth_solution_cache(smooth_problem):
         return cache[key]
 
     return get
+
+
+@pytest.fixture
+def traced_peak():
+    """Function that calls f(*args, **kwargs) and returns the peak of the
+    memory it allocated on top of what was allocated before, in bytes, as
+    tracemalloc counts it (numpy arrays included)."""
+
+    def peak(f, *args, **kwargs):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            f(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

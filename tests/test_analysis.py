@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import xtwave as xw
 from xtwave import analysis, newton, splines, system
+from xtwave.forms import default_n_points
 from xtwave.quadrature import panel_points
 
 
@@ -240,6 +241,55 @@ def test_error_report_needs_no_dV0(smooth_problem, smooth_solution_cache):
     prob = replace(smooth_problem, dV0=None)
     sol_no_dV0 = xw.solve(xw.assemble(prob, system.space_x, system.space_t))
     assert xw.error_report(sol_no_dV0, prob) == xw.error_report(sol, smooth_problem)
+
+
+
+# frozen values of the eight ErrorReport fields on smooth p=2 C^1 8x24, in
+# the field order of ErrorReport, keyed by relative
+SMOOTH_ANCHOR = {
+    True: (
+        4.010636391833616e-02, 4.007949404614095e-02, 3.111726208969607e-03, 7.608926253112258e-03,
+        2.805199992730317e-02, 1.917248683230469e-03, 1.926182425072217e-03, 7.676317979325616e-03,
+    ),
+    False: (
+        1.083907335311492e-01, 2.239895068568707e-01, 1.809073131971540e-02, 2.056374643282474e-02,
+        2.503397541830709e-01, 2.896927935637984e-03, 3.683993446443825e-03, 2.610618875730093e-02,
+    ),
+}
+
+
+def test_smooth_error_regression_anchor(smooth_problem, smooth_solution_cache):
+    # every field, so a swap of the weighted and plain U or V sums shows
+    _, sol = smooth_solution_cache(2, 1, 8, 24)
+    fields = [f.name for f in dataclasses.fields(analysis.ErrorReport)][:-1]
+    for relative, expected in SMOOTH_ANCHOR.items():
+        rep = xw.error_report(sol, smooth_problem, relative=relative)
+        assert [getattr(rep, name) for name in fields] == pytest.approx(expected, rel=1e-12)
+
+
+def test_error_report_without_dt_v(smooth_problem, smooth_solution_cache):
+    # no dt_v: no Newton seminorm, and V_eh is the sum of the other three
+    _, sol = smooth_solution_cache(2, 1, 8, 24)
+    prob = replace(smooth_problem, exact=replace(smooth_problem.exact, dt_v=None))
+    same = ["err_dtU_L2e", "err_cgradU_L2e", "err_V_L2e", "err_U_L2e", "err_U_L2", "err_V_L2"]
+    for relative in (True, False):
+        rep = xw.error_report(sol, prob, relative=relative)
+        full = xw.error_report(sol, smooth_problem, relative=relative)
+        assert rep.err_dtV_Neh == 0
+        assert [getattr(rep, name) for name in same] == [getattr(full, name) for name in same]
+    squares = rep.err_dtU_L2e**2 + rep.err_cgradU_L2e**2 + rep.err_V_L2e**2
+    assert rep.err_Veh**2 == pytest.approx(squares, rel=1e-12)
+
+
+def test_error_report_streams_its_fields(smooth_problem, smooth_solution_cache, traced_peak):
+    # every field goes through one reused grid buffer, so the report holds
+    # the exact values, the buffer, one scratch array of squares and the time
+    # table, not one array per field and sum
+    _, sol = smooth_solution_cache(3, 2, 32, 96)
+    n = default_n_points(sol.space_x, sol.space_t, extra=3)
+    grid_bytes = 32 * n * 96 * n * 8
+    xw.error_report(sol, smooth_problem)  # fills the caches of the rules
+    assert traced_peak(xw.error_report, sol, smooth_problem) <= 9 * grid_bytes
 
 
 def test_infsup_size_cap(smooth_problem):

@@ -105,7 +105,7 @@ def test_seminorm_two_paths_match(rng):
     a = np.sqrt(solver.dual_form(w, time_factors(space_t, T, 8)[0]))
     xq, wx, B = space_tables(solver.space, 8)
     tq, _, wt_e = time_panel_points(space_t.breakpoints, 8, T)
-    b = np.sqrt(newton.weighted_dual_sq(solver, B[:, 0], wx, sample(v, xq, tq), wt_e))
+    b = np.sqrt(newton.weighted_dual_sq(solver, B[:, 0] * wx[:, None], sample(v, xq, tq), wt_e))
     assert abs(a - b) < 1e-11 * max(1.0, a)
 
 

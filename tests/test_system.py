@@ -198,6 +198,26 @@ def test_mode_solve_matches_sparse_lu(smooth_problem, p, data, gaps_x, gaps_t, a
     assert np.linalg.norm(system.matrix @ z_lu - system.rhs) <= 1e-10 * scale
 
 
+
+@pytest.mark.parametrize("p, r", [(1, 0), (2, 0), (2, 1), (3, 2), (4, 1), (5, 0), (5, 4)])
+def test_mode_bands_hold_each_mode_matrix(smooth_problem, p, r):
+    system = xw.assemble(smooth_problem, *_spaces(smooth_problem, 4, 6, p, r))
+    A, S = system.A_e, system.S_e
+    kl, ku, ab_stiff, ab_rest = xw.system._mode_bands(A, S)
+    n = 2 * A.shape[0]
+    rows, cols = np.indices((n, n))
+    inside = (rows - cols <= kl) & (cols - rows <= ku)
+    order = np.arange(n).reshape(2, -1).T.ravel()  # (u_0, v_0, u_1, v_1, ...)
+    for lam in (0.0, 1.0, 37.5):
+        ab = ab_rest + lam * ab_stiff
+        expected = np.block([[lam * A, S], [-S, A]])[np.ix_(order, order)]
+        rebuilt = np.zeros((n, n))
+        rebuilt[inside] = ab[(kl + ku + rows - cols)[inside], cols[inside]]
+        np.testing.assert_array_equal(rebuilt, expected)
+        # the band holds the whole matrix, and the kl rows gbtrf fills are empty
+        assert not np.any(ab[:kl])
+
+
 def _reference_assemble(problem, space_x, space_t):
     """The block system factor by factor: one forms call per matrix, each
     with its own tables, and a right-hand side from tables of its own."""
