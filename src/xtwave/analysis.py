@@ -139,7 +139,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
     if exact.dt_v is not None:
         # Newton seminorm of the time derivative of the velocity error
         solver = solution.space_op or make_newton_solver(
-            sx, problem.c2, n_quad or default_n_points(sx, st)
+            sx, problem.c2, space_tables(sx, n_quad or default_n_points(sx, st))
         )
         fields, dual = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")), (solver, Bx[:, 0] * wx[:, None])
     if exact.kink_time is not None:
@@ -195,7 +195,7 @@ def project_space(w, dw, space_x, c2, n_quad=None):
     n = n_quad or default_n_points(space_x, extra=3)
     tables = xq, wx, B = space_tables(space_x, n)
     g = B[:, 1].T @ (wx * c2(xq) * dw(xq))
-    return make_newton_solver(space_x, c2, n, tables).solve_K(g)
+    return make_newton_solver(space_x, c2, tables).solve_K(g)
 
 
 def project_time(w, dw, space_t, T, n_quad=None):
@@ -220,7 +220,7 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     tables = xq, wx, Bx = space_tables(space_x, n)
     c2x = c2(xq)
     W = sample(dxdt_w, xq, tq)
-    space_op = make_newton_solver(space_x, c2, n, tables)
+    space_op = make_newton_solver(space_x, c2, tables)
     dBx = Bx[:, 1]
     S_cho = sla.cho_factor(S)
 

@@ -10,6 +10,7 @@ error, 3 solver failure.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -209,8 +210,11 @@ def validate_config(config):
         nts = {nt for _, nt in config.levels}
         if len(nts) > 1:
             raise ConfigError("stability mode requires a fixed temporal mesh")
-    if config.problem == "inline" and config.T is not None and config.T <= 0:
-        raise ConfigError("T must be positive")
+    # comparisons with NaN are false, so these refuse it too
+    if config.problem == "inline" and not 0 < config.T < math.inf:
+        raise ConfigError(f"T must be finite and positive, got {config.T}")
+    if config.problem == "inline" and not -math.inf < config.omega[0] < config.omega[1] < math.inf:
+        raise ConfigError(f"omega must be a finite interval a < b, got {config.omega}")
 
 
 def _inline_problem(config):

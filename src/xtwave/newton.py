@@ -45,16 +45,15 @@ class NewtonSolver:
         return sla.eigh(self.K_x, self.M_x)
 
 
-def make_newton_solver(space_x, c2, n_quad=None, tables=None):
+def make_newton_solver(space_x, c2, tables=None):
     """The spatial operator of a zero-both space; any other constraint
     leaves K_x singular and is refused with InvalidSpaceError.  M_x and K_x
     come from one table of both orders: tables, the space_tables of space_x
-    on the rule of n_quad points when the caller shares them, else its own."""
+    the caller shares, else its own on default_n_points(space_x)."""
     if space_x.constraint != "zero-both":
         raise InvalidSpaceError("space_x must have constraint zero-both")
-    n = n_quad or default_n_points(space_x)
     if tables is None:
-        tables = space_tables(space_x, n)
+        tables = space_tables(space_x, default_n_points(space_x))
     M_x = assemble_space_matrix(tables, 0)
     K_x = assemble_space_matrix(tables, 1, c2)
     return NewtonSolver(space_x, M_x, K_x, sla.cho_factor(K_x))

@@ -5,6 +5,7 @@ inter-element regularity r = degree - multiplicity.  Boundary conditions are
 imposed strongly by dropping the first and/or last basis function.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ class KnotVector:
         object.__setattr__(self, "breakpoints", bp)
         if bp.ndim != 1 or bp.size < 2:
             raise InvalidSpaceError("breakpoints must be a 1d array with at least 2 entries")
-        if np.any(np.diff(bp) <= 0):
-            raise InvalidSpaceError("breakpoints must be strictly increasing")
+        if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
+            raise InvalidSpaceError(f"breakpoints must be finite and strictly increasing, got {bp}")
         if self.degree < 0:
             raise InvalidSpaceError("degree must be non-negative")
         m = self.interior_multiplicity
@@ -70,55 +71,45 @@ def _ders_basis_funs(knots, p, xs, n_ders):
     """Values and derivatives of the p+1 B-splines active at each point.
 
     Returns the knot spans i with knots[i] <= x < knots[i+1] (clamped to the
-    last element) and an array of shape (n_ders + 1, p + 1, len(xs)); standard
-    triangular-table recursion (Cox-de Boor for values, inverted-table
-    differences for derivatives), run on all points at once.  The branches
-    depend on the degree and derivative order only, so every point takes the
-    same sequence of operations.
+    last element) and an array of shape (n_ders + 1, p + 1, len(xs)).  Piegl
+    and Tiller's A2.2 (Cox-de Boor values) and A2.3 (inverted-table
+    derivatives), each step run on all functions and points at once; every
+    entry takes A2.2/A2.3's operations in their order.
     """
     spans = np.minimum(np.searchsorted(knots, xs, side="right") - 1, knots.size - p - 2)
-    ndu = np.zeros((p + 1, p + 1, xs.size))
-    left = np.zeros((p + 1, xs.size))
-    right = np.zeros((p + 1, xs.size))
-    ndu[0, 0] = 1.0
-    for j in range(1, p + 1):
-        left[j] = xs - knots[spans + 1 - j]
-        right[j] = knots[spans + j] - xs
-        saved = 0.0
-        for r in range(j):
-            ndu[j, r] = right[r + 1] + left[j - r]
-            temp = ndu[r, j - 1] / ndu[j, r]
-            ndu[r, j] = saved + right[r + 1] * temp
-            saved = left[j - r] * temp
-        ndu[j, j] = saved
+    steps = np.arange(1, p + 1)[:, None]
+    right = knots[spans + steps] - xs  # right[i] = knots[span + 1 + i] - x
+    left = xs - knots[spans + steps - p]  # left[p - 1 - i] = x - knots[span - i]
+    # A2.2 by degree q: values[q] holds the q + 1 functions of degree q,
+    # diffs[q] the q knot differences that divide the degree q - 1 ones
+    values, diffs = [np.ones((1, xs.size))], [None]
+    for q in range(1, p + 1):
+        diffs.append(right[:q] + left[p - q :])
+        temp = values[q - 1] / diffs[q]
+        N = np.zeros((q + 1, xs.size))
+        N[:q] = right[:q] * temp
+        N[1:] += left[p - q :] * temp
+        values.append(N)
 
+    # A2.3 for order k: padding the degree p - k values with k zero rows and
+    # the degree p - k + 1 differences with k rows of ones on each side makes
+    # its edge cases the general a[j] = (a_prev[j] - a_prev[j - 1]) / den; row
+    # j + 1 of a holds a[j], so rows 0 and k + 1 are a_prev[-1] = a_prev[k] = 0
     ders = np.zeros((n_ders + 1, p + 1, xs.size))
-    ders[0] = ndu[:, p]
-    a = np.zeros((2, p + 1, xs.size))
-    for r in range(p + 1):
-        s1, s2 = 0, 1
-        a[0, 0] = 1.0
-        for k in range(1, n_ders + 1):
-            d = 0.0
-            rk = r - k
-            pk = p - k
-            if r >= k:
-                a[s2, 0] = a[s1, 0] / ndu[pk + 1, rk]
-                d = a[s2, 0] * ndu[rk, pk]
-            j1 = 1 if rk >= -1 else -rk
-            j2 = k - 1 if r - 1 <= pk else p - r
-            for j in range(j1, j2 + 1):
-                a[s2, j] = (a[s1, j] - a[s1, j - 1]) / ndu[pk + 1, rk + j]
-                d += a[s2, j] * ndu[rk + j, pk]
-            if r <= pk:
-                a[s2, k] = -a[s1, k - 1] / ndu[pk + 1, r]
-                d += a[s2, k] * ndu[r, pk]
-            ders[k, r] = d
-            s1, s2 = s2, s1
-    fac = float(p)
+    ders[0] = values[p]
+    a = np.zeros((n_ders + 2, p + 1, xs.size))
+    a[1] = 1.0
     for k in range(1, n_ders + 1):
-        ders[k] *= fac
-        fac *= p - k
+        N = np.zeros((p + k + 1, xs.size))
+        N[k : p + 1] = values[p - k]
+        den = np.ones((p + k + 1, xs.size))
+        den[k : p + 1] = diffs[p - k + 1]
+        for j in range(k, -1, -1):  # downwards: a[j] still holds order k - 1
+            a[j + 1] -= a[j]
+            a[j + 1] /= den[j : j + p + 1]
+        for j in range(k + 1):
+            ders[k] += a[j + 1] * N[j : j + p + 1]
+        ders[k] *= math.perm(p, k)  # p! / (p - k)!
     return spans, ders
 
 
@@ -134,6 +125,8 @@ class SplineSpace:
         if self.constraint not in CONSTRAINTS:
             raise InvalidSpaceError(f"unknown constraint {self.constraint!r}")
         object.__setattr__(self, "_full_knots", self.knots.full_knots())
+        if self.dim < 0:
+            raise InvalidSpaceError(f"constraint {self.constraint} leaves dim {self.dim} < 0")
 
     @property
     def degree(self):
@@ -185,10 +178,7 @@ class SplineSpace:
 
 def make_space(breakpoints, degree, interior_multiplicity=1, constraint="none"):
     """Spline space on an arbitrary breakpoint mesh."""
-    return SplineSpace(
-        KnotVector(np.asarray(breakpoints, dtype=float), degree, interior_multiplicity),
-        constraint,
-    )
+    return SplineSpace(KnotVector(breakpoints, degree, interior_multiplicity), constraint)
 
 
 def make_uniform_space(interval, n_elements, degree, regularity=None, constraint="none"):

@@ -141,12 +141,16 @@ def _factors(problem, space_x, space_t, n_quad=None):
     """The spatial operator, the weighted time factors M_e, S_e, A_e,
     (n, tq, wt_e, theta'): the rule size, and the time rule with the test
     basis, and the space_tables the operator was built from, so the
-    right-hand side tabulates neither space again."""
+    right-hand side tabulates neither space again.  A space without
+    unknowns leaves no system and is refused with InvalidSpaceError."""
     _check_space_x(problem, space_x)
+    for name, space in (("space_x", space_x), ("space_t", space_t)):
+        if space.dim == 0:
+            raise InvalidSpaceError(f"{name} has no unknowns: dim 0 under {space.constraint}")
     n = n_quad or default_n_points(space_x, space_t)
     M_e, S_e, A_e, time_rule = time_factors(space_t, problem.T, n)
     space_rule = space_tables(space_x, n)
-    space_op = make_newton_solver(space_x, problem.c2, n, space_rule)
+    space_op = make_newton_solver(space_x, problem.c2, space_rule)
     return space_op, M_e, S_e, A_e, (n, *time_rule), space_rule
 
 

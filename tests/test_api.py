@@ -83,6 +83,29 @@ TYPED_ERRORS = {
     "repeated breakpoint": (InvalidSpaceError, lambda p: xw.make_space([0.0, 0.5, 0.5, 1.0], 2)),
     "negative degree": (InvalidSpaceError, lambda p: xw.KnotVector(np.array([0.0, 1.0]), -1)),
     "unknown constraint": (InvalidSpaceError, lambda p: xw.make_space([0.0, 1.0], 1, 1, "bogus")),
+    "NaN breakpoint": (InvalidSpaceError, lambda p: xw.KnotVector(np.array([0.0, np.nan, 1.0]), 2)),
+    "infinite breakpoint": (InvalidSpaceError, lambda p: xw.KnotVector(np.array([0.0, np.inf]), 1)),
+    "NaN breakpoint of make_space": (InvalidSpaceError, lambda p: xw.make_space([0, np.nan, 1], 2)),
+    "constraint removing more functions than the space has": (
+        InvalidSpaceError,
+        lambda p: xw.make_space([0.0, 1.0], 0, 1, "zero-both"),
+    ),
+    "assemble on a space_x without unknowns": (
+        InvalidSpaceError,
+        lambda p: xw.assemble(
+            p,
+            xw.make_uniform_space(p.omega, 1, 1, 0, "zero-both"),
+            xw.make_uniform_space((0.0, p.T), 2, 1, None, "zero-left"),
+        ),
+    ),
+    "inf-sup estimate on a space_t without unknowns": (
+        InvalidSpaceError,
+        lambda p: xw.estimate_infsup(
+            p,
+            xw.make_uniform_space(p.omega, 2, 1, None, "zero-both"),
+            xw.make_space([0.0, p.T], 0, 1, "zero-left"),
+        ),
+    ),
     "derivative order above degree": (
         InvalidSpaceError,
         lambda p: xw.make_uniform_space((0.0, 1.0), 2, 1).tabulate([0.5], 2),

@@ -109,6 +109,16 @@ def test_inline_keys_only_for_inline():
         cli.parse_config(SMOOTH_CONV + "T = 3\n", mode="solve")
 
 
+@pytest.mark.parametrize(
+    "line", ["T = nan", "T = inf", "T = 0", "omega = 0,nan", "omega = -inf,1", "omega = 1,0"]
+)
+def test_inline_domain_must_be_finite(line):
+    key = line.split()[0]
+    text = re.sub(rf"^{key} = .*$", line, INLINE, flags=re.M)
+    with pytest.raises(ConfigError, match=f"^{key} must be"):
+        cli.parse_config(text)
+
+
 def test_regularity_values():
     config = cli.parse_config(SMOOTH_CONV, mode="convergence")
     assert config.regularity_order() == 1
@@ -246,6 +256,16 @@ def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
     config = replace(cli.parse_config(SMOOTH_CONV, mode="convergence"), out=str(tmp_path))
     assert cli.run(config) == 3
     assert capsys.readouterr().err == "solver failure: forced\n"
+
+
+@pytest.mark.parametrize("mode", ["solve", "infsup"])
+def test_level_without_unknowns_exits_2(tmp_path, capsys, mode):
+    # degree 1 on one element: the zero-both space_x keeps none of its 2 functions
+    text = "problem = smooth\ndegree = 1\nregularity = maximal\nlevels = 1x1\n"
+    config = replace(cli.parse_config(text, mode=mode), out=str(tmp_path))
+    assert cli.run(config) == 2
+    assert capsys.readouterr().err.startswith("error: space_x has no unknowns")
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_stability_run(tmp_path):

@@ -177,7 +177,7 @@ def _scalar_tabulate(knots, p, xs, d):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    p=st.integers(1, 5),
+    p=st.integers(1, 7),
     a=st.floats(-2.0, 2.0),
     gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
     fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
