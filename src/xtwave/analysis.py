@@ -1,5 +1,6 @@
 """Discrete norms, error reports, elliptic projectors and inf-sup estimation."""
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,31 +79,37 @@ def _sq_sums(solution, problem, fields, nodes, weights, cells=None, dual=None):
     a node set, {name: [[error, error weighted], [exact, exact weighted]]},
     with the plain time weights wt and the weighted ones wt_e.
 
-    nodes = (x, t, Bx, Bt): space nodes x and time nodes t, one time vector
-    for all rows or one row of times per space node, and the basis tables of
-    orders 0 and 1 at x and t, the order on the second-to-last axis, as
-    tabulate returns them; weights = (wx, c2x, wt, wt_e).  Each
-    ExactSolution callable is evaluated once, and the initial-data shift is
-    that of problem, so a solution loaded without one can be measured.  Each
-    field goes through one grid buffer: its discrete values, its error, the
-    squared error.  The share of cells = (rows, cols) is taken from the
-    buffer and leaves the sums.  Field dtV enters only as the weighted
-    squared dual seminorm of dual = (operator, Bx[:, 0] * wx[:, None]), in
-    the weighted column."""
-    x, t, Bx, Bt = nodes
+    nodes = (x, t, XC, Bt): space nodes x and time nodes t, one time vector
+    for all rows or one row of times per space node, the space products
+    XC[d_x, which] (the coefficients of field which, "u" or "v", times the
+    basis of order d_x at x), and the time basis table of orders 0 and 1 at
+    t, the order on the second-to-last axis, as tabulate returns it;
+    weights = (wx, c2x, wt, wt_e).  Each ExactSolution callable is evaluated
+    once, when the first field reads it, and dropped after the last one
+    does; the initial-data shift is that of problem, so a solution loaded
+    without one can be measured.  Each field goes through one grid buffer:
+    its discrete values, its error, the squared error.  The share of
+    cells = (rows, cols) is taken from the buffer and leaves the sums.
+    Field dtV enters only as the weighted squared dual seminorm of
+    dual = (operator, space_tables at x), in the weighted column."""
+    x, t, XC, Bt = nodes
     wx, c2x, wt, wt_e = weights
-    exact = {a: sample(getattr(problem.exact, a), x, t) for a in {f[3] for f in fields.values()}}
+    readers = Counter(f[3] for f in fields.values())  # fields yet to read each callable
+    exact = {}
     buf, sq = np.empty((2, x.size, np.shape(t)[-1]))
     sums = {}
     for name, (d_x, d_t, which, exact_name) in fields.items():
-        BxC = Bx[:, d_x] @ (solution.u_coeffs if which == "u" else solution.v_coeffs)
+        if exact_name not in exact:
+            exact[exact_name] = sample(getattr(problem.exact, exact_name), x, t)
+        readers[exact_name] -= 1
+        values = exact[exact_name] if readers[exact_name] else exact.pop(exact_name)
+        BxC = XC[d_x, which]
         Bt_d = Bt[..., d_t, :]
-        if np.ndim(t) == 1:
+        if np.ndim(t) == 1:  # one GEMM with the dense time table
             np.matmul(BxC, Bt_d.T, out=buf)
         else:
             np.einsum("cqb,cb->cq", Bt_d, BxC, out=buf)
         buf += _shift_values(problem, x, d_x, d_t, which)[:, None]
-        values = exact[exact_name]
         np.subtract(values, buf, out=buf)
         if name == "dtV":
             sums[name] = np.array([(0.0, weighted_dual_sq(*dual, v, wt_e)) for v in (buf, values)])
@@ -131,7 +138,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         raise InvalidProblemError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
     n = n_quad or default_n_points(sx, st, extra=3)
-    xq, wx, Bx = space_tables(sx, n)
+    tables = xq, wx, Ex = space_tables(sx, n)
     tq, wt, wt_e = time_panel_points(st.breakpoints, n, problem.T)
     c2x = problem.c2(xq)
 
@@ -141,7 +148,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         solver = solution.space_op or make_newton_solver(
             sx, problem.c2, space_tables(sx, n_quad or default_n_points(sx, st))
         )
-        fields, dual = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")), (solver, Bx[:, 0] * wx[:, None])
+        fields, dual = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")), (solver, tables)
     if exact.kink_time is not None:
         # A Gauss rule is only legitimate where the integrand is smooth, so
         # time element k cut by the kink at space node i is integrated by two
@@ -156,14 +163,17 @@ def error_report(solution, problem, n_quad=None, relative=True):
         i = np.flatnonzero(cut)
         k, ts = k[i], ts[i]
         cells = i[:, None], k[:, None] * n + np.arange(n)
-    # one table of both derivative orders per space; each field forms only
-    # its own product, as evaluate_grid would
-    nodes = (xq, tq, Bx, st.tabulate(tq, (0, 1)))
+    # one table of both derivative orders per space, the space one per
+    # element; the space products are shared by the fields and by the kink
+    # halves, and each field forms only its own time product
+    coeffs = {"u": solution.u_coeffs, "v": solution.v_coeffs}
+    XC = {(d_x, which): Ex.apply(coeffs[which], d_x) for d_x, _, which, _ in fields.values()}
+    nodes = (xq, tq, XC, st.tabulate(tq, (0, 1)))
     sums = _sq_sums(solution, problem, fields, nodes, (wx, c2x, wt, wt_e), cells, dual)
     if cells is not None:
         th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
         Bth = st.tabulate(th.ravel(), (0, 1)).reshape(*th.shape, 2, st.dim)
-        halves = (xq[i], th, Bx[i], Bth), (wx[i], c2x[i], wh, whe)
+        halves = (xq[i], th, {key: v[i] for key, v in XC.items()}, Bth), (wx[i], c2x[i], wh, whe)
         for name, value in _sq_sums(solution, problem, _FIELDS, *halves).items():
             sums[name] += value
     neh = sums.get("dtV", np.zeros((2, 2)))
@@ -193,8 +203,8 @@ def project_space(w, dw, space_x, c2, n_quad=None):
     """Elliptic projection in space: coefficients of the best approximation
     of w in the c^2-weighted gradient seminorm."""
     n = n_quad or default_n_points(space_x, extra=3)
-    tables = xq, wx, B = space_tables(space_x, n)
-    g = B[:, 1].T @ (wx * c2(xq) * dw(xq))
+    tables = xq, wx, E = space_tables(space_x, n)
+    g = E.moments(c2(xq) * dw(xq), 1, wx)
     return make_newton_solver(space_x, c2, tables).solve_K(g)
 
 
@@ -202,8 +212,8 @@ def project_time(w, dw, space_t, T, n_quad=None):
     """Elliptic projection in time: weighted normal equations in the
     derivative inner product, zero-left trial basis."""
     n = n_quad or default_n_points(space_t, extra=3)
-    _, S, _, (tq, wt_e, dB) = time_factors(space_t, T, n)
-    r = dB.T @ (wt_e * dw(tq))
+    _, S, _, (tq, wt_e, E) = time_factors(space_t, T, n)
+    r = E.moments(dw(tq), 1, wt_e)
     return sla.cho_solve(sla.cho_factor(S), r)
 
 
@@ -216,25 +226,23 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     composition); coefficient arrays are (space dim, time dim).
     """
     n = n_quad or default_n_points(space_x, space_t, extra=3)
-    M_e, S, _, (tq, wt_e, dBt) = time_factors(space_t, T, n)
-    tables = xq, wx, Bx = space_tables(space_x, n)
-    c2x = c2(xq)
+    M_e, S, _, (tq, wt_e, Et) = time_factors(space_t, T, n)
+    tables = xq, wx, Ex = space_tables(space_x, n)
+    wc2 = wx * c2(xq)
     W = sample(dxdt_w, xq, tq)
     space_op = make_newton_solver(space_x, c2, tables)
-    dBx = Bx[:, 1]
     S_cho = sla.cho_factor(S)
 
     # time projection first: per x-node time moments, then space projection
-    r_x = W @ (dBt * wt_e[:, None])  # (n_qx, n_t)
-    zeta_dx = sla.cho_solve(S_cho, r_x.T).T  # d/dx of the time coefficients
-    g = dBx.T @ (zeta_dx * (wx * c2x)[:, None])  # (n_x, n_t)
-    A = space_op.solve_K(g)
+    r_t = Et.moments(W.T, 1, wt_e)  # (n_t, n_qx)
+    zeta_dx = sla.cho_solve(S_cho, r_t).T  # d/dx of the time coefficients
+    A = space_op.solve_K(Ex.moments(zeta_dx, 1, wc2))  # (n_x, n_t)
 
     # space projection first: per t-node space moments, then time projection
-    s_t = W.T @ (dBx * (wx * c2x)[:, None])  # (n_qt, n_x)
-    y_dt = space_op.solve_K(s_t.T).T  # d/dt of the space coefficients
-    rho = y_dt.T @ (dBt * wt_e[:, None])  # (n_x, n_t)
-    B = sla.cho_solve(S_cho, rho.T).T
+    s_x = Ex.moments(W, 1, wc2)  # (n_x, n_qt)
+    y_dt = space_op.solve_K(s_x).T  # d/dt of the space coefficients
+    rho = Et.moments(y_dt, 1, wt_e)  # (n_t, n_x)
+    B = sla.cho_solve(S_cho, rho).T
 
     D = A - B
     norm = np.sqrt(max(float(np.sum((space_op.M_x @ D @ M_e) * D)), 0.0))

@@ -355,13 +355,8 @@ def _curves(config, results):
 
 
 def run(config):
-    """Execute a run; returns the exit code and writes artifacts to out."""
-    out = config.out or "."
-    try:
-        os.makedirs(out, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
-        return 2
+    """Execute a run; returns the exit code and writes artifacts to out,
+    which is created only once every level has run."""
     try:
         problem = build_problem(config)
         results = [
@@ -372,6 +367,12 @@ def run(config):
         return 3
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    out = config.out or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
 
     with open(os.path.join(out, "results.csv"), "w") as f:

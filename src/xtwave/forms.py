@@ -18,16 +18,11 @@ def default_n_points(*spaces, extra=2):
 
 
 def space_tables(space, n_points):
-    """(xq, wq, B): the composite rule of n_points per element on the mesh of
-    space and its basis tables of orders 0 and 1, B[:, d] of order d, from
+    """(xq, wq, E): the composite rule of n_points per element on the mesh of
+    space and the ElementTable E of its basis of orders 0 and 1 there, from
     one recursion, to be shared by every matrix and load on that rule."""
     xq, wq = panel_points(space.breakpoints, n_points)
-    return xq, wq, space.tabulate(xq, (0, 1))
-
-
-def weighted_gram(b_test, b_trial, w):
-    """Matrix sum_q w_q b_test[q, i] b_trial[q, j] of two basis tables."""
-    return b_test.T @ (b_trial * w[:, None])
+    return xq, wq, space.element_table(xq, n_points)
 
 
 def _check_time_interval(space_t, T):
@@ -43,34 +38,31 @@ def assemble_time_matrix(space, d_trial, d_test, T, n_points=None):
     _check_time_interval(space, T)
     n = n_points or default_n_points(space)
     tq, _, wt_e = time_panel_points(space.breakpoints, n, T)
-    B = space.tabulate(tq, (d_trial, d_test))
-    return weighted_gram(B[:, 1], B[:, 0], wt_e)
+    E = space.element_table(tq, n, max(d_trial, d_test))
+    return E.gram(d_test, d_trial, wt_e)
 
 
 def time_factors(space_t, T, n_points):
     """M_e, S_e and A_e (A_e[b, c] = (theta_b', theta_c)), weighted by
-    exp(-t/T), of a zero-left time space on (0, T), from one table each of
-    theta and theta' (the test basis) on a rule of n_points per element.
-    Also returns (tq, wt_e, theta') for load vectors; no table is kept."""
+    exp(-t/T), of a zero-left time space on (0, T), from one ElementTable of
+    theta and theta' (order 1, the test basis) on a rule of n_points per
+    element.  Also returns (tq, wt_e, E) for load vectors; no table is
+    kept."""
     if space_t.constraint != "zero-left":
         raise InvalidSpaceError("space_t must have constraint zero-left")
     _check_time_interval(space_t, T)
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n_points, T)
-    B = space_t.tabulate(tq, (0, 1))
-    theta, dtheta = B[:, 0], B[:, 1]
-    M_e = weighted_gram(theta, theta, wt_e)
-    S_e = weighted_gram(dtheta, dtheta, wt_e)
-    A_e = weighted_gram(dtheta, theta, wt_e)
-    return M_e, S_e, A_e, (tq, wt_e, dtheta)
+    E = space_t.element_table(tq, n_points)
+    return E.gram(0, 0, wt_e), E.gram(1, 1, wt_e), E.gram(1, 0, wt_e), (tq, wt_e, E)
 
 
 def assemble_space_matrix(tables, order, coefficient=None):
     """Matrix of unweighted space integrals of the basis derivatives of one
     order with a pointwise coefficient, on the space_tables of the space."""
-    xq, wq, B = tables
+    xq, wq, E = tables
     if coefficient is None:
         coefficient = np.ones_like
     fvals = coefficient(xq)
     if not np.all(np.isfinite(fvals)):
         raise AssemblyError("coefficient is non-finite at a quadrature node")
-    return weighted_gram(B[:, order], B[:, order], wq * fvals)
+    return E.gram(order, order, wq * fvals)

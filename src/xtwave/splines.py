@@ -67,16 +67,18 @@ def clip_to_interval(xs, interval):
     return np.clip(xs, a, b)
 
 
-def _ders_basis_funs(knots, p, xs, n_ders):
+def _ders_basis_funs(knots, p, xs, n_ders, spans=None):
     """Values and derivatives of the p+1 B-splines active at each point.
 
-    Returns the knot spans i with knots[i] <= x < knots[i+1] (clamped to the
-    last element) and an array of shape (n_ders + 1, p + 1, len(xs)).  Piegl
-    and Tiller's A2.2 (Cox-de Boor values) and A2.3 (inverted-table
+    Returns the knot spans i of the points, by default those with
+    knots[i] <= x < knots[i+1] (clamped to the last element), and an array
+    of shape (n_ders + 1, p + 1, len(xs)) of the functions i - p .. i.
+    Piegl and Tiller's A2.2 (Cox-de Boor values) and A2.3 (inverted-table
     derivatives), each step run on all functions and points at once; every
     entry takes A2.2/A2.3's operations in their order.
     """
-    spans = np.minimum(np.searchsorted(knots, xs, side="right") - 1, knots.size - p - 2)
+    if spans is None:
+        spans = np.minimum(np.searchsorted(knots, xs, side="right") - 1, knots.size - p - 2)
     steps = np.arange(1, p + 1)[:, None]
     right = knots[spans + steps] - xs  # right[i] = knots[span + 1 + i] - x
     left = xs - knots[spans + steps - p]  # left[p - 1 - i] = x - knots[span - i]
@@ -111,6 +113,64 @@ def _ders_basis_funs(knots, p, xs, n_ders):
             ders[k] += a[j + 1] * N[j : j + p + 1]
         ders[k] *= math.perm(p, k)  # p! / (p - k)!
     return spans, ders
+
+
+@dataclass(frozen=True)
+class ElementTable:
+    """Basis values on a rule of n_points nodes per element, element by
+    element: values[d, e, q, j] is the derivative of order d of the
+    unconstrained basis function first[e] + j at node q of element e, so
+    each node holds only its p + 1 active functions.  first[e] = step * e,
+    step the interior knot multiplicity.  Every contraction multiplies the
+    (p + 1)-wide element blocks, sums them in the unconstrained index space
+    of n_basis functions and keeps the rows of the constrained basis, kept;
+    nodes are the rows of node arrays, element by element, as panel_points
+    orders them."""
+
+    values: np.ndarray  # (n_orders, n_el, n_points, p + 1)
+    step: int
+    n_basis: int
+    kept: slice
+
+    @property
+    def first(self):
+        return self.step * np.arange(self.values.shape[1])
+
+    def _blocks(self, d, w):
+        B = self.values[d]
+        return B if w is None else B * w.reshape(B.shape[:2])[:, :, None]
+
+    def _index(self):
+        """(n_el, p + 1): the unconstrained index of every active function."""
+        return self.first[:, None] + np.arange(self.values.shape[-1])
+
+    def moments(self, f, d=0, w=None):
+        """B_d^T (w * f): moments of node values f (one row per node, any
+        trailing axes) against the basis of order d, times node weights w."""
+        B = self._blocks(d, w)
+        local = B.transpose(0, 2, 1) @ f.reshape(*B.shape[:2], -1)  # (n_el, p + 1, k)
+        out = np.zeros((self.n_basis, local.shape[-1]))
+        step, n_el = self.step, local.shape[0]
+        for j in range(local.shape[1]):  # rows first + j, distinct for each j
+            out[j : j + step * n_el : step] += local[:, j]
+        return out[self.kept].reshape(-1, *f.shape[1:])
+
+    def gram(self, d_test, d_trial, w):
+        """Matrix sum_q w_q b_test[q, a] b_trial[q, b] of the basis orders
+        d_test (rows) and d_trial (columns): one (p + 1) x (p + 1) block per
+        element, summed into place by one bincount."""
+        local = self._blocks(d_test, w).transpose(0, 2, 1) @ self.values[d_trial]
+        index, n = self._index(), self.n_basis
+        flat = index[:, :, None] * n + index[:, None, :]
+        G = np.bincount(flat.ravel(), local.ravel(), n * n).reshape(n, n)
+        return np.ascontiguousarray(G[self.kept, self.kept])
+
+    def apply(self, C, d=0):
+        """B_d @ C: node values (one row per node) of the fields whose
+        coefficients are the columns of C (dim, k)."""
+        padded = np.zeros((self.n_basis, C.shape[1]))
+        padded[self.kept] = C
+        return (self.values[d] @ padded[self._index()]).reshape(-1, C.shape[1])
 
 
 @dataclass(frozen=True)
@@ -174,6 +234,23 @@ class SplineSpace:
         out = np.zeros((orders.size, xs.size, self.dim))
         out[:, np.nonzero(kept)[0], cols[kept]] = ders[orders].transpose(0, 2, 1)[:, kept]
         return out[0] if np.ndim(deriv_order) == 0 else out.transpose(1, 0, 2)
+
+
+    def element_table(self, xq, n_points, max_order=1):
+        """ElementTable of derivative orders 0..max_order at the nodes xq of a
+        rule of n_points nodes inside each element, element by element.
+        Element e is knot span p + m e (m the interior multiplicity), so its
+        first active function is m e, whatever the rounding of its nodes."""
+        p = self.degree
+        if max_order > p:
+            raise InvalidSpaceError("derivative order exceeds degree")
+        m, n_el = self.knots.interior_multiplicity, self.breakpoints.size - 1
+        spans = np.repeat(p + m * np.arange(n_el), n_points)
+        _, ders = _ders_basis_funs(self._full_knots, p, xq, max_order, spans)
+        values = ders.reshape(max_order + 1, p + 1, n_el, n_points).transpose(0, 2, 3, 1)
+        n = self.dim_unconstrained
+        kept = slice(self._left_removed, n - self._right_removed)
+        return ElementTable(np.ascontiguousarray(values), m, n, kept)
 
 
 def make_space(breakpoints, degree, interior_multiplicity=1, constraint="none"):

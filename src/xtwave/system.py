@@ -139,8 +139,8 @@ def _check_space_x(problem, space_x):
 
 def _factors(problem, space_x, space_t, n_quad=None):
     """The spatial operator, the weighted time factors M_e, S_e, A_e,
-    (n, tq, wt_e, theta'): the rule size, and the time rule with the test
-    basis, and the space_tables the operator was built from, so the
+    (n, tq, wt_e, E_t): the rule size, and the time rule with its element
+    table, and the space_tables the operator was built from, so the
     right-hand side tabulates neither space again.  A space without
     unknowns leaves no system and is refused with InvalidSpaceError."""
     _check_space_x(problem, space_x)
@@ -157,16 +157,15 @@ def _factors(problem, space_x, space_t, n_quad=None):
 def assemble(problem, space_x, space_t, n_quad=None):
     """Build the block system for the given trial spaces."""
     factors = _factors(problem, space_x, space_t, n_quad)
-    space_op, M_e, S_e, A_e, (n, tq, wt_e, Bt_test), (xq, wx, B) = factors
-    d_e = Bt_test.T @ wt_e  # d_e[b] = int theta_b' exp(-t/T)
+    space_op, M_e, S_e, A_e, (n, tq, wt_e, Et), (xq, wx, Ex) = factors
+    d_e = Et.moments(wt_e, 1)  # d_e[b] = int theta_b' exp(-t/T)
 
     # right-hand side: lambda rows then chi rows, space index fastest
-    Bx, dBx = B[:, 0], B[:, 1]
     Fvals = sample(problem.F, xq, tq)
-    rhs_F = (Bx * wx[:, None]).T @ Fvals @ (Bt_test * wt_e[:, None])  # (n_x, n_t)
+    rhs_F = Et.moments(Ex.moments(Fvals, 0, wx).T, 1, wt_e).T  # (n_x, n_t)
 
-    g_U0 = (dBx * (wx * problem.c2(xq) * problem.dU0(xq))[:, None]).sum(axis=0)
-    m_V0 = (Bx * (wx * problem.V0(xq))[:, None]).sum(axis=0)
+    g_U0 = Ex.moments(problem.c2(xq) * problem.dU0(xq), 1, wx)
+    m_V0 = Ex.moments(problem.V0(xq), 0, wx)
     rhs_lam = rhs_F - np.outer(g_U0, d_e)
     rhs_chi = -np.outer(m_V0, d_e)
     rhs = np.concatenate([rhs_lam.T.ravel(), rhs_chi.T.ravel()])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import xtwave as xw
+from xtwave import splines
 from xtwave.forms import default_n_points, space_tables
 
 
@@ -20,8 +21,8 @@ def load_moments():
     dual norm of the load is sqrt(m @ solver.solve_K(m))."""
 
     def moments(solver, load):
-        xq, wq, B = space_tables(solver.space, default_n_points(solver.space))
-        return B[:, 0].T @ (wq * load(xq))
+        xq, wq, E = space_tables(solver.space, default_n_points(solver.space))
+        return E.moments(load(xq), 0, wq)
 
     return moments
 
@@ -95,15 +96,17 @@ def traced_peak():
 
 @pytest.fixture
 def tabulate_calls(monkeypatch):
-    """List that receives the derivative order of every basis tabulation."""
+    """List that receives the highest derivative order of every run of the
+    B-spline recursion, which dense tables (SplineSpace.tabulate) and
+    element tables (SplineSpace.element_table) share."""
     calls = []
-    tabulate = xw.SplineSpace.tabulate
+    recursion = splines._ders_basis_funs
 
-    def counted(self, xs, deriv_order=0):
-        calls.append(deriv_order)
-        return tabulate(self, xs, deriv_order)
+    def counted(knots, p, xs, n_ders, spans=None):
+        calls.append(n_ders)
+        return recursion(knots, p, xs, n_ders, spans)
 
-    monkeypatch.setattr(xw.SplineSpace, "tabulate", counted)
+    monkeypatch.setattr(splines, "_ders_basis_funs", counted)
     return calls
 
 

@@ -14,7 +14,7 @@ import scipy.sparse.linalg as spla
 
 import xtwave as xw
 from xtwave import analysis, newton
-from xtwave.forms import assemble_time_matrix
+from xtwave.forms import assemble_time_matrix, default_n_points, space_tables
 from xtwave.quadrature import panel_points
 
 
@@ -215,8 +215,10 @@ def test_criterion_8_newton_suite(smooth_problem, rng, load_moments):
     prob = smooth_problem
     coarse_space = xw.make_uniform_space(prob.omega, 4, 2, None, "zero-both")
     fine_space = xw.make_uniform_space(prob.omega, 64, 2, None, "zero-both")
-    coarse = newton.make_newton_solver(coarse_space, prob.c2)
-    fine = newton.make_newton_solver(fine_space, prob.c2)
+    coarse, fine = (
+        newton.make_newton_solver(space, prob.c2, space_tables(space, default_n_points(space)))
+        for space in (coarse_space, fine_space)
+    )
     ok = True
     # positivity on the coarse space
     for _ in range(20):
@@ -237,8 +239,9 @@ def test_criterion_8_newton_suite(smooth_problem, rng, load_moments):
     space_t = xw.make_uniform_space((0.0, T), 6, 2, None, "zero-left")
     M_e = assemble_time_matrix(space_t, 0, 0, T, n_points=8)
     C = prob.poincare_constant / prob.c0
+    space_x = xw.make_uniform_space(prob.omega, 10, 2, None, "zero-both")
     solver = newton.make_newton_solver(
-        xw.make_uniform_space(prob.omega, 10, 2, None, "zero-both"), prob.c2
+        space_x, prob.c2, space_tables(space_x, default_n_points(space_x))
     )
     for _ in range(20):
         w = rng.standard_normal((solver.space.dim, space_t.dim))

@@ -262,10 +262,12 @@ def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
 def test_level_without_unknowns_exits_2(tmp_path, capsys, mode):
     # degree 1 on one element: the zero-both space_x keeps none of its 2 functions
     text = "problem = smooth\ndegree = 1\nregularity = maximal\nlevels = 1x1\n"
-    config = replace(cli.parse_config(text, mode=mode), out=str(tmp_path))
+    out = tmp_path / "out"
+    config = replace(cli.parse_config(text, mode=mode), out=str(out))
     assert cli.run(config) == 2
     assert capsys.readouterr().err.startswith("error: space_x has no unknowns")
-    assert not (tmp_path / "results.csv").exists()
+    # the output directory is created only after every level has run
+    assert not out.exists()
 
 
 def test_stability_run(tmp_path):

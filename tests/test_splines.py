@@ -6,6 +6,7 @@ from scipy.interpolate import BSpline
 
 from xtwave import splines
 from xtwave.errors import InvalidRegularityError, OutOfDomainError
+from xtwave.quadrature import panel_points
 
 
 def test_dimension_examples():
@@ -228,3 +229,41 @@ def test_multi_order_tabulate_is_the_single_order_tables(p, gaps, fractions, dat
             for k, d in enumerate(orders):
                 assert B[:, k].flags.c_contiguous
                 assert np.array_equal(B[:, k], s.tabulate(xs, d))
+
+
+def _assert_close(actual, expected):
+    # rtol 1e-13 against the largest entry: only the summation order differs
+    atol = 1e-13 * np.abs(expected).max(initial=1e-300)
+    np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.integers(1, 7),
+    a=st.floats(-2.0, 2.0),
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+    extra=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_element_tables_match_dense_tables(p, a, gaps, extra, seed):
+    # Gram matrices, moments and values from the p + 1 active functions per
+    # element equal the products of the dense tables of the same nodes
+    rng = np.random.default_rng(seed)
+    bp = a + np.concatenate(([0.0], np.cumsum(gaps)))
+    n = p + extra
+    xq, wq = panel_points(bp, n)
+    w = wq * rng.uniform(0.5, 2.0, xq.size)
+    values = rng.standard_normal((xq.size, 3))
+    for m in range(1, p + 1):
+        for constraint in splines.CONSTRAINTS:
+            s = splines.make_space(bp, p, m, constraint)
+            E = s.element_table(xq, n)
+            B = s.tabulate(xq, (0, 1))
+            assert E.values.shape == (2, bp.size - 1, n, p + 1)
+            C = rng.standard_normal((s.dim, 2))
+            for d in (0, 1):
+                for d_trial in (0, 1):
+                    _assert_close(E.gram(d, d_trial, w), B[:, d].T @ (B[:, d_trial] * w[:, None]))
+                _assert_close(E.moments(values, d, w), B[:, d].T @ (values * w[:, None]))
+                _assert_close(E.moments(values[:, 0], d), B[:, d].T @ values[:, 0])
+                _assert_close(E.apply(C, d), B[:, d] @ C)

@@ -220,7 +220,8 @@ def test_mode_bands_hold_each_mode_matrix(smooth_problem, p, r):
 
 def _reference_assemble(problem, space_x, space_t):
     """The block system factor by factor: one forms call per matrix, each
-    with its own tables, and a right-hand side from tables of its own."""
+    with its own tables, and a right-hand side from element tables of its
+    own."""
     n = max(space_x.degree, space_t.degree) + 2
     T = problem.T
     ref = {
@@ -231,17 +232,16 @@ def _reference_assemble(problem, space_x, space_t):
         "A_e": assemble_time_matrix(space_t, 0, 1, T, n_points=n),
     }
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
-    Bt_test = space_t.tabulate(tq, 1)
-    d_e = Bt_test.T @ wt_e
+    Et = space_t.element_table(tq, n)
+    d_e = Et.moments(wt_e, 1)
     xq, wx = panel_points(space_x.breakpoints, n)
-    Bx = space_x.tabulate(xq, 0)
-    dBx = space_x.tabulate(xq, 1)
+    Ex = space_x.element_table(xq, n)
     Fvals = np.broadcast_to(
         np.asarray(problem.F(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
     )
-    rhs_F = (Bx * wx[:, None]).T @ Fvals @ (Bt_test * wt_e[:, None])
-    g_U0 = (dBx * (wx * problem.c2(xq) * problem.dU0(xq))[:, None]).sum(axis=0)
-    m_V0 = (Bx * (wx * problem.V0(xq))[:, None]).sum(axis=0)
+    rhs_F = Et.moments(Ex.moments(Fvals, 0, wx).T, 1, wt_e).T
+    g_U0 = Ex.moments(problem.c2(xq) * problem.dU0(xq), 1, wx)
+    m_V0 = Ex.moments(problem.V0(xq), 0, wx)
     rhs_lam = rhs_F - np.outer(g_U0, d_e)
     rhs_chi = -np.outer(m_V0, d_e)
     ref["rhs"] = np.concatenate([rhs_lam.T.ravel(), rhs_chi.T.ravel()])
