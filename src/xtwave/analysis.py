@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidProblemError
-from .forms import default_n_points, space_tables, time_factors
+from .forms import default_n_points, time_factors
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, sample, time_panel_points
 from .system import _factors, _shift_values
@@ -74,7 +74,7 @@ def _time_sums(sq, w_x, wt, wt_e):
     return w_x @ np.einsum("cq,cq->c", sq, wt), w_x @ np.einsum("cq,cq->c", sq, wt_e)
 
 
-def _sq_sums(solution, problem, fields, nodes, weights, cells=None, dual=None):
+def _sq_sums(problem, fields, nodes, weights, cells=None, dual=None):
     """Squared sums of the error and of the exact values of every field over
     a node set, {name: [[error, error weighted], [exact, exact weighted]]},
     with the plain time weights wt and the weighted ones wt_e.
@@ -91,7 +91,8 @@ def _sq_sums(solution, problem, fields, nodes, weights, cells=None, dual=None):
     its discrete values, its error, the squared error.  The share of
     cells = (rows, cols) is taken from the buffer and leaves the sums.
     Field dtV enters only as the weighted squared dual seminorm of
-    dual = (operator, space_tables at x), in the weighted column."""
+    dual = (operator, its space's ElementTable at x), in the weighted
+    column."""
     x, t, XC, Bt = nodes
     wx, c2x, wt, wt_e = weights
     readers = Counter(f[3] for f in fields.values())  # fields yet to read each callable
@@ -131,24 +132,23 @@ def error_report(solution, problem, n_quad=None, relative=True):
     The fields are integrated on a rule of n_quad points per element (by
     default the system's rule plus one).  The Newton seminorm of the dtV
     error is the dual norm of the spatial operator the solution was solved
-    with; a solution loaded from a file builds that operator on the system's
-    rule (n_quad, or default_n_points of both spaces), as assemble would."""
+    with; a solution loaded from a file builds that operator as assemble
+    would, with the system's rule (n_quad, or default_n_points)."""
     exact = problem.exact
     if exact is None:
         raise InvalidProblemError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
     n = n_quad or default_n_points(sx, st, extra=3)
-    tables = xq, wx, Ex = space_tables(sx, n)
+    Ex = sx.element_table(n)
+    xq, wx = Ex.nodes, Ex.weights
     tq, wt, wt_e = time_panel_points(st.breakpoints, n, problem.T)
     c2x = problem.c2(xq)
 
     fields, dual, cells = _FIELDS, None, None
     if exact.dt_v is not None:
         # Newton seminorm of the time derivative of the velocity error
-        solver = solution.space_op or make_newton_solver(
-            sx, problem.c2, space_tables(sx, n_quad or default_n_points(sx, st))
-        )
-        fields, dual = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")), (solver, tables)
+        solver = solution.space_op or _factors(problem, sx, st, n_quad)[0]
+        fields, dual = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")), (solver, Ex)
     if exact.kink_time is not None:
         # A Gauss rule is only legitimate where the integrand is smooth, so
         # time element k cut by the kink at space node i is integrated by two
@@ -169,12 +169,12 @@ def error_report(solution, problem, n_quad=None, relative=True):
     coeffs = {"u": solution.u_coeffs, "v": solution.v_coeffs}
     XC = {(d_x, which): Ex.apply(coeffs[which], d_x) for d_x, _, which, _ in fields.values()}
     nodes = (xq, tq, XC, st.tabulate(tq, (0, 1)))
-    sums = _sq_sums(solution, problem, fields, nodes, (wx, c2x, wt, wt_e), cells, dual)
+    sums = _sq_sums(problem, fields, nodes, (wx, c2x, wt, wt_e), cells, dual)
     if cells is not None:
         th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
         Bth = st.tabulate(th.ravel(), (0, 1)).reshape(*th.shape, 2, st.dim)
         halves = (xq[i], th, {key: v[i] for key, v in XC.items()}, Bth), (wx[i], c2x[i], wh, whe)
-        for name, value in _sq_sums(solution, problem, _FIELDS, *halves).items():
+        for name, value in _sq_sums(problem, _FIELDS, *halves).items():
             sums[name] += value
     neh = sums.get("dtV", np.zeros((2, 2)))
     veh = sums["dtU"] + neh + sums["cgradU"] + sums["V"]
@@ -199,21 +199,21 @@ def error_report(solution, problem, n_quad=None, relative=True):
     )
 
 
-def project_space(w, dw, space_x, c2, n_quad=None):
-    """Elliptic projection in space: coefficients of the best approximation
-    of w in the c^2-weighted gradient seminorm."""
-    n = n_quad or default_n_points(space_x, extra=3)
-    tables = xq, wx, E = space_tables(space_x, n)
-    g = E.moments(c2(xq) * dw(xq), 1, wx)
-    return make_newton_solver(space_x, c2, tables).solve_K(g)
+def project_space(dw, space_x, c2, n_quad=None):
+    """Elliptic projection in space: coefficients of the best approximation,
+    in the c^2-weighted gradient seminorm, of a function with derivative dw."""
+    E = space_x.element_table(n_quad or default_n_points(space_x, extra=3))
+    g = E.moments(c2(E.nodes) * dw(E.nodes), 1, E.weights)
+    return make_newton_solver(space_x, c2, E).solve_K(g)
 
 
-def project_time(w, dw, space_t, T, n_quad=None):
-    """Elliptic projection in time: weighted normal equations in the
-    derivative inner product, zero-left trial basis."""
+def project_time(dw, space_t, T, n_quad=None):
+    """Elliptic projection in time of a function with derivative dw:
+    weighted normal equations in the derivative inner product, zero-left
+    trial basis."""
     n = n_quad or default_n_points(space_t, extra=3)
-    _, S, _, (tq, wt_e, E) = time_factors(space_t, T, n)
-    r = E.moments(dw(tq), 1, wt_e)
+    _, S, _, E, wt_e = time_factors(space_t, T, n)
+    r = E.moments(dw(E.nodes), 1, wt_e)
     return sla.cho_solve(sla.cho_factor(S), r)
 
 
@@ -226,11 +226,11 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     composition); coefficient arrays are (space dim, time dim).
     """
     n = n_quad or default_n_points(space_x, space_t, extra=3)
-    M_e, S, _, (tq, wt_e, Et) = time_factors(space_t, T, n)
-    tables = xq, wx, Ex = space_tables(space_x, n)
-    wc2 = wx * c2(xq)
-    W = sample(dxdt_w, xq, tq)
-    space_op = make_newton_solver(space_x, c2, tables)
+    M_e, S, _, Et, wt_e = time_factors(space_t, T, n)
+    Ex = space_x.element_table(n)
+    wc2 = Ex.weights * c2(Ex.nodes)
+    W = sample(dxdt_w, Ex.nodes, Et.nodes)
+    space_op = make_newton_solver(space_x, c2, Ex)
     S_cho = sla.cho_factor(S)
 
     # time projection first: per x-node time moments, then space projection
@@ -327,8 +327,9 @@ def stability_data_bound(problem):
     """Upper bound on the stability norm in terms of the problem data, by
     quadrature on _BOUND_ELEMENTS uniform elements per axis."""
     beta = 1.0 / infsup_lower_bound(problem)
-    if problem.div_c2_grad_U0 is None:
-        raise InvalidProblemError("problem does not provide div(c^2 grad U0)")
+    for name, trace in (("div(c^2 grad U0)", problem.div_c2_grad_U0), ("dV0", problem.dV0)):
+        if trace is None:
+            raise InvalidProblemError(f"problem does not provide {name}")
     T = problem.T
     xs = np.linspace(problem.omega[0], problem.omega[1], _BOUND_ELEMENTS + 1)
     ts = np.linspace(0.0, T, _BOUND_ELEMENTS + 1)
@@ -336,8 +337,5 @@ def stability_data_bound(problem):
     tq, _, wt_e = time_panel_points(ts, _BOUND_POINTS, T)
     norm_F = np.sqrt(float(wx @ sample(problem.F, xq, tq) ** 2 @ wt_e))
     norm_div = np.sqrt(float(wx @ problem.div_c2_grad_U0(xq) ** 2))
-    if problem.dV0 is None:
-        norm_cgradV0 = 0.0
-    else:
-        norm_cgradV0 = np.sqrt(float(wx @ (problem.c2(xq) * problem.dV0(xq) ** 2)))
+    norm_cgradV0 = np.sqrt(float(wx @ (problem.c2(xq) * problem.dV0(xq) ** 2)))
     return beta * (norm_F + np.sqrt(T) * norm_div + np.sqrt(T) * norm_cgradV0)

@@ -29,23 +29,52 @@ CSV_HEADER = (
 
 MODES = ("solve", "convergence", "stability", "infsup")
 
-# key -> (type tag, required) ; expression keys are only required inline
+
+def _mode(raw):
+    if raw not in MODES:
+        raise ValueError(f"must be one of {MODES}")
+    return raw
+
+
+def _regularity(raw):
+    if raw in ("maximal", "c1"):
+        return raw
+    return str(int(raw))
+
+
+def _levels(raw):
+    pairs = []
+    for item in raw.replace(",", " ").split():
+        nx, nt = item.lower().split("x")
+        pairs.append((int(nx), int(nt)))
+    if not pairs:
+        raise ValueError("empty list")
+    return tuple(pairs)
+
+
+def _pair(raw):
+    a, b = (float(s) for s in raw.split(","))
+    return (a, b)
+
+
+# key -> (parser of its text, formatter of its echo, required), in echo order;
+# the expression keys are required only inline; threads is dropped
 _SCHEMA = {
-    "mode": ("mode", False),
-    "problem": ("str", True),
-    "degree": ("int", True),
-    "regularity": ("regularity", True),
-    "levels": ("levels", True),
-    "quad_points": ("int", False),
-    "threads": ("int", False),  # accepted and ignored: levels run one after another
-    "out": ("str", False),
-    "omega": ("pair", False),
-    "T": ("float", False),
-    "c0": ("float", False),
-    "c2": ("expr", False),
-    "F": ("expr", False),
-    "U0": ("expr", False),
-    "V0": ("expr", False),
+    "mode": (_mode, str, False),
+    "problem": (str, str, True),
+    "degree": (int, str, True),
+    "regularity": (_regularity, str, True),
+    "levels": (_levels, lambda levels: " ".join(f"{nx}x{nt}" for nx, nt in levels), True),
+    "quad_points": (int, str, False),
+    "threads": (int, str, False),
+    "out": (str, str, False),
+    "omega": (_pair, lambda omega: "{:.17g},{:.17g}".format(*omega), False),
+    "T": (float, "{:.17g}".format, False),
+    "c0": (float, "{:.17g}".format, False),
+    "F": (str, str, False),
+    "U0": (str, str, False),
+    "V0": (str, str, False),
+    "c2": (str, str, False),
 }
 
 _INLINE_KEYS = ("omega", "T", "c2", "F", "U0", "V0")
@@ -53,7 +82,7 @@ _INLINE_KEYS = ("omega", "T", "c2", "F", "U0", "V0")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; one sweep of refinement levels."""
+    """Validated run description of one sweep; a field per _SCHEMA key but threads."""
 
     mode: str
     problem: str
@@ -65,7 +94,10 @@ class RunConfig:
     omega: tuple = None
     T: float = None
     c0: float = None
-    inline: tuple = ()  # sorted (key, expression string) pairs
+    F: str = None  # F, U0, V0 and c2: the expressions of an inline problem
+    U0: str = None
+    V0: str = None
+    c2: str = None
 
     def regularity_order(self):
         if self.regularity == "maximal":
@@ -73,37 +105,6 @@ class RunConfig:
         if self.regularity == "c1":
             return 1
         return int(self.regularity)
-
-
-def _parse_value(key, raw):
-    tag = _SCHEMA[key][0]
-    try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "pair":
-            a, b = (float(s) for s in raw.split(","))
-            return (a, b)
-        if tag == "levels":
-            pairs = []
-            for item in raw.replace(",", " ").split():
-                nx, nt = item.lower().split("x")
-                pairs.append((int(nx), int(nt)))
-            if not pairs:
-                raise ValueError("empty list")
-            return tuple(pairs)
-        if tag == "mode":
-            if raw not in MODES:
-                raise ValueError(f"must be one of {MODES}")
-            return raw
-        if tag == "regularity":
-            if raw in ("maximal", "c1"):
-                return raw
-            return str(int(raw))
-        return raw
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
 
 def parse_config(text, mode=None):
@@ -121,7 +122,10 @@ def parse_config(text, mode=None):
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _SCHEMA[key][0](raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
     if mode is not None:
         if "mode" in values and values["mode"] != mode:
@@ -130,59 +134,32 @@ def parse_config(text, mode=None):
     if "mode" not in values:
         raise ConfigError("mode is not set (use a subcommand or a `mode =` line)")
 
-    for key, (_, required) in _SCHEMA.items():
+    for key, (_, _, required) in _SCHEMA.items():
         if required and key not in values:
             raise ConfigError(f"missing required key {key!r}")
 
-    inline = {}
     if values["problem"] == "inline":
         for key in _INLINE_KEYS:
             if key not in values:
                 raise ConfigError(f"inline problems require key {key!r}")
-        for key in ("c2", "F", "U0", "V0"):
-            inline[key] = values.pop(key)
     else:
         for key in ("c2", "F", "U0", "V0", "omega", "T", "c0"):
             if key in values:
                 raise ConfigError(f"key {key!r} is only valid for problem = inline")
 
-    config = RunConfig(
-        mode=values["mode"],
-        problem=values["problem"],
-        degree=values["degree"],
-        regularity=values["regularity"],
-        levels=values["levels"],
-        quad_points=values.get("quad_points"),
-        out=values.get("out"),
-        omega=values.get("omega"),
-        T=values.get("T"),
-        c0=values.get("c0"),
-        inline=tuple(sorted(inline.items())),
-    )
+    values.pop("threads", None)
+    config = RunConfig(**values)
     validate_config(config)
     return config
 
 
 def serialize_config(config):
-    """Inverse of parse_config up to formatting."""
+    """Inverse of parse_config up to formatting: one line per set key."""
     lines = [
-        f"mode = {config.mode}",
-        f"problem = {config.problem}",
-        f"degree = {config.degree}",
-        f"regularity = {config.regularity}",
-        "levels = " + " ".join(f"{nx}x{nt}" for nx, nt in config.levels),
+        f"{key} = {echo(getattr(config, key))}"
+        for key, (_, echo, _) in _SCHEMA.items()
+        if getattr(config, key, None) is not None
     ]
-    if config.quad_points is not None:
-        lines.append(f"quad_points = {config.quad_points}")
-    if config.out is not None:
-        lines.append(f"out = {config.out}")
-    if config.problem == "inline":
-        lines.append(f"omega = {config.omega[0]:.17g},{config.omega[1]:.17g}")
-        lines.append(f"T = {config.T:.17g}")
-        if config.c0 is not None:
-            lines.append(f"c0 = {config.c0:.17g}")
-        for key, expr in config.inline:
-            lines.append(f"{key} = {expr}")
     return "\n".join(lines) + "\n"
 
 
@@ -221,11 +198,10 @@ def _inline_problem(config):
     # sympy is imported only by configs that define their problem inline
     from . import expressions
 
-    data = dict(config.inline)
-    c2e = expressions.parse_expression(data["c2"], ("x",))
-    Fe = expressions.parse_expression(data["F"], ("x", "t"))
-    U0e = expressions.parse_expression(data["U0"], ("x",))
-    V0e = expressions.parse_expression(data["V0"], ("x",))
+    c2e = expressions.parse_expression(config.c2, ("x",))
+    Fe = expressions.parse_expression(config.F, ("x", "t"))
+    U0e = expressions.parse_expression(config.U0, ("x",))
+    V0e = expressions.parse_expression(config.V0, ("x",))
     c2 = expressions.lambdify(c2e, ("x",))
     div_flux = expressions.diff(c2e * expressions.diff(U0e, "x"), "x")
     return ProblemSpec(
@@ -374,21 +350,23 @@ def run(config):
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
-
-    with open(os.path.join(out, "results.csv"), "w") as f:
-        f.write(CSV_HEADER + "\n")
-        for row in _csv_rows(config, results):
-            f.write(row + "\n")
-    curves = _curves(config, results)
-    if curves:
-        with open(os.path.join(out, "curves.dat"), "w") as f:
-            f.write(curves)
-    with open(os.path.join(out, "config.txt"), "w") as f:
-        f.write(serialize_config(config))
-    if config.mode == "solve":
-        for res in results:
+    try:
+        with open(os.path.join(out, "results.csv"), "w") as f:
+            f.write(CSV_HEADER + "\n")
+            for row in _csv_rows(config, results):
+                f.write(row + "\n")
+        curves = _curves(config, results)
+        if curves:
+            with open(os.path.join(out, "curves.dat"), "w") as f:
+                f.write(curves)
+        with open(os.path.join(out, "config.txt"), "w") as f:
+            f.write(serialize_config(config))
+        for res in results:  # only solve mode keeps its solutions
             if res.solution is not None:
                 dump_solution(res.solution, os.path.join(out, f"solution_L{res.level}.txt"))
+    except OSError as exc:
+        print(f"error: cannot write the output in {out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

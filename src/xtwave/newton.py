@@ -45,24 +45,22 @@ class NewtonSolver:
         return sla.eigh(self.K_x, self.M_x)
 
 
-def make_newton_solver(space_x, c2, tables):
+def make_newton_solver(space_x, c2, E):
     """The spatial operator of a zero-both space; any other constraint
     leaves K_x singular and is refused with InvalidSpaceError.  M_x and K_x
-    come from tables, the space_tables of space_x the caller shares."""
+    come from E, the ElementTable of space_x the caller shares."""
     if space_x.constraint != "zero-both":
         raise InvalidSpaceError("space_x must have constraint zero-both")
-    M_x = assemble_space_matrix(tables, 0)
-    K_x = assemble_space_matrix(tables, 1, c2)
+    M_x = assemble_space_matrix(E, 0)
+    K_x = assemble_space_matrix(E, 1, c2)
     return NewtonSolver(space_x, M_x, K_x, sla.cho_factor(K_x))
 
 
-def weighted_dual_sq(solver, tables, values, wt_e):
+def weighted_dual_sq(solver, E, values, wt_e):
     """Exponentially weighted time integral of the squared dual seminorm of a
-    load given at the space nodes of tables (rows, the space_tables of the
-    solver's space) and time nodes (columns, weights wt_e).  The moments
-    fold the space weights into the element blocks, so the values are not
-    copied."""
-    _, wx, E = tables
-    moments = E.moments(values, 0, wx)  # (n_x, n_tq)
+    load given at the nodes of E (rows, an ElementTable of the solver's
+    space) and time nodes (columns, weights wt_e).  The moments fold the
+    space weights into the element blocks, so the values are not copied."""
+    moments = E.moments(values, 0, E.weights)  # (n_x, n_tq)
     z = solver.solve_K(moments)
     return float(wt_e @ np.einsum("aq,aq->q", moments, z))

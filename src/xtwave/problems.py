@@ -20,7 +20,6 @@ def smooth_case():
     The forcing is derived from the wave equation applied to the exact
     solution U = (sin^2(5 pi t / 4) + 1) sin(pi x).
     """
-    T = 3.0
     pi = np.pi
 
     def g(t):
@@ -36,28 +35,19 @@ def smooth_case():
         # d/dx((x+1) * d/dx sin(pi x))
         return pi * np.cos(pi * x) - (x + 1.0) * pi**2 * np.sin(pi * x)
 
-    exact = ExactSolution(
+    return manufactured(
         u=lambda x, t: g(t) * np.sin(pi * x),
         dx_u=lambda x, t: g(t) * pi * np.cos(pi * x),
-        v=lambda x, t: dg(t) * np.sin(pi * x),
-        dt_v=lambda x, t: ddg(t) * np.sin(pi * x),
+        dt_u=lambda x, t: dg(t) * np.sin(pi * x),
+        dtt_u=lambda x, t: ddg(t) * np.sin(pi * x),
         dxdt_u=lambda x, t: dg(t) * pi * np.cos(pi * x),
-    )
-    spec = ProblemSpec(
-        omega=(0.0, 1.0),
-        T=T,
+        div_c2_grad_u=lambda x, t: g(t) * div_c2_grad_shape(x),
         c2=lambda x: x + 1.0,
+        omega=(0.0, 1.0),
+        T=3.0,
         c0=1.0,
-        F=lambda x, t: ddg(t) * np.sin(pi * x) - g(t) * div_c2_grad_shape(x),
-        U0=lambda x: np.sin(pi * x),
-        dU0=lambda x: pi * np.cos(pi * x),
-        V0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        dV0=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        exact=exact,
-        div_c2_grad_U0=div_c2_grad_shape,
         name="smooth",
     )
-    return NamedProblem("smooth", spec)
 
 
 def _omega_bump(s):
@@ -144,11 +134,14 @@ def wave_speed_floor(c2, omega, c0=None):
     return floor if c0 is None else c0
 
 
-def manufactured(u, dx_u, dt_u, dtt_u, div_c2_grad_u, c2, omega, T, c0=None, name="manufactured"):
+def manufactured(
+    u, dx_u, dt_u, dtt_u, dxdt_u, div_c2_grad_u, c2, omega, T, c0=None, name="manufactured"
+):
     """Problem with forcing derived from a prescribed exact solution.
 
     All arguments after u are the callables needed to form the forcing
-    F = d^2 U/dt^2 - div(c^2 grad U) and the initial data traces.
+    F = d^2 U/dt^2 - div(c^2 grad U) and the initial data traces; dxdt_u is
+    the mixed derivative d^2 U/dx dt, whose trace at t = 0 is dV0.
     """
     c0 = wave_speed_floor(c2, omega, c0)
     exact = ExactSolution(
@@ -156,6 +149,7 @@ def manufactured(u, dx_u, dt_u, dtt_u, div_c2_grad_u, c2, omega, T, c0=None, nam
         dx_u=dx_u,
         v=dt_u,
         dt_v=dtt_u,
+        dxdt_u=dxdt_u,
     )
     spec = ProblemSpec(
         omega=(float(omega[0]), float(omega[1])),
@@ -166,6 +160,7 @@ def manufactured(u, dx_u, dt_u, dtt_u, div_c2_grad_u, c2, omega, T, c0=None, nam
         U0=lambda x: u(x, 0.0),
         dU0=lambda x: dx_u(x, 0.0),
         V0=lambda x: dt_u(x, 0.0),
+        dV0=lambda x: dxdt_u(x, 0.0),
         exact=exact,
         div_c2_grad_U0=lambda x: div_c2_grad_u(x, 0.0),
         name=name,

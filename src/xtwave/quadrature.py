@@ -58,11 +58,16 @@ def panel_points(breakpoints, n_points):
     return xq, wq
 
 
+def exp_weights(tq, wt, T):
+    """Weights wt of the time nodes tq times the exponential time weight
+    exp(-t/T) of every time integral."""
+    return wt * np.exp(-tq / T)
+
+
 def time_panel_points(breakpoints, n_points, T):
-    """Composite rule on a time mesh: nodes, plain weights and the weights
-    times the exponential time weight exp(-t/T) of every time integral."""
+    """Composite rule on a time mesh: nodes, plain weights and exp_weights."""
     tq, wt = panel_points(breakpoints, n_points)
-    return tq, wt, wt * np.exp(-tq / T)
+    return tq, wt, exp_weights(tq, wt, T)
 
 
 def sample(f, x, t):

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidRegularityError, InvalidSpaceError, OutOfDomainError
+from .quadrature import panel_points
 
 CONSTRAINTS = ("none", "zero-left", "zero-both")
 
@@ -67,6 +68,11 @@ def clip_to_interval(xs, interval):
     return np.clip(xs, a, b)
 
 
+def _check_orders(lowest, highest, degree):
+    if not 0 <= lowest <= highest <= degree:
+        raise InvalidSpaceError(f"derivative orders {lowest} to {highest} not in [0, {degree}]")
+
+
 def _ders_basis_funs(knots, p, xs, n_ders, spans=None):
     """Values and derivatives of the p+1 B-splines active at each point.
 
@@ -117,20 +123,22 @@ def _ders_basis_funs(knots, p, xs, n_ders, spans=None):
 
 @dataclass(frozen=True)
 class ElementTable:
-    """Basis values on a rule of n_points nodes per element, element by
-    element: values[d, e, q, j] is the derivative of order d of the
-    unconstrained basis function first[e] + j at node q of element e, so
-    each node holds only its p + 1 active functions.  first[e] = step * e,
-    step the interior knot multiplicity.  Every contraction multiplies the
-    (p + 1)-wide element blocks, sums them in the unconstrained index space
-    of n_basis functions and keeps the rows of the constrained basis, kept;
-    nodes are the rows of node arrays, element by element, as panel_points
-    orders them."""
+    """Basis values on the composite Gauss rule of n_points nodes per
+    element, element by element: values[d, e, q, j] is the derivative of
+    order d of the unconstrained basis function first[e] + j at node q of
+    element e, so each node holds only its p + 1 active functions.
+    first[e] = step * e, step the interior knot multiplicity.  Every
+    contraction multiplies the (p + 1)-wide element blocks, sums them in the
+    unconstrained index space of n_basis functions and keeps the rows of the
+    constrained basis, kept; the rows of node arrays are the rule's nodes and
+    weights, element by element, as panel_points orders them."""
 
     values: np.ndarray  # (n_orders, n_el, n_points, p + 1)
     step: int
     n_basis: int
     kept: slice
+    nodes: np.ndarray
+    weights: np.ndarray
 
     @property
     def first(self):
@@ -224,8 +232,7 @@ class SplineSpace:
         and equal bit for bit to the table of that order alone.
         """
         orders = np.atleast_1d(deriv_order)
-        if orders.max() > self.degree:
-            raise InvalidSpaceError("derivative order exceeds degree")
+        _check_orders(orders.min(), orders.max(), self.degree)
         xs = clip_to_interval(np.atleast_1d(xs), self.interval)
         spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, int(orders.max()))
         # constrained index of each point's p + 1 active functions
@@ -235,22 +242,21 @@ class SplineSpace:
         out[:, np.nonzero(kept)[0], cols[kept]] = ders[orders].transpose(0, 2, 1)[:, kept]
         return out[0] if np.ndim(deriv_order) == 0 else out.transpose(1, 0, 2)
 
-
-    def element_table(self, xq, n_points, max_order=1):
-        """ElementTable of derivative orders 0..max_order at the nodes xq of a
-        rule of n_points nodes inside each element, element by element.
+    def element_table(self, n_points, max_order=1):
+        """ElementTable of derivative orders 0..max_order on the composite
+        rule of n_points Gauss nodes per element of this space's mesh.
         Element e is knot span p + m e (m the interior multiplicity), so its
         first active function is m e, whatever the rounding of its nodes."""
         p = self.degree
-        if max_order > p:
-            raise InvalidSpaceError("derivative order exceeds degree")
+        _check_orders(0, max_order, p)
+        xq, wq = panel_points(self.breakpoints, n_points)
         m, n_el = self.knots.interior_multiplicity, self.breakpoints.size - 1
         spans = np.repeat(p + m * np.arange(n_el), n_points)
         _, ders = _ders_basis_funs(self._full_knots, p, xq, max_order, spans)
         values = ders.reshape(max_order + 1, p + 1, n_el, n_points).transpose(0, 2, 3, 1)
         n = self.dim_unconstrained
         kept = slice(self._left_removed, n - self._right_removed)
-        return ElementTable(np.ascontiguousarray(values), m, n, kept)
+        return ElementTable(np.ascontiguousarray(values), m, n, kept, xq, wq)
 
 
 def make_space(breakpoints, degree, interior_multiplicity=1, constraint="none"):

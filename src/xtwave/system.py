@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError, SolutionFileError
-from .forms import default_n_points, space_tables, time_factors
+from .forms import default_n_points, time_factors
 from .newton import NewtonSolver, make_newton_solver
 from .quadrature import sample
 from .splines import make_space
@@ -138,30 +138,29 @@ def _check_space_x(problem, space_x):
 
 
 def _factors(problem, space_x, space_t, n_quad=None):
-    """The spatial operator, the weighted time factors M_e, S_e, A_e,
-    (n, tq, wt_e, E_t): the rule size, and the time rule with its element
-    table, and the space_tables the operator was built from, so the
-    right-hand side tabulates neither space again.  A space without
+    """The spatial operator, the weighted time factors M_e, S_e, A_e, the
+    rule size n, the time ElementTable with its weights wt_e times
+    exp(-t/T), and the space ElementTable the operator was built from, so
+    the right-hand side tabulates neither space again.  A space without
     unknowns leaves no system and is refused with InvalidSpaceError."""
     _check_space_x(problem, space_x)
     for name, space in (("space_x", space_x), ("space_t", space_t)):
         if space.dim == 0:
             raise InvalidSpaceError(f"{name} has no unknowns: dim 0 under {space.constraint}")
     n = n_quad or default_n_points(space_x, space_t)
-    M_e, S_e, A_e, time_rule = time_factors(space_t, problem.T, n)
-    space_rule = space_tables(space_x, n)
-    space_op = make_newton_solver(space_x, problem.c2, space_rule)
-    return space_op, M_e, S_e, A_e, (n, *time_rule), space_rule
+    M_e, S_e, A_e, Et, wt_e = time_factors(space_t, problem.T, n)
+    Ex = space_x.element_table(n)
+    return make_newton_solver(space_x, problem.c2, Ex), M_e, S_e, A_e, n, Et, wt_e, Ex
 
 
 def assemble(problem, space_x, space_t, n_quad=None):
     """Build the block system for the given trial spaces."""
-    factors = _factors(problem, space_x, space_t, n_quad)
-    space_op, M_e, S_e, A_e, (n, tq, wt_e, Et), (xq, wx, Ex) = factors
+    space_op, M_e, S_e, A_e, n, Et, wt_e, Ex = _factors(problem, space_x, space_t, n_quad)
+    xq, wx = Ex.nodes, Ex.weights
     d_e = Et.moments(wt_e, 1)  # d_e[b] = int theta_b' exp(-t/T)
 
     # right-hand side: lambda rows then chi rows, space index fastest
-    Fvals = sample(problem.F, xq, tq)
+    Fvals = sample(problem.F, xq, Et.nodes)
     rhs_F = Et.moments(Ex.moments(Fvals, 0, wx).T, 1, wt_e).T  # (n_x, n_t)
 
     g_U0 = Ex.moments(problem.c2(xq) * problem.dU0(xq), 1, wx)

@@ -6,7 +6,7 @@ import pytest
 
 import xtwave as xw
 from xtwave import splines
-from xtwave.forms import default_n_points, space_tables
+from xtwave.forms import default_n_points
 
 
 @pytest.fixture
@@ -21,8 +21,8 @@ def load_moments():
     dual norm of the load is sqrt(m @ solver.solve_K(m))."""
 
     def moments(solver, load):
-        xq, wq, E = space_tables(solver.space, default_n_points(solver.space))
-        return E.moments(load(xq), 0, wq)
+        E = solver.space.element_table(default_n_points(solver.space))
+        return E.moments(load(E.nodes), 0, E.weights)
 
     return moments
 

@@ -67,24 +67,18 @@ def test_space_projector_idempotent_and_stable(smooth_problem, rng):
     c2q = prob.c2(xq)
     # idempotence: a function already in the space projects to itself
     coeffs = rng.standard_normal(space.dim)
-    z = analysis.project_space(
-        lambda x: space.tabulate(x, 0) @ coeffs,
-        lambda x: space.tabulate(x, 1) @ coeffs,
-        space,
-        prob.c2,
-    )
+    z = analysis.project_space(lambda x: space.tabulate(x, 1) @ coeffs, space, prob.c2)
     assert np.max(np.abs(z - coeffs)) < 1e-10
     # stability in the weighted gradient seminorm
-    w = lambda x: np.sin(3 * np.pi * x) + x * (1 - x)
     dw = lambda x: 3 * np.pi * np.cos(3 * np.pi * x) + 1 - 2 * x
-    z = analysis.project_space(w, dw, space, prob.c2, n_quad=8)
+    z = analysis.project_space(dw, space, prob.c2, n_quad=8)
     proj_grad = np.sqrt(wx @ (c2q * (space.tabulate(xq, 1) @ z) ** 2))
     full_grad = np.sqrt(wx @ (c2q * dw(xq) ** 2))
     assert proj_grad <= full_grad + 1e-12
     # best approximation: normal equations give the same minimizer
-    from xtwave.forms import assemble_space_matrix, space_tables
+    from xtwave.forms import assemble_space_matrix
 
-    K = assemble_space_matrix(space_tables(space, 8), 1, prob.c2)
+    K = assemble_space_matrix(space.element_table(8), 1, prob.c2)
     dB = space.tabulate(xq, 1)
     z2 = sla.solve(K, dB.T @ (wx * c2q * dw(xq)), assume_a="pos")
     assert np.max(np.abs(z - z2)) < 1e-12
@@ -96,16 +90,10 @@ def test_time_projector_idempotent_and_stable(rng):
     tq, wt = panel_points(space.breakpoints, 8)
     we = wt * np.exp(-tq / T)
     coeffs = rng.standard_normal(space.dim)
-    z = analysis.project_time(
-        lambda t: space.tabulate(t, 0) @ coeffs,
-        lambda t: space.tabulate(t, 1) @ coeffs,
-        space,
-        T,
-    )
+    z = analysis.project_time(lambda t: space.tabulate(t, 1) @ coeffs, space, T)
     assert np.max(np.abs(z - coeffs)) < 1e-10
-    w = lambda t: np.sin(1.25 * np.pi * t) ** 2
     dw = lambda t: 1.25 * np.pi * np.sin(2.5 * np.pi * t)
-    z = analysis.project_time(w, dw, space, T)
+    z = analysis.project_time(dw, space, T)
     proj = np.sqrt(we @ (space.tabulate(tq, 1) @ z) ** 2)
     full = np.sqrt(we @ dw(tq) ** 2)
     assert proj <= full + 1e-12
@@ -120,7 +108,7 @@ def test_time_projector_aubin_nitsche_gap():
     errs_l2, errs_h1 = [], []
     for nt in (8, 16, 32, 64):
         space = xw.make_uniform_space((0.0, T), nt, 2, None, "zero-left")
-        z = analysis.project_time(w, dw, space, T)
+        z = analysis.project_time(dw, space, T)
         tq, wt = panel_points(space.breakpoints, 8)
         we = wt * np.exp(-tq / T)
         errs_l2.append(np.sqrt(we @ (space.tabulate(tq, 0) @ z - w(tq)) ** 2))
@@ -153,10 +141,10 @@ def test_projectors_tabulate_each_time_basis_once(smooth_problem, tabulate_calls
     prob = smooth_problem
     sx = xw.make_uniform_space(prob.omega, 6, 2, None, "zero-both")
     st_ = xw.make_uniform_space((0.0, prob.T), 5, 2, None, "zero-left")
-    analysis.project_time(np.sin, np.cos, st_, prob.T)
+    analysis.project_time(np.cos, st_, prob.T)
     assert len(tabulate_calls) <= 1
     tabulate_calls.clear()
-    analysis.project_space(np.sin, np.cos, sx, prob.c2)
+    analysis.project_space(np.cos, sx, prob.c2)
     assert len(tabulate_calls) <= 1
     tabulate_calls.clear()
     analysis.commutation_check(prob.exact.dxdt_u, sx, st_, prob.c2, prob.T)
@@ -169,7 +157,7 @@ def test_projectors_refuse_unconstrained_space_x(smooth_problem):
     free = xw.make_uniform_space(prob.omega, 4, 2, None, "none")
     st_ = xw.make_uniform_space((0.0, prob.T), 4, 2, None, "zero-left")
     with pytest.raises(xw.InvalidSpaceError, match="zero-both"):
-        analysis.project_space(np.sin, np.cos, free, prob.c2)
+        analysis.project_space(np.cos, free, prob.c2)
     with pytest.raises(xw.InvalidSpaceError, match="zero-both"):
         analysis.commutation_check(prob.exact.dxdt_u, free, st_, prob.c2, prob.T)
 
@@ -181,7 +169,7 @@ def test_projectors_refuse_bad_time_spaces(smooth_problem):
     wrong_interval = xw.make_uniform_space((0.0, 1.0), 4, 2, None, "zero-left")
     for bad in (zero_both, wrong_interval):
         with pytest.raises(xw.InvalidSpaceError):
-            analysis.project_time(np.sin, np.cos, bad, prob.T)
+            analysis.project_time(np.cos, bad, prob.T)
         with pytest.raises(xw.InvalidSpaceError):
             analysis.commutation_check(prob.exact.dxdt_u, sx, bad, prob.c2, prob.T)
 
@@ -224,15 +212,18 @@ def test_error_report_tabulates_each_basis_once(
     assert len(tabulate_calls) <= 2
 
 
-def test_error_report_shifts_with_its_problem_argument(tmp_path, smooth_problem):
+@pytest.mark.parametrize("n_quad", [None, 8])
+def test_error_report_shifts_with_its_problem_argument(tmp_path, smooth_problem, n_quad):
+    # a loaded solution rebuilds the solve's operator on the system's rule
     sx = xw.make_uniform_space(smooth_problem.omega, 4, 2, 1, "zero-both")
     st_ = xw.make_uniform_space((0.0, smooth_problem.T), 4, 2, 1, "zero-left")
-    sol = xw.solve(xw.assemble(smooth_problem, sx, st_))
+    sol = xw.solve(xw.assemble(smooth_problem, sx, st_, n_quad))
     path = tmp_path / "solution.txt"
     xw.dump_solution(sol, path)
     loaded = xw.load_solution(path)
     assert loaded.problem is None
-    assert xw.error_report(loaded, smooth_problem) == xw.error_report(sol, smooth_problem)
+    report = xw.error_report(sol, smooth_problem, n_quad)
+    assert xw.error_report(loaded, smooth_problem, n_quad) == report
 
 
 def test_error_report_needs_no_dV0(smooth_problem, smooth_solution_cache):
@@ -408,6 +399,29 @@ def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):
     norm = analysis.discrete_veh_norm(system, sol)
     bound = xw.stability_data_bound(smooth_problem)
     assert 0 < norm <= bound
+
+
+def test_manufactured_stability_norm_below_data_bound():
+    # U = sin(pi x) sin(3t), c = 1: the bound's term sqrt(T) ||c grad V0||
+    # reads dV0, which manufactured derives from dxdt_u
+    pi = np.pi
+    prob = xw.manufactured(
+        u=lambda x, t: np.sin(pi * x) * np.sin(3 * t),
+        dx_u=lambda x, t: pi * np.cos(pi * x) * np.sin(3 * t),
+        dt_u=lambda x, t: 3 * np.sin(pi * x) * np.cos(3 * t),
+        dtt_u=lambda x, t: -9 * np.sin(pi * x) * np.sin(3 * t),
+        dxdt_u=lambda x, t: 3 * pi * np.cos(pi * x) * np.cos(3 * t),
+        div_c2_grad_u=lambda x, t: -(pi**2) * np.sin(pi * x) * np.sin(3 * t),
+        c2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        omega=(0.0, 1.0),
+        T=2.0,
+    ).spec
+    sx = xw.make_uniform_space(prob.omega, 16, 2, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, prob.T), 16, 2, 1, "zero-left")
+    system = xw.assemble(prob, sx, st_)
+    sol = xw.solve(system)
+    assert 0 < analysis.discrete_veh_norm(system, sol) <= xw.stability_data_bound(prob)
+    assert xw.evaluate(sol, 0.3, 0.0, d_x=1)[1] == pytest.approx(3 * pi * np.cos(0.3 * pi))
 
 
 # frozen values of the eight ErrorReport fields on the singular front, computed

@@ -75,6 +75,10 @@ TYPED_ERRORS = {
         InvalidProblemError,
         lambda p: xw.stability_data_bound(replace(p, div_c2_grad_U0=None)),
     ),
+    "stability bound without dV0": (
+        InvalidProblemError,
+        lambda p: xw.stability_data_bound(replace(p, dV0=None)),
+    ),
     "gradient of the V shift without dV0": (
         InvalidProblemError,
         lambda p: xw.evaluate(_solve(replace(p, dV0=None)), 0.5, 1.0, d_x=1),
@@ -109,6 +113,18 @@ TYPED_ERRORS = {
     "derivative order above degree": (
         InvalidSpaceError,
         lambda p: xw.make_uniform_space((0.0, 1.0), 2, 1).tabulate([0.5], 2),
+    ),
+    "negative derivative order": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 1).tabulate([0.5], -1),
+    ),
+    "negative derivative order of evaluate_grid": (
+        InvalidSpaceError,
+        lambda p: xw.evaluate_grid(_solve(p), [0.5], [1.0], d_x=-1),
+    ),
+    "negative order of an element table": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 1).element_table(3, max_order=-1),
     ),
     "no elements": (InvalidSpaceError, lambda p: xw.make_uniform_space((0.0, 1.0), 0, 1)),
     "degree zero uniform space": (

@@ -51,6 +51,23 @@ def test_parse_round_trip():
         assert config == again
 
 
+def test_serialized_config_text():
+    # the exact bytes of config.txt: one line per set key in schema order,
+    # floats with 17 significant digits, threads dropped
+    text = SMOOTH_CONV + "threads = 2\nout = res\nquad_points = 6\n"
+    named = cli.parse_config(text, mode="convergence")
+    assert cli.serialize_config(named) == (
+        "mode = convergence\nproblem = smooth\ndegree = 2\nregularity = maximal\n"
+        "levels = 4x12 8x24 16x48\nquad_points = 6\nout = res\n"
+    )
+    inline = cli.parse_config(INLINE.replace("T = 1", "T = 0.1") + "c0 = 0.5\n")
+    assert cli.serialize_config(inline) == (
+        "mode = solve\nproblem = inline\ndegree = 2\nregularity = maximal\nlevels = 4x4\n"
+        "omega = 0,1\nT = 0.10000000000000001\nc0 = 0.5\nF = sin(pi*x)*cos(t)\n"
+        "U0 = sin(pi*x)\nV0 = 0\nc2 = 1 + x^2\n"
+    )
+
+
 def test_readme_configs_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
@@ -237,6 +254,15 @@ def test_out_that_is_a_file_exits_2(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot create output directory:")
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("name", ["results.csv", "curves.dat", "config.txt", "solution_L0.txt"])
+def test_unwritable_output_exits_2(tmp_path, capsys, name):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text("problem = smooth\ndegree = 2\nregularity = maximal\nlevels = 4x4\n")
+    (tmp_path / "run" / name).mkdir(parents=True)
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the output in ")
 
 
 def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):

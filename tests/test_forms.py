@@ -4,11 +4,11 @@ import scipy.integrate
 
 from xtwave import splines
 from xtwave.errors import AssemblyError, InvalidSpaceError
-from xtwave.forms import assemble_space_matrix, assemble_time_matrix, default_n_points, space_tables
+from xtwave.forms import assemble_space_matrix, assemble_time_matrix, default_n_points
 
 
 def _tables(space, n_points=None):
-    return space_tables(space, n_points or default_n_points(space))
+    return space.element_table(n_points or default_n_points(space))
 
 
 def test_single_degree_zero_element():

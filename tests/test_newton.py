@@ -3,14 +3,14 @@ import pytest
 
 import xtwave as xw
 from xtwave import newton
-from xtwave.forms import assemble_time_matrix, default_n_points, space_tables, time_factors
+from xtwave.forms import assemble_time_matrix, default_n_points, time_factors
 from xtwave.quadrature import panel_points, sample, time_panel_points
 
 
 def _solver(n_x=16, p=2, c2=None, omega=(0.0, 1.0)):
     space = xw.make_uniform_space(omega, n_x, p, None, "zero-both")
-    tables = space_tables(space, default_n_points(space))
-    return newton.make_newton_solver(space, c2 or (lambda x: np.ones_like(x)), tables)
+    E = space.element_table(default_n_points(space))
+    return newton.make_newton_solver(space, c2 or (lambda x: np.ones_like(x)), E)
 
 
 def test_zero_load(load_moments):
@@ -104,9 +104,9 @@ def test_seminorm_two_paths_match(rng):
     # the coefficient form with the weighted time mass, and quadrature of
     # the sampled field, each moment solved through the factor of K_x
     a = np.sqrt(solver.dual_form(w, time_factors(space_t, T, 8)[0]))
-    tables = xq, _, _ = space_tables(solver.space, 8)
+    E = solver.space.element_table(8)
     tq, _, wt_e = time_panel_points(space_t.breakpoints, 8, T)
-    b = np.sqrt(newton.weighted_dual_sq(solver, tables, sample(v, xq, tq), wt_e))
+    b = np.sqrt(newton.weighted_dual_sq(solver, E, sample(v, E.nodes, tq), wt_e))
     assert abs(a - b) < 1e-11 * max(1.0, a)
 
 
@@ -116,7 +116,7 @@ def test_weighted_dual_norm_bounds(rng, smooth_problem):
     prob = smooth_problem
     space_x = xw.make_uniform_space(prob.omega, 10, 2, None, "zero-both")
     solver = newton.make_newton_solver(
-        space_x, prob.c2, space_tables(space_x, default_n_points(space_x))
+        space_x, prob.c2, space_x.element_table(default_n_points(space_x))
     )
     T = prob.T
     space_t = xw.make_uniform_space((0.0, T), 8, 2, None, "zero-left")

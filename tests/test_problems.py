@@ -88,6 +88,7 @@ def test_manufactured_polynomial():
         dx_u=lambda x, t: t**2 * (1 - 2 * x),
         dt_u=lambda x, t: 2 * t * x * (1 - x),
         dtt_u=lambda x, t: 2 * x * (1 - x) + 0 * t,
+        dxdt_u=lambda x, t: 2 * t * (1 - 2 * x),
         div_c2_grad_u=lambda x, t: -2 * t**2 + 0 * x,
         c2=lambda x: np_.ones_like(np_.asarray(x, dtype=float)),
         omega=(0.0, 1.0),
@@ -105,6 +106,7 @@ def test_manufactured_linear_solution_zero_forcing(rng):
         dx_u=lambda x, t: np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),
         dt_u=lambda x, t: 2 * np.ones(np.broadcast_shapes(np.shape(x), np.shape(t))),
         dtt_u=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))),
+        dxdt_u=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))),
         div_c2_grad_u=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))),
         c2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         omega=(0.0, 1.0),
@@ -117,7 +119,7 @@ def test_manufactured_linear_solution_zero_forcing(rng):
 def test_manufactured_zero_solution():
     zero2 = lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
     prob = manufactured(
-        u=zero2, dx_u=zero2, dt_u=zero2, dtt_u=zero2, div_c2_grad_u=zero2,
+        u=zero2, dx_u=zero2, dt_u=zero2, dtt_u=zero2, dxdt_u=zero2, div_c2_grad_u=zero2,
         c2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         omega=(0.0, 1.0), T=1.0,
     ).spec
@@ -131,7 +133,7 @@ def test_manufactured_rejects_nonpositive_c2():
     zero2 = lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
     with pytest.raises(InvalidProblemError):
         manufactured(
-            u=zero2, dx_u=zero2, dt_u=zero2, dtt_u=zero2, div_c2_grad_u=zero2,
+            u=zero2, dx_u=zero2, dt_u=zero2, dtt_u=zero2, dxdt_u=zero2, div_c2_grad_u=zero2,
             c2=lambda x: x - 0.5,
             omega=(0.0, 1.0), T=1.0,
         )

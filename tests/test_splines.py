@@ -257,7 +257,7 @@ def test_element_tables_match_dense_tables(p, a, gaps, extra, seed):
     for m in range(1, p + 1):
         for constraint in splines.CONSTRAINTS:
             s = splines.make_space(bp, p, m, constraint)
-            E = s.element_table(xq, n)
+            E = s.element_table(n)
             B = s.tabulate(xq, (0, 1))
             assert E.values.shape == (2, bp.size - 1, n, p + 1)
             C = rng.standard_normal((s.dim, 2))

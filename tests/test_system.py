@@ -22,7 +22,7 @@ from xtwave.errors import (
     SingularSystemError,
     SolutionFileError,
 )
-from xtwave.forms import assemble_space_matrix, assemble_time_matrix, space_tables
+from xtwave.forms import assemble_space_matrix, assemble_time_matrix
 from xtwave.quadrature import panel_points, time_panel_points
 from xtwave.system import evaluate, evaluate_grid
 
@@ -225,17 +225,17 @@ def _reference_assemble(problem, space_x, space_t):
     n = max(space_x.degree, space_t.degree) + 2
     T = problem.T
     ref = {
-        "M_x": assemble_space_matrix(space_tables(space_x, n), 0),
-        "K_x": assemble_space_matrix(space_tables(space_x, n), 1, problem.c2),
+        "M_x": assemble_space_matrix(space_x.element_table(n), 0),
+        "K_x": assemble_space_matrix(space_x.element_table(n), 1, problem.c2),
         "M_e": assemble_time_matrix(space_t, 0, 0, T, n_points=n),
         "S_e": assemble_time_matrix(space_t, 1, 1, T, n_points=n),
         "A_e": assemble_time_matrix(space_t, 0, 1, T, n_points=n),
     }
     tq, _, wt_e = time_panel_points(space_t.breakpoints, n, T)
-    Et = space_t.element_table(tq, n)
+    Et = space_t.element_table(n)
     d_e = Et.moments(wt_e, 1)
     xq, wx = panel_points(space_x.breakpoints, n)
-    Ex = space_x.element_table(xq, n)
+    Ex = space_x.element_table(n)
     Fvals = np.broadcast_to(
         np.asarray(problem.F(xq[:, None], tq[None, :]), dtype=float), (xq.size, tq.size)
     )
