@@ -45,7 +45,14 @@ class ErrorReport:
 
 @dataclass
 class InfSupEstimate:
-    """Numerically computed inf-sup constant and its theoretical lower bound."""
+    """Numerically computed inf-sup constant and its theoretical lower bound.
+
+    gamma_h is the square root of the smallest mu over the space modes, with
+    the bits of the all-modes scan: the lowest mode is eigensolved, and the
+    others are certified above it by a shifted Cholesky factorization or,
+    where that fails, eigensolved too (_min_mode_infsup).  mode_index is the
+    first mode attaining the minimum, as argmin takes it, except that the
+    lowest mode wins a tie within rounding."""
 
     gamma_h: float
     lower_bound: float
@@ -249,6 +256,38 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     return norm, A, B
 
 
+def _mode_terms(A_e, S_e, M_e):
+    """The mode-independent parts of the mode matrices of _modes_infsup:
+    sigma, V^T P V and V^T D V."""
+    sigma, V = sla.eigh(S_e, M_e)
+    AV = A_e @ V
+    P = AV.T @ sla.cho_solve(sla.cho_factor(S_e), AV)  # V^T P V
+    D = V.T @ AV - AV.T @ V  # V^T D V
+    return sigma, P, D
+
+
+def _mode_stack(stack, lam, sigma, P, D):
+    """Write the Hermitian mode matrices E V^T (H + iK) V E of the space
+    eigenvalues lam into the first lam.size matrices of stack; returns them."""
+    l = lam[:, None]  # (modes, 1)
+    H = stack[: l.shape[0]]
+    diag = np.arange(sigma.size)
+    np.multiply((l * l)[:, :, None], P, out=H.real)
+    np.multiply((l * np.sqrt(l))[:, :, None], D, out=H.imag)
+    H.real[:, diag, diag] += l * sigma
+    e = 1.0 / np.sqrt(sigma + l)  # (modes, n)
+    H *= e[:, :, None]
+    H *= e[:, None, :]
+    return H
+
+
+def _stack(n_modes, n, copies):
+    """An empty stack of n x n complex mode matrices, as many of them as keep
+    `copies` such stacks within _MODE_STACK_BYTES (at least one)."""
+    size = max(1, min(n_modes, _MODE_STACK_BYTES // (copies * 16 * n * n)))
+    return np.empty((size, n, n), dtype=complex)
+
+
 def _modes_infsup(lam, A_e, S_e, M_e):
     """Smallest mu of B_i^T Y_i^-1 B_i z = mu X_i z for every space mode i.
 
@@ -271,27 +310,52 @@ def _modes_infsup(lam, A_e, S_e, M_e):
     matrix E V^T (H + iK) V E with E = diag(sigma + l)^-1/2.  V^T P V and
     V^T D V are shared by all modes; each mode costs one scaling and one
     eigvalsh of its stacked matrix, in stacks of at most _MODE_STACK_BYTES.
+    This all-modes scan is the fallback and the reference of
+    _min_mode_infsup, which estimate_infsup runs.
     """
-    n = A_e.shape[0]
-    sigma, V = sla.eigh(S_e, M_e)
-    AV = A_e @ V
-    P = AV.T @ sla.cho_solve(sla.cho_factor(S_e), AV)  # V^T P V
-    D = V.T @ AV - AV.T @ V  # V^T D V
-    diag = np.arange(n)
-    step = max(1, min(lam.size, _MODE_STACK_BYTES // (16 * n * n)))
-    stack = np.empty((step, n, n), dtype=complex)
+    terms = _mode_terms(A_e, S_e, M_e)
+    stack = _stack(lam.size, A_e.shape[0], 1)
     mu = np.empty(lam.size)
+    step = len(stack)
     for s in range(0, lam.size, step):
-        l = lam[s : s + step, None]  # (modes, 1)
-        H = stack[: l.shape[0]]
-        np.multiply((l * l)[:, :, None], P, out=H.real)
-        np.multiply((l * np.sqrt(l))[:, :, None], D, out=H.imag)
-        H.real[:, diag, diag] += l * sigma
-        e = 1.0 / np.sqrt(sigma + l)  # (modes, n)
-        H *= e[:, :, None]
-        H *= e[:, None, :]
-        mu[s : s + step] = np.linalg.eigvalsh(H)[:, 0]
+        mu[s : s + step] = np.linalg.eigvalsh(_mode_stack(stack, lam[s : s + step], *terms))[:, 0]
     return mu
+
+
+def _min_mode_infsup(lam, A_e, S_e, M_e):
+    """min and first argmin of _modes_infsup(lam, A_e, S_e, M_e), with one
+    eigvalsh where the lowest space mode attains the minimum.
+
+    mu_0 of the lowest mode i_0 (smallest lam) comes from eigvalsh as in
+    _modes_infsup.  By Sylvester's law of inertia H_i - mu_0 I has a Cholesky
+    factor exactly when every eigenvalue of the mode matrix H_i exceeds
+    mu_0, so one batched Cholesky of each stack of the other modes, shifted
+    by -mu_0, proves that none of them goes below mu_0.  A stack whose
+    factorization fails is built again (not shifted back, which would change
+    its last bits) and scanned by eigvalsh exactly as in _modes_infsup.  A
+    stack and its factor share the _MODE_STACK_BYTES budget.  Ties go to the
+    first index, as argmin does, except that a mode within rounding of mu_0
+    may be certified, and then the lowest mode i_0 wins.
+    """
+    terms = _mode_terms(A_e, S_e, M_e)
+    i0 = int(np.argmin(lam))
+    stack = _stack(lam.size - 1, A_e.shape[0], 2)
+    mu_0 = np.linalg.eigvalsh(_mode_stack(stack, lam[i0 : i0 + 1], *terms))[0, 0]
+    best = (mu_0, i0)
+    rest = np.delete(np.arange(lam.size), i0)
+    diag = np.arange(A_e.shape[0])
+    step = len(stack)
+    for s in range(0, rest.size, step):
+        idx = rest[s : s + step]
+        H = _mode_stack(stack, lam[idx], *terms)
+        H.real[:, diag, diag] -= mu_0
+        try:
+            np.linalg.cholesky(H)
+        except np.linalg.LinAlgError:
+            mu = np.linalg.eigvalsh(_mode_stack(stack, lam[idx], *terms))[:, 0]
+            j = int(np.argmin(mu))
+            best = min(best, (mu[j], int(idx[j])))
+    return best
 
 
 def estimate_infsup(problem, space_x, space_t, n_quad=None):
@@ -300,10 +364,9 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
     Needs only the operator factors, not the problem's data."""
     space_op, M_e, S_e, A_e, *_ = _factors(problem, space_x, space_t, n_quad)
     lam = space_op.eigenpairs[0]
-    mu = _modes_infsup(lam, A_e, S_e, M_e)
-    i = int(np.argmin(mu))
+    mu, i = _min_mode_infsup(lam, A_e, S_e, M_e)
     return InfSupEstimate(
-        gamma_h=float(np.sqrt(max(mu[i], 0.0))),
+        gamma_h=float(np.sqrt(max(mu, 0.0))),
         lower_bound=infsup_lower_bound(problem),
         dims=(space_x.dim, space_t.dim),
         mode_index=i,

@@ -10,10 +10,12 @@ error, 3 solver failure.
 """
 
 import argparse
+import contextlib
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 from . import quadrature
 from .analysis import eoc, error_report, estimate_infsup
@@ -330,6 +332,33 @@ def _curves(config, results):
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
+def _text(text):
+    def write(path):
+        with open(path, "w") as f:
+            f.write(text)
+
+    return write
+
+
+def _write_all(out, files):
+    """Write every file of files (name -> write(path)) into out, or none: each
+    goes to a temporary name and is renamed once all are written.  On an
+    OSError the temporaries and the files already renamed are removed."""
+    temps = {name: os.path.join(out, f".{name}.{os.getpid()}.tmp") for name in files}
+    renamed = []
+    try:
+        for name, write in files.items():
+            write(temps[name])
+        for name, temp in temps.items():
+            os.replace(temp, os.path.join(out, name))
+            renamed.append(os.path.join(out, name))
+    except OSError:
+        for path in [*temps.values(), *renamed]:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+        raise
+
+
 def run(config):
     """Execute a run; returns the exit code and writes artifacts to out,
     which is created only once every level has run."""
@@ -350,20 +379,16 @@ def run(config):
     except OSError as exc:
         print(f"error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
+    files = {"results.csv": _text("\n".join([CSV_HEADER, *_csv_rows(config, results)]) + "\n")}
+    curves = _curves(config, results)
+    if curves:
+        files["curves.dat"] = _text(curves)
+    files["config.txt"] = _text(serialize_config(config))
+    for res in results:  # only solve mode keeps its solutions
+        if res.solution is not None:
+            files[f"solution_L{res.level}.txt"] = partial(dump_solution, res.solution)
     try:
-        with open(os.path.join(out, "results.csv"), "w") as f:
-            f.write(CSV_HEADER + "\n")
-            for row in _csv_rows(config, results):
-                f.write(row + "\n")
-        curves = _curves(config, results)
-        if curves:
-            with open(os.path.join(out, "curves.dat"), "w") as f:
-                f.write(curves)
-        with open(os.path.join(out, "config.txt"), "w") as f:
-            f.write(serialize_config(config))
-        for res in results:  # only solve mode keeps its solutions
-            if res.solution is not None:
-                dump_solution(res.solution, os.path.join(out, f"solution_L{res.level}.txt"))
+        _write_all(out, files)
     except OSError as exc:
         print(f"error: cannot write the output in {out}: {exc}", file=sys.stderr)
         return 2

@@ -394,6 +394,121 @@ def test_batched_modes_chunking_is_exact(smooth_problem, monkeypatch):
     assert np.array_equal(chunked, whole)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    data=st.data(),
+    gaps_x=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=6),
+    gaps_t=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=6),
+    log_T=st.floats(-3.0, 2.0),
+    amplitude=st.floats(0.1, 0.9),
+    order=st.sampled_from(["ascending", "reversed", "shuffled"]),
+    twins=st.integers(0, 3),
+    per_stack=st.integers(1, 3),
+)
+def test_certified_min_matches_full_scan(
+    smooth_problem, p, data, gaps_x, gaps_t, log_T, amplitude, order, twins, per_stack
+):
+    r = data.draw(st.integers(0, p - 1), label="regularity")
+    T = 10.0**log_T
+    prob = replace(smooth_problem, T=T, c2=lambda x: 1.0 + amplitude * np.cos(3.0 * x))
+    space_x = xw.make_space(_graded(*prob.omega, gaps_x), p, p - r, "zero-both")
+    space_t = xw.make_space(_graded(0.0, T, gaps_t), p, p - r, "zero-left")
+    system = xw.assemble(prob, space_x, space_t)
+    lam = system.space_op.eigenpairs[0]
+    # copies of the lowest mode: their matrices are its own, bit for bit, so a
+    # stack that holds one and falls back must reproduce mu_0 exactly
+    lam = np.append(lam, np.full(twins, lam[0]))
+    if order == "reversed":
+        lam = lam[::-1].copy()
+    elif order == "shuffled":
+        lam = lam[data.draw(st.permutations(range(lam.size)), label="order")]
+    factors = (system.A_e, system.S_e, system.M_e)
+    cholesky = np.linalg.cholesky
+
+    def refusing(H):
+        # a refused stack takes the fallback: rebuilt and scanned by eigvalsh
+        if data.draw(st.booleans(), label="refuse stack"):
+            raise np.linalg.LinAlgError("refused")
+        return cholesky(H)
+
+    with pytest.MonkeyPatch.context() as mp:
+        # a stack and its factor share the budget: per_stack modes per stack
+        mp.setattr(analysis, "_MODE_STACK_BYTES", 2 * per_stack * 16 * system.n_t**2)
+        mp.setattr(np.linalg, "cholesky", refusing)
+        mu = analysis._modes_infsup(lam, *factors)
+        mu_min, i = analysis._min_mode_infsup(lam, *factors)
+    assert (mu_min, i) == (np.min(mu), int(np.argmin(mu)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), per_stack=st.integers(1, 3))
+def test_certified_min_finds_lower_modes(seed, n, per_stack):
+    # random A (not from a problem), S and M: about a third of these draws
+    # have their minimum away from the lowest lam, so the certificate fails
+    # on the stack that holds it and the fallback must find it
+    rng = np.random.default_rng(seed)
+    A, B, C = rng.standard_normal((3, n, n))
+    S, M = B @ B.T + np.eye(n), C @ C.T + np.eye(n)
+    lam = rng.uniform(0.01, 100.0, 24)
+    mu = analysis._modes_infsup(lam, A, S, M)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_MODE_STACK_BYTES", 2 * per_stack * 16 * n**2)
+        assert analysis._min_mode_infsup(lam, A, S, M) == (np.min(mu), int(np.argmin(mu)))
+
+
+@pytest.fixture
+def eigvalsh_matrices(monkeypatch):
+    """List that receives the number of matrices of every eigvalsh call."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def test_infsup_eigensolves_one_mode(smooth_problem, unit_problem, eigvalsh_matrices):
+    # criterion 5's levels, then the meshes of the infsup-dense benchmark
+    levels = [
+        (prob, p, n_x, n_t)
+        for prob in (smooth_problem, unit_problem)
+        for p in (1, 2, 3)
+        for n_x, n_t in ((2, 2), (4, 4), (8, 8), (2, 8), (8, 2))
+    ] + [
+        (smooth_problem, p, n_x, n_t)
+        for p in (1, 2, 3)
+        for n_x, n_t in ((8, 8), (16, 16), (24, 24), (32, 16), (16, 32))
+    ]
+    solved = {}
+    for prob, p, n_x, n_t in levels:
+        sx = xw.make_uniform_space(prob.omega, n_x, p, None, "zero-both")
+        st_ = xw.make_uniform_space((0.0, prob.T), n_t, p, None, "zero-left")
+        eigvalsh_matrices.clear()
+        est = xw.estimate_infsup(prob, sx, st_)
+        solved[(prob.name, p, n_x, n_t)] = (est.mode_index, sum(eigvalsh_matrices))
+    assert solved == dict.fromkeys(solved, (0, 1))
+
+
+def _full_scan_infsup(problem, space_x, space_t):
+    space_op, M_e, S_e, A_e, *_ = system._factors(problem, space_x, space_t)
+    return np.argmin(analysis._modes_infsup(space_op.eigenpairs[0], A_e, S_e, M_e))
+
+
+def test_certified_route_peak_within_full_scan(smooth_problem, monkeypatch, traced_peak):
+    # 63 modes of 64 x 64 matrices (64 KiB each), 16 per stack of the scan
+    monkeypatch.setattr(analysis, "_MODE_STACK_BYTES", 1 << 20)
+    sx = xw.make_uniform_space(smooth_problem.omega, 64, 1, None, "zero-both")
+    st_ = xw.make_uniform_space((0.0, smooth_problem.T), 64, 1, None, "zero-left")
+    xw.estimate_infsup(smooth_problem, sx, st_)  # fills the caches of the rules
+    full = traced_peak(_full_scan_infsup, smooth_problem, sx, st_)
+    assert full > analysis._MODE_STACK_BYTES
+    assert traced_peak(xw.estimate_infsup, smooth_problem, sx, st_) <= full
+
+
 def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):
     system, sol = smooth_solution_cache(2, 1, 8, 24)
     norm = analysis.discrete_veh_norm(system, sol)

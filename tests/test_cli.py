@@ -263,6 +263,8 @@ def test_unwritable_output_exits_2(tmp_path, capsys, name):
     (tmp_path / "run" / name).mkdir(parents=True)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
     assert capsys.readouterr().err.startswith("error: cannot write the output in ")
+    # the refusal is whole: no file of this run remains, temporaries included
+    assert os.listdir(tmp_path / "run") == [name]
 
 
 def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
