@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidProblemError
-from .forms import default_n_points, time_factors
+from .forms import rule_size, time_factors
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import panel_points, sample, time_panel_points
 from .system import _factors, _shift_values
@@ -145,7 +145,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
     if exact is None:
         raise InvalidProblemError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
-    n = n_quad or default_n_points(sx, st, extra=3)
+    n = rule_size(n_quad, sx, st, extra=3)
     Ex = sx.element_table(n)
     xq, wx = Ex.nodes, Ex.weights
     tq, wt, wt_e = time_panel_points(st.breakpoints, n, problem.T)
@@ -209,7 +209,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
 def project_space(dw, space_x, c2, n_quad=None):
     """Elliptic projection in space: coefficients of the best approximation,
     in the c^2-weighted gradient seminorm, of a function with derivative dw."""
-    E = space_x.element_table(n_quad or default_n_points(space_x, extra=3))
+    E = space_x.element_table(rule_size(n_quad, space_x, extra=3))
     g = E.moments(c2(E.nodes) * dw(E.nodes), 1, E.weights)
     return make_newton_solver(space_x, c2, E).solve_K(g)
 
@@ -218,8 +218,7 @@ def project_time(dw, space_t, T, n_quad=None):
     """Elliptic projection in time of a function with derivative dw:
     weighted normal equations in the derivative inner product, zero-left
     trial basis."""
-    n = n_quad or default_n_points(space_t, extra=3)
-    _, S, _, E, wt_e = time_factors(space_t, T, n)
+    _, S, _, E, wt_e = time_factors(space_t, T, rule_size(n_quad, space_t, extra=3))
     r = E.moments(dw(E.nodes), 1, wt_e)
     return sla.cho_solve(sla.cho_factor(S), r)
 
@@ -232,7 +231,7 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     of time-then-space composition, coefficients of space-then-time
     composition); coefficient arrays are (space dim, time dim).
     """
-    n = n_quad or default_n_points(space_x, space_t, extra=3)
+    n = rule_size(n_quad, space_x, space_t, extra=3)
     M_e, S, _, Et, wt_e = time_factors(space_t, T, n)
     Ex = space_x.element_table(n)
     wc2 = Ex.weights * c2(Ex.nodes)

@@ -6,8 +6,8 @@ pointwise coefficient (typically the squared wave speed).
 
 import numpy as np
 
-from .errors import AssemblyError, InvalidSpaceError
-from .quadrature import exp_weights
+from .errors import AssemblyError, InvalidSpaceError, UnsupportedRuleError
+from .quadrature import MAX_POINTS, exp_weights
 
 
 def default_n_points(*spaces, extra=2):
@@ -17,18 +17,32 @@ def default_n_points(*spaces, extra=2):
     return max(space.degree for space in spaces) + extra
 
 
-def _check_time_interval(space_t, T):
-    a, b = space_t.interval
-    if abs(a) > 1e-12 or abs(b - T) > 1e-12:
-        raise InvalidSpaceError(f"space_t interval ({a}, {b}) does not match (0, {T})")
+def rule_size(n_points, *spaces, extra=2):
+    """n_points, or default_n_points for None; a size outside [largest degree
+    + 1, MAX_POINTS] is refused with UnsupportedRuleError."""
+    if n_points is None:
+        return default_n_points(*spaces, extra=extra)
+    lo = max(space.degree for space in spaces) + 1
+    if n_points not in range(lo, MAX_POINTS + 1):
+        raise UnsupportedRuleError(
+            f"rule size {n_points!r} outside [{lo}, {MAX_POINTS}]: degree + 1 to the largest rule"
+        )
+    return n_points
+
+
+def check_interval(space, interval, name):
+    """InvalidSpaceError unless space is on interval within 1e-12."""
+    (a, b), (lo, hi) = space.interval, interval
+    if abs(a - lo) > 1e-12 or abs(b - hi) > 1e-12:
+        raise InvalidSpaceError(f"{name} interval ({a}, {b}) does not match ({lo}, {hi})")
 
 
 def assemble_time_matrix(space, d_trial, d_test, T, n_points=None):
     """Matrix of time integrals with weight exp(-t/T) of the basis derivatives
     of order d_test (rows) and d_trial (columns) of a space on (0, T); the
     derivative test basis theta' is d_test=1."""
-    _check_time_interval(space, T)
-    E = space.element_table(n_points or default_n_points(space), max(d_trial, d_test))
+    check_interval(space, (0, T), "space_t")
+    E = space.element_table(rule_size(n_points, space), max(d_trial, d_test))
     return E.gram(d_test, d_trial, exp_weights(E.nodes, E.weights, T))
 
 
@@ -40,7 +54,7 @@ def time_factors(space_t, T, n_points):
     vectors."""
     if space_t.constraint != "zero-left":
         raise InvalidSpaceError("space_t must have constraint zero-left")
-    _check_time_interval(space_t, T)
+    check_interval(space_t, (0, T), "space_t")
     E = space_t.element_table(n_points)
     wt_e = exp_weights(E.nodes, E.weights, T)
     return E.gram(0, 0, wt_e), E.gram(1, 1, wt_e), E.gram(1, 0, wt_e), E, wt_e

@@ -55,9 +55,8 @@ def _omega_bump(s):
 
 
 def _omega_bump_d1(s):
-    return -40.0 * (s - 0.1) * np.exp(-20.0 * (s - 0.1) ** 2) + 40.0 * (s + 0.1) * np.exp(
-        -20.0 * (s + 0.1) ** 2
-    )
+    a = -40.0 * (s - 0.1) * np.exp(-20.0 * (s - 0.1) ** 2)
+    return a + 40.0 * (s + 0.1) * np.exp(-20.0 * (s + 0.1) ** 2)
 
 
 def _omega_bump_d2(s):
@@ -66,60 +65,36 @@ def _omega_bump_d2(s):
     return a - b
 
 
+def _front(profile):
+    """The field profile(s) of s = x - t + 1 behind the front s = 0, zero
+    ahead of it; points within 1e-14 of the front take the limit from behind."""
+
+    def field(x, t):
+        s = x - t + 1.0
+        return profile(s) * np.where(s > -1e-14, 1.0, 0.0)
+
+    return field
+
+
 def singular_case():
     """Traveling wave with a velocity jump across the line x - t + 1 = 0.
 
     c = 1, F = 0 on (-1.5, 1.5) x (0, 1); the exact field is a clipped bump
-    profile advected to the right.  The boundary values are below 1e-17, so
-    homogeneous Dirichlet conditions are imposed.  Points within 1e-14 of the
-    singular line evaluate the limit from the smooth (positive) side.
-    """
-
-    def indicator(s):
-        return np.where(s > -1e-14, 1.0, 0.0)
-
-    def u(x, t):
-        s = x - t + 1.0
-        return _omega_bump(s) * indicator(s)
-
-    def dx_u(x, t):
-        s = x - t + 1.0
-        return _omega_bump_d1(s) * indicator(s)
-
-    def v(x, t):
-        s = x - t + 1.0
-        return -_omega_bump_d1(s) * indicator(s)
-
-    def dt_v(x, t):
-        s = x - t + 1.0
-        return _omega_bump_d2(s) * indicator(s)
-
-    def kink_time(x):
-        return x + 1.0
-
+    profile advected to the right (_front).  The boundary values are below
+    1e-17, so homogeneous Dirichlet conditions are imposed."""
+    dt_v = _front(_omega_bump_d2)
     exact = ExactSolution(
-        u=u,
-        dx_u=dx_u,
-        v=v,
+        u=_front(_omega_bump),
+        dx_u=_front(_omega_bump_d1),
+        v=_front(lambda s: -_omega_bump_d1(s)),
         dt_v=dt_v,
-        dxdt_u=lambda x, t: -_omega_bump_d2(x - t + 1.0) * indicator(x - t + 1.0),
-        kink_time=kink_time,
+        dxdt_u=_front(lambda s: -_omega_bump_d2(s)),
+        kink_time=lambda x: x + 1.0,
     )
-    spec = ProblemSpec(
-        omega=(-1.5, 1.5),
-        T=1.0,
-        c2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        c0=1.0,
-        F=lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t))),
-        U0=lambda x: u(x, 0.0),
-        dU0=lambda x: dx_u(x, 0.0),
-        V0=lambda x: v(x, 0.0),
-        dV0=lambda x: -_omega_bump_d2(x + 1.0) * indicator(x + 1.0),
-        exact=exact,
-        div_c2_grad_U0=lambda x: _omega_bump_d2(x + 1.0) * indicator(x + 1.0),
-        name="singular",
-    )
-    return NamedProblem("singular", spec)
+    F = lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))
+    c2 = lambda x: np.ones_like(np.asarray(x, dtype=float))
+    # c = 1 and F = 0, so div(c^2 grad U) = dtt U = dt_v
+    return _from_exact(exact, dt_v, F, c2, (-1.5, 1.5), 1.0, 1.0, "singular")
 
 
 def wave_speed_floor(c2, omega, c0=None):
@@ -134,6 +109,29 @@ def wave_speed_floor(c2, omega, c0=None):
     return floor if c0 is None else c0
 
 
+def _from_exact(exact, div_c2_grad_u, F, c2, omega, T, c0, name):
+    """The problem of an exact solution and its forcing F, with c0 from
+    wave_speed_floor; the initial traces U0, dU0, V0, dV0 and div_c2_grad_U0
+    are u, dx_u, v, dxdt_u and div_c2_grad_u at t = 0, bound when the spec
+    is built (a callable later replaced on exact does not reach them)."""
+    u, dx_u, v, dxdt_u = exact.u, exact.dx_u, exact.v, exact.dxdt_u
+    spec = ProblemSpec(
+        omega=(float(omega[0]), float(omega[1])),
+        T=float(T),
+        c2=c2,
+        c0=wave_speed_floor(c2, omega, c0),
+        F=F,
+        U0=lambda x: u(x, 0.0),
+        dU0=lambda x: dx_u(x, 0.0),
+        V0=lambda x: v(x, 0.0),
+        dV0=lambda x: dxdt_u(x, 0.0),
+        exact=exact,
+        div_c2_grad_U0=lambda x: div_c2_grad_u(x, 0.0),
+        name=name,
+    )
+    return NamedProblem(name, spec)
+
+
 def manufactured(
     u, dx_u, dt_u, dtt_u, dxdt_u, div_c2_grad_u, c2, omega, T, c0=None, name="manufactured"
 ):
@@ -143,29 +141,9 @@ def manufactured(
     F = d^2 U/dt^2 - div(c^2 grad U) and the initial data traces; dxdt_u is
     the mixed derivative d^2 U/dx dt, whose trace at t = 0 is dV0.
     """
-    c0 = wave_speed_floor(c2, omega, c0)
-    exact = ExactSolution(
-        u=u,
-        dx_u=dx_u,
-        v=dt_u,
-        dt_v=dtt_u,
-        dxdt_u=dxdt_u,
-    )
-    spec = ProblemSpec(
-        omega=(float(omega[0]), float(omega[1])),
-        T=float(T),
-        c2=c2,
-        c0=c0,
-        F=lambda x, t: dtt_u(x, t) - div_c2_grad_u(x, t),
-        U0=lambda x: u(x, 0.0),
-        dU0=lambda x: dx_u(x, 0.0),
-        V0=lambda x: dt_u(x, 0.0),
-        dV0=lambda x: dxdt_u(x, 0.0),
-        exact=exact,
-        div_c2_grad_U0=lambda x: div_c2_grad_u(x, 0.0),
-        name=name,
-    )
-    return NamedProblem(name, spec)
+    exact = ExactSolution(u=u, dx_u=dx_u, v=dt_u, dt_v=dtt_u, dxdt_u=dxdt_u)
+    F = lambda x, t: dtt_u(x, t) - div_c2_grad_u(x, t)
+    return _from_exact(exact, div_c2_grad_u, F, c2, omega, T, c0, name)
 
 
 def by_name(name):
@@ -174,39 +152,3 @@ def by_name(name):
     if name == "singular":
         return singular_case()
     raise KeyError(f"unknown problem {name!r}")
-
-
-def residual_check(problem, rng, n_points=100):
-    """Max wave-equation residual of the exact solution at random points.
-
-    Uses sixth-order central finite differences for both second derivatives,
-    so it is an oracle independent of the analytic derivative callables.
-    """
-    exact = problem.exact
-    a, b = problem.omega
-    margin = 1e-3 * (b - a)
-    xs = rng.uniform(a + margin, b - margin, n_points)
-    ts = rng.uniform(1e-3 * problem.T, problem.T * (1 - 1e-3), n_points)
-    h = 3e-3
-    u = exact.u
-    d2_w = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
-    d1_w = np.array([-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60])
-    offsets = np.arange(-3, 4)
-
-    def d2_6th(f, s):
-        return sum(w * f(s + k * h) for w, k in zip(d2_w, offsets)) / h**2
-
-    def d1_6th(f, s):
-        return sum(w * f(s + k * h) for w, k in zip(d1_w, offsets)) / h
-
-    def dtt(x, t):
-        return d2_6th(lambda tt: u(x, tt), t)
-
-    def div_c2_grad(x, t):
-        def flux(xx):
-            return problem.c2(xx) * d1_6th(lambda s: u(s, t), xx)
-
-        return d1_6th(flux, x)
-
-    res = dtt(xs, ts) - div_c2_grad(xs, ts) - problem.F(xs, ts)
-    return float(np.max(np.abs(res)))

@@ -16,7 +16,7 @@ Phi^T M_x Phi = I split the system into one 2 n_t x 2 n_t time system
 Rice & Thomas 1964).  Each is factored as a band matrix, with the U and V
 unknowns of one time index side by side.  One step of iterative refinement
 follows, and a residual guard checks the result with Kronecker products of
-the assembled factors, independently of the eigenpairs.
+the operator's M_x and K_x and the time factors, not with the eigenpairs.
 """
 
 import time
@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError, SolutionFileError
-from .forms import default_n_points, time_factors
+from .forms import check_interval, rule_size, time_factors
 from .newton import NewtonSolver, make_newton_solver
 from .quadrature import sample
 from .splines import make_space
@@ -82,16 +82,17 @@ class BlockSystem:
     problem: ProblemSpec
     space_x: object
     space_t: object
-    n_x: int
-    n_t: int
     space_op: NewtonSolver  # M_x, K_x, the factor of K_x and the eigenpairs
-    M_x: np.ndarray  # space mass (coefficient 1), space_op.M_x
-    K_x: np.ndarray  # space stiffness (coefficient c^2), space_op.K_x
     M_e: np.ndarray  # weighted time mass
     S_e: np.ndarray  # weighted time stiffness of theta'
     A_e: np.ndarray  # A_e[b, b'] = int theta_b' theta_{b'} exp(-t/T)
     rhs: np.ndarray
     n_quad: int
+    # read-only views, so the operator and the spaces stay their one owner
+    M_x = property(lambda self: self.space_op.M_x)  # space mass (coefficient 1)
+    K_x = property(lambda self: self.space_op.K_x)  # space stiffness (coefficient c^2)
+    n_x = property(lambda self: self.space_x.dim)
+    n_t = property(lambda self: self.space_t.dim)
 
     @property
     def size(self):
@@ -131,23 +132,17 @@ class DiscreteSolution:
     refine_ratio: float = None
 
 
-def _check_space_x(problem, space_x):
-    ax, bx = space_x.interval
-    if abs(ax - problem.omega[0]) > 1e-12 or abs(bx - problem.omega[1]) > 1e-12:
-        raise InvalidSpaceError("space_x interval does not match the problem domain")
-
-
 def _factors(problem, space_x, space_t, n_quad=None):
     """The spatial operator, the weighted time factors M_e, S_e, A_e, the
     rule size n, the time ElementTable with its weights wt_e times
     exp(-t/T), and the space ElementTable the operator was built from, so
     the right-hand side tabulates neither space again.  A space without
     unknowns leaves no system and is refused with InvalidSpaceError."""
-    _check_space_x(problem, space_x)
+    check_interval(space_x, problem.omega, "space_x")
     for name, space in (("space_x", space_x), ("space_t", space_t)):
         if space.dim == 0:
             raise InvalidSpaceError(f"{name} has no unknowns: dim 0 under {space.constraint}")
-    n = n_quad or default_n_points(space_x, space_t)
+    n = rule_size(n_quad, space_x, space_t)
     M_e, S_e, A_e, Et, wt_e = time_factors(space_t, problem.T, n)
     Ex = space_x.element_table(n)
     return make_newton_solver(space_x, problem.c2, Ex), M_e, S_e, A_e, n, Et, wt_e, Ex
@@ -173,11 +168,7 @@ def assemble(problem, space_x, space_t, n_quad=None):
         problem=problem,
         space_x=space_x,
         space_t=space_t,
-        n_x=space_x.dim,
-        n_t=space_t.dim,
         space_op=space_op,
-        M_x=space_op.M_x,
-        K_x=space_op.K_x,
         M_e=M_e,
         S_e=S_e,
         A_e=A_e,
@@ -244,9 +235,7 @@ def solve(system):
     """
     t0 = time.perf_counter()
     op, A_e, S_e = system.space_op, system.A_e, system.S_e
-    n_x, n_t = system.n_x, system.n_t
-    R_lam = system.rhs[: n_x * n_t].reshape(n_t, n_x).T
-    R_chi = system.rhs[n_x * n_t :].reshape(n_t, n_x).T
+    R_lam, R_chi = system.rhs.reshape(2, system.n_t, system.n_x).transpose(0, 2, 1)
     solve_modes = _factor_modes(*op.eigenpairs, A_e, S_e)
     U, V = solve_modes(R_lam, R_chi)
     # refine against the operator the eigenpairs come from
@@ -258,9 +247,9 @@ def solve(system):
     if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
         raise SingularSystemError("space-mode solve produced non-finite values")
     elapsed = time.perf_counter() - t0
-    # the guard reads the system's own factors, so it also catches a system
-    # that no longer matches the eigenpairs
-    B_lam, B_chi = _block_apply(system.K_x, system.M_x, A_e, S_e, U, V)
+    # the guard applies the operator refinement used, not the eigenpairs, so
+    # it also catches eigenpairs that no longer match it
+    B_lam, B_chi = _block_apply(op.K_x, op.M_x, A_e, S_e, U, V)
     res = np.hypot(np.linalg.norm(B_lam - R_lam), np.linalg.norm(B_chi - R_chi))
     scale = np.linalg.norm(system.rhs)
     residual = res / scale if scale > 0 else res

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import xtwave as xw
-from xtwave.errors import InvalidProblemError, InvalidSpaceError
+from xtwave.errors import InvalidProblemError, InvalidSpaceError, UnsupportedRuleError
 
 # every name `import xtwave` exports, apart from its submodules; a new export
 # is added here on purpose
@@ -132,6 +132,30 @@ TYPED_ERRORS = {
         lambda p: xw.make_uniform_space((0.0, 1.0), 2, 0),
     ),
 }
+
+
+def _cubic_spaces(p):
+    return (
+        xw.make_uniform_space(p.omega, 8, 3, None, "zero-both"),
+        xw.make_uniform_space((0.0, p.T), 8, 3, None, "zero-left"),
+    )
+
+
+# a rule size below degree + 1 (p = 3 here, p = 1 for _solve) would
+# under-integrate or fail untyped, and 0 used to mean the default rule
+RULE_SIZE_CALLS = {
+    "assemble": lambda p, n: xw.assemble(p, *_cubic_spaces(p), n),
+    "estimate_infsup": lambda p, n: xw.estimate_infsup(p, *_cubic_spaces(p), n),
+    "error_report": lambda p, n: xw.error_report(_solve(p), p, n),
+    "project_space": lambda p, n: xw.analysis.project_space(np.cos, _cubic_spaces(p)[0], p.c2, n),
+}
+TYPED_ERRORS.update(
+    {
+        f"{name} with n_quad {n}": (UnsupportedRuleError, lambda p, call=call, n=n: call(p, n))
+        for name, call in RULE_SIZE_CALLS.items()
+        for n in (0, 1)
+    }
+)
 
 
 @pytest.mark.parametrize("case", list(TYPED_ERRORS))

@@ -3,7 +3,115 @@ import pytest
 
 import xtwave as xw
 from xtwave.errors import InvalidProblemError
-from xtwave.problems import by_name, manufactured, residual_check
+from xtwave.problems import _omega_bump, _omega_bump_d1, _omega_bump_d2, by_name, manufactured
+
+
+def residual_check(problem, rng, n_points=100):
+    """Max wave-equation residual of the exact solution at random points.
+
+    Uses sixth-order central finite differences for both second derivatives,
+    so it is an oracle independent of the analytic derivative callables.
+    """
+    exact = problem.exact
+    a, b = problem.omega
+    margin = 1e-3 * (b - a)
+    xs = rng.uniform(a + margin, b - margin, n_points)
+    ts = rng.uniform(1e-3 * problem.T, problem.T * (1 - 1e-3), n_points)
+    h = 3e-3
+    u = exact.u
+    d2_w = np.array([1 / 90, -3 / 20, 3 / 2, -49 / 18, 3 / 2, -3 / 20, 1 / 90])
+    d1_w = np.array([-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60])
+    offsets = np.arange(-3, 4)
+
+    def d2_6th(f, s):
+        return sum(w * f(s + k * h) for w, k in zip(d2_w, offsets)) / h**2
+
+    def d1_6th(f, s):
+        return sum(w * f(s + k * h) for w, k in zip(d1_w, offsets)) / h
+
+    def dtt(x, t):
+        return d2_6th(lambda tt: u(x, tt), t)
+
+    def div_c2_grad(x, t):
+        def flux(xx):
+            return problem.c2(xx) * d1_6th(lambda s: u(s, t), xx)
+
+        return d1_6th(flux, x)
+
+    res = dtt(xs, ts) - div_c2_grad(xs, ts) - problem.F(xs, ts)
+    return float(np.max(np.abs(res)))
+
+
+def _bits(values):
+    """The IEEE bits of float values, so equality also compares signed zeros."""
+    return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+def _indicator(s):
+    return np.where(s > -1e-14, 1.0, 0.0)
+
+
+# the singular problem's fields and traces as they were written by hand before
+# one front helper derived them; each is the reference of the derived one
+SINGULAR_FIELDS = {
+    "u": lambda x, t: _omega_bump(x - t + 1.0) * _indicator(x - t + 1.0),
+    "dx_u": lambda x, t: _omega_bump_d1(x - t + 1.0) * _indicator(x - t + 1.0),
+    "v": lambda x, t: -_omega_bump_d1(x - t + 1.0) * _indicator(x - t + 1.0),
+    "dt_v": lambda x, t: _omega_bump_d2(x - t + 1.0) * _indicator(x - t + 1.0),
+    "dxdt_u": lambda x, t: -_omega_bump_d2(x - t + 1.0) * _indicator(x - t + 1.0),
+}
+SINGULAR_TRACES = {
+    "U0": lambda x: SINGULAR_FIELDS["u"](x, 0.0),
+    "dU0": lambda x: SINGULAR_FIELDS["dx_u"](x, 0.0),
+    "V0": lambda x: SINGULAR_FIELDS["v"](x, 0.0),
+    "dV0": lambda x: -_omega_bump_d2(x + 1.0) * _indicator(x + 1.0),
+    "div_c2_grad_U0": lambda x: _omega_bump_d2(x + 1.0) * _indicator(x + 1.0),
+}
+# offsets from the front x - t + 1 = 0: on it, inside the 1e-14 band of the
+# cut-off on both sides, and beyond the band
+FRONT_OFFSETS = np.array([0.0, 1e-15, -1e-15, 5e-15, -5e-15, 1.5e-14, -1.5e-14, 3e-14, -3e-14])
+
+
+def _polynomial_problem():
+    # U = t^2 x (1 - x), c = 1 gives F = 2 x (1 - x) + 2 t^2
+    return manufactured(
+        u=lambda x, t: t**2 * x * (1 - x),
+        dx_u=lambda x, t: t**2 * (1 - 2 * x),
+        dt_u=lambda x, t: 2 * t * x * (1 - x),
+        dtt_u=lambda x, t: 2 * x * (1 - x) + 0 * t,
+        dxdt_u=lambda x, t: 2 * t * (1 - 2 * x),
+        div_c2_grad_u=lambda x, t: -2 * t**2 + 0 * x,
+        c2=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+        omega=(0.0, 1.0),
+        T=1.0,
+    ).spec
+
+
+@pytest.mark.parametrize("name", ["smooth", "singular", "manufactured"])
+def test_initial_traces_are_the_exact_fields_at_t0(name):
+    prob = _polynomial_problem() if name == "manufactured" else by_name(name).spec
+    xs = np.concatenate((np.linspace(-1.5, 1.5, 301), -1.0 + FRONT_OFFSETS))
+    for trace, field in (("U0", "u"), ("dU0", "dx_u"), ("V0", "v"), ("dV0", "dxdt_u")):
+        at_t0 = getattr(prob.exact, field)(xs, 0.0)
+        assert np.array_equal(_bits(getattr(prob, trace)(xs)), _bits(at_t0)), trace
+
+
+def test_singular_derivation_matches_hand_written_formulas(singular_problem):
+    prob = singular_problem
+    xs, ts = np.linspace(-1.5, 1.5, 241), np.linspace(0.0, 1.0, 81)
+    front_t = np.linspace(0.0, 1.0, 11)
+    front_x = (front_t - 1.0)[:, None] + FRONT_OFFSETS
+    points = [(xs[:, None], ts[None, :]), (front_x, front_t[:, None])]
+    for name, reference in SINGULAR_FIELDS.items():
+        for x, t in points:
+            derived = getattr(prob.exact, name)(x, t)
+            assert np.array_equal(_bits(derived), _bits(reference(x, t))), name
+    x0 = np.concatenate((xs, -1.0 + FRONT_OFFSETS))
+    for name, reference in SINGULAR_TRACES.items():
+        assert np.array_equal(_bits(getattr(prob, name)(x0)), _bits(reference(x0))), name
+    # c = 1 and F = 0, so div(c^2 grad U0) is dtt U at t = 0
+    assert np.array_equal(_bits(prob.div_c2_grad_U0(x0)), _bits(prob.exact.dt_v(x0, 0.0)))
+    assert np.array_equal(_bits(prob.F(xs[:, None], ts[None, :])), _bits(np.zeros((241, 81))))
 
 
 def test_by_name():
@@ -47,8 +155,6 @@ def test_wave_speed_positive(smooth_problem, singular_problem):
 
 
 def test_singular_profile_values(singular_problem):
-    from xtwave.problems import _omega_bump, _omega_bump_d1
-
     assert _omega_bump(0.0) == pytest.approx(0.0, abs=1e-16)
     assert _omega_bump_d1(0.0) == pytest.approx(8.0 * np.exp(-0.2), rel=1e-14)
     xs = np.linspace(-1.4, 1.4, 23)
@@ -81,19 +187,7 @@ def test_singular_kink_time(singular_problem):
 
 
 def test_manufactured_polynomial():
-    # U = t^2 x (1 - x), c = 1 gives F = 2 x (1 - x) + 2 t^2
-    np_ = np
-    prob = manufactured(
-        u=lambda x, t: t**2 * x * (1 - x),
-        dx_u=lambda x, t: t**2 * (1 - 2 * x),
-        dt_u=lambda x, t: 2 * t * x * (1 - x),
-        dtt_u=lambda x, t: 2 * x * (1 - x) + 0 * t,
-        dxdt_u=lambda x, t: 2 * t * (1 - 2 * x),
-        div_c2_grad_u=lambda x, t: -2 * t**2 + 0 * x,
-        c2=lambda x: np_.ones_like(np_.asarray(x, dtype=float)),
-        omega=(0.0, 1.0),
-        T=1.0,
-    ).spec
+    prob = _polynomial_problem()
     xs = np.linspace(0, 1, 11)
     ts = np.linspace(0, 1, 11)
     assert np.allclose(prob.F(xs, ts), 2 * xs * (1 - xs) + 2 * ts**2)

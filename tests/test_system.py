@@ -149,14 +149,26 @@ def test_singular_matrix_detected(unit_problem):
 
 
 def test_residual_guard_reads_assembled_factors(smooth_problem):
-    # the eigenpairs still belong to the unperturbed K_x; only the guard
-    # sees the perturbed one
+    # eigenvalues off by 1e-3 no longer diagonalize the operator: one
+    # refinement step cannot absorb that (1e-6 it can, to about 1e-12), and
+    # the guard, which applies K_x and M_x, sees it (about 1.2e-6)
     sx, st = _spaces(smooth_problem, 8, 6, 2)
     system = xw.assemble(smooth_problem, sx, st)
     assert xw.solve(system).residual <= 1e-12
-    system.K_x = system.K_x * (1 + 1e-6)
+    lam, Phi = system.space_op.eigenpairs
+    system.space_op.eigenpairs = (lam * (1 + 1e-3), Phi)
     with pytest.raises(SingularSystemError, match=r"residual \d\.\d{3}e-0[5-8] above"):
         xw.solve(system)
+
+
+def test_block_system_reads_its_operator(smooth_problem):
+    # M_x, K_x, n_x and n_t have one owner each: the operator and the spaces
+    sx, st = _spaces(smooth_problem, 4, 3, 2)
+    system = xw.assemble(smooth_problem, sx, st)
+    assert system.M_x is system.space_op.M_x and system.K_x is system.space_op.K_x
+    assert (system.n_x, system.n_t) == (sx.dim, st.dim)
+    with pytest.raises(AttributeError):
+        system.K_x = system.K_x * 2
 
 
 def test_refinement_margin(smooth_problem):
