@@ -218,7 +218,8 @@ def project_time(dw, space_t, T, n_quad=None):
     """Elliptic projection in time of a function with derivative dw:
     weighted normal equations in the derivative inner product, zero-left
     trial basis."""
-    _, S, _, E, wt_e = time_factors(space_t, T, rule_size(n_quad, space_t, extra=3))
+    n = rule_size(n_quad, space_t, extra=3)
+    _, S, _, E, wt_e = time_factors(space_t, T, n)
     r = E.moments(dw(E.nodes), 1, wt_e)
     return sla.cho_solve(sla.cho_factor(S), r)
 

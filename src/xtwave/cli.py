@@ -308,7 +308,9 @@ def _csv_rows(config, results):
                 rate = float(eoc([before, err])[0])
             cells += [_fmt(err), _fmt(rate)]
         previous = errors
-        cells += [_fmt(res.gamma_h), _fmt(res.lower_bound), _fmt(res.solve_seconds)]
+        cells.append(_fmt(res.gamma_h))
+        cells.append(_fmt(res.lower_bound))
+        cells.append(_fmt(res.solve_seconds))
         rows.append(",".join(cells))
     return rows
 

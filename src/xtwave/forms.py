@@ -22,7 +22,7 @@ def rule_size(n_points, *spaces, extra=2):
     + 1, MAX_POINTS] is refused with UnsupportedRuleError."""
     if n_points is None:
         return default_n_points(*spaces, extra=extra)
-    lo = max(space.degree for space in spaces) + 1
+    lo = default_n_points(*spaces, extra=1)
     if n_points not in range(lo, MAX_POINTS + 1):
         raise UnsupportedRuleError(
             f"rule size {n_points!r} outside [{lo}, {MAX_POINTS}]: degree + 1 to the largest rule"

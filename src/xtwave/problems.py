@@ -55,8 +55,9 @@ def _omega_bump(s):
 
 
 def _omega_bump_d1(s):
-    a = -40.0 * (s - 0.1) * np.exp(-20.0 * (s - 0.1) ** 2)
-    return a + 40.0 * (s + 0.1) * np.exp(-20.0 * (s + 0.1) ** 2)
+    return -40.0 * (s - 0.1) * np.exp(-20.0 * (s - 0.1) ** 2) + 40.0 * (s + 0.1) * np.exp(
+        -20.0 * (s + 0.1) ** 2
+    )
 
 
 def _omega_bump_d2(s):
@@ -141,7 +142,13 @@ def manufactured(
     F = d^2 U/dt^2 - div(c^2 grad U) and the initial data traces; dxdt_u is
     the mixed derivative d^2 U/dx dt, whose trace at t = 0 is dV0.
     """
-    exact = ExactSolution(u=u, dx_u=dx_u, v=dt_u, dt_v=dtt_u, dxdt_u=dxdt_u)
+    exact = ExactSolution(
+        u=u,
+        dx_u=dx_u,
+        v=dt_u,
+        dt_v=dtt_u,
+        dxdt_u=dxdt_u,
+    )
     F = lambda x, t: dtt_u(x, t) - div_c2_grad_u(x, t)
     return _from_exact(exact, div_c2_grad_u, F, c2, omega, T, c0, name)
 

@@ -45,9 +45,15 @@ class KnotVector:
 
     def full_knots(self):
         """Open knot sequence: endpoints repeated degree+1 times."""
-        p, bp = self.degree, self.breakpoints
-        interior = np.repeat(bp[1:-1], self.interior_multiplicity)
-        return np.concatenate((np.full(p + 1, bp[0]), interior, np.full(p + 1, bp[-1])))
+        p = self.degree
+        interior = np.repeat(self.breakpoints[1:-1], self.interior_multiplicity)
+        return np.concatenate(
+            (
+                np.full(p + 1, self.breakpoints[0]),
+                interior,
+                np.full(p + 1, self.breakpoints[-1]),
+            )
+        )
 
 
 def clip_to_interval(xs, interval):

@@ -83,14 +83,13 @@ class BlockSystem:
     space_x: object
     space_t: object
     space_op: NewtonSolver  # M_x, K_x, the factor of K_x and the eigenpairs
+    M_x: np.ndarray  # space mass (coefficient 1), space_op.M_x
+    K_x: np.ndarray  # space stiffness (coefficient c^2), space_op.K_x
     M_e: np.ndarray  # weighted time mass
     S_e: np.ndarray  # weighted time stiffness of theta'
     A_e: np.ndarray  # A_e[b, b'] = int theta_b' theta_{b'} exp(-t/T)
     rhs: np.ndarray
     n_quad: int
-    # read-only views, so the operator and the spaces stay their one owner
-    M_x = property(lambda self: self.space_op.M_x)  # space mass (coefficient 1)
-    K_x = property(lambda self: self.space_op.K_x)  # space stiffness (coefficient c^2)
     n_x = property(lambda self: self.space_x.dim)
     n_t = property(lambda self: self.space_t.dim)
 
@@ -169,6 +168,8 @@ def assemble(problem, space_x, space_t, n_quad=None):
         space_x=space_x,
         space_t=space_t,
         space_op=space_op,
+        M_x=space_op.M_x,
+        K_x=space_op.K_x,
         M_e=M_e,
         S_e=S_e,
         A_e=A_e,
@@ -235,7 +236,9 @@ def solve(system):
     """
     t0 = time.perf_counter()
     op, A_e, S_e = system.space_op, system.A_e, system.S_e
-    R_lam, R_chi = system.rhs.reshape(2, system.n_t, system.n_x).transpose(0, 2, 1)
+    n_x, n_t = system.n_x, system.n_t
+    R_lam = system.rhs[: n_x * n_t].reshape(n_t, n_x).T
+    R_chi = system.rhs[n_x * n_t :].reshape(n_t, n_x).T
     solve_modes = _factor_modes(*op.eigenpairs, A_e, S_e)
     U, V = solve_modes(R_lam, R_chi)
     # refine against the operator the eigenpairs come from

@@ -162,13 +162,13 @@ def test_residual_guard_reads_assembled_factors(smooth_problem):
 
 
 def test_block_system_reads_its_operator(smooth_problem):
-    # M_x, K_x, n_x and n_t have one owner each: the operator and the spaces
+    # M_x and K_x are the operator's arrays; n_x and n_t read the spaces
     sx, st = _spaces(smooth_problem, 4, 3, 2)
     system = xw.assemble(smooth_problem, sx, st)
     assert system.M_x is system.space_op.M_x and system.K_x is system.space_op.K_x
     assert (system.n_x, system.n_t) == (sx.dim, st.dim)
     with pytest.raises(AttributeError):
-        system.K_x = system.K_x * 2
+        system.n_x = sx.dim + 1
 
 
 def test_refinement_margin(smooth_problem):
