@@ -174,7 +174,8 @@ def error_report(solution, problem, n_quad=None, relative=True):
     # element; the space products are shared by the fields and by the kink
     # halves, and each field forms only its own time product
     coeffs = {"u": solution.u_coeffs, "v": solution.v_coeffs}
-    XC = {(d_x, which): Ex.apply(coeffs[which], d_x) for d_x, _, which, _ in fields.values()}
+    keys = dict.fromkeys((d_x, which) for d_x, _, which, _ in fields.values())
+    XC = {(d_x, which): Ex.apply(coeffs[which], d_x) for d_x, which in keys}
     nodes = (xq, tq, XC, st.tabulate(tq, (0, 1)))
     sums = _sq_sums(problem, fields, nodes, (wx, c2x, wt, wt_e), cells, dual)
     if cells is not None:

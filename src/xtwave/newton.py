@@ -17,16 +17,19 @@ from .forms import assemble_space_matrix
 
 @dataclass
 class NewtonSolver:
-    """The spatial operator: mass M_x, c^2-stiffness K_x and the Cholesky
-    factor of K_x on a zero-both spline space, assembled once and shared by
-    the block system, the discrete norms and the projectors.  dual_form
-    evaluates the discrete Newton (dual) norm through solve_K; the
+    """The spatial operator: mass M_x and c^2-stiffness K_x on a zero-both
+    spline space, assembled once and shared by the block system, the
+    discrete norms and the projectors.  dual_form evaluates the discrete
+    Newton (dual) norm through solve_K; the Cholesky factor of K_x and the
     eigenpairs of (K_x, M_x) are computed on first use."""
 
     space: object
     M_x: np.ndarray
     K_x: np.ndarray
-    K_cho: tuple
+
+    @cached_property
+    def K_cho(self):
+        return sla.cho_factor(self.K_x)
 
     def solve_K(self, rhs):
         return sla.cho_solve(self.K_cho, rhs)
@@ -53,7 +56,7 @@ def make_newton_solver(space_x, c2, E):
         raise InvalidSpaceError("space_x must have constraint zero-both")
     M_x = assemble_space_matrix(E, 0)
     K_x = assemble_space_matrix(E, 1, c2)
-    return NewtonSolver(space_x, M_x, K_x, sla.cho_factor(K_x))
+    return NewtonSolver(space_x, M_x, K_x)
 
 
 def weighted_dual_sq(solver, E, values, wt_e):

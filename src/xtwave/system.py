@@ -11,12 +11,12 @@ kron(time_matrix, space_matrix).
 
 The solver never forms that matrix.  The spatial pencil (K_x, M_x) is
 symmetric definite, so its eigenpairs K_x Phi = M_x Phi diag(lam),
-Phi^T M_x Phi = I split the system into one 2 n_t x 2 n_t time system
-[[lam_i A_e, S_e], [-S_e, A_e]] per space mode (fast diagonalization, Lynch,
-Rice & Thomas 1964).  Each is factored as a band matrix, with the U and V
-unknowns of one time index side by side.  One step of iterative refinement
-follows, and a residual guard checks the result with Kronecker products of
-the operator's M_x and K_x and the time factors, not with the eigenpairs.
+Phi^T M_x Phi = I split the system into one n_t x n_t complex time system
+A_e - i S_e / sqrt(lam_i) per space mode (fast diagonalization, Lynch,
+Rice & Thomas 1964), all factored as one band matrix by one LAPACK call.
+One step of iterative refinement follows, and a residual guard checks the
+result with Kronecker products of the operator's M_x and K_x and the time
+factors, not with the eigenpairs.
 """
 
 import time
@@ -184,45 +184,39 @@ def _block_apply(K_x, M_x, A_e, S_e, U, V):
     return K_x @ U @ A_e.T + M_x @ (V @ S_e.T), M_x @ (V @ A_e.T - U @ S_e.T)
 
 
-def _mode_bands(A_e, S_e):
-    """(kl, ku, ab_stiff, ab_rest): LAPACK band storage (gbtrf layout, kl
-    spare rows on top) of the mode matrices [[lam A_e, S_e], [-S_e, A_e]]
-    = lam * stiff + rest, with the unknowns interleaved as (u_0, v_0, u_1,
-    v_1, ...), so the band is twice as wide as that of the time factors."""
-    (a, b), (s, t) = np.nonzero(A_e), np.nonzero(S_e)
-    # lam A_e at (2a, 2b); A_e at (2a+1, 2b+1), S_e at (2s, 2t+1), -S_e at (2s+1, 2t)
-    rows = np.concatenate((2 * a, 2 * a + 1, 2 * s, 2 * s + 1))
-    cols = np.concatenate((2 * b, 2 * b + 1, 2 * t + 1, 2 * t))
+def _mode_band(s, A_e, S_e):
+    """(kl, ku, ab): LAPACK band storage (gbtrf layout, kl spare rows on top)
+    of the block-diagonal matrix whose block i is A_e - i S_e / s[i, 0]."""
+    rows, cols = np.nonzero((A_e != 0) | (S_e != 0))
     kl, ku = int(np.max(rows - cols, initial=0)), int(np.max(cols - rows, initial=0))
-    ab_stiff, ab_rest = np.zeros((2, 2 * kl + ku + 1, 2 * A_e.shape[0]))
-    diag, m = kl + ku + rows - cols, a.size
-    ab_stiff[diag[:m], cols[:m]] = A_e[a, b]
-    ab_rest[diag[m:], cols[m:]] = np.concatenate((A_e[a, b], S_e[s, t], -S_e[s, t]))
-    return kl, ku, ab_stiff, ab_rest
+    # one block; its rows outside the block stay zero, so blocks do not couple
+    band = np.zeros((2, 2 * kl + ku + 1, A_e.shape[0]))
+    band[:, kl + ku + rows - cols, cols] = A_e[rows, cols], S_e[rows, cols]
+    ab = band[0, :, None] - 1j * band[1, :, None] / s
+    return kl, ku, ab.reshape(ab.shape[0], -1)
 
 
 def _factor_modes(lam, Phi, A_e, S_e):
-    """Band LU of every mode system [[lam_i A_e, S_e], [-S_e, A_e]] of
-    _mode_bands; returns the solver (R_lam, R_chi) -> (U, V) of the whole
-    block system."""
-    n = 2 * A_e.shape[0]
-    kl, ku, ab_stiff, ab_rest = _mode_bands(A_e, S_e)
-    gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab_rest,))
-    factors = []
-    for i, lam_i in enumerate(lam):
-        lub, piv, info = gbtrf(ab_rest + lam_i * ab_stiff, kl, ku, overwrite_ab=True)
-        if info > 0:
-            raise SingularSystemError(
-                f"space mode {i}: pivot {info} of its time system is exactly zero"
-            )
-        factors.append((lub, piv))
+    """Solver (R_lam, R_chi) -> (U, V) of the block system.  With s =
+    sqrt(lam_i) and z = s u + i v, mode i's system [[lam_i A_e, S_e],
+    [-S_e, A_e]] (u, v) = (r1, r2) is (A_e - i S_e / s) z = r1 / s + i r2,
+    whose Hermitian part (A_e + A_e^T) / 2 is definite (test_system.py::
+    test_time_coupling_symmetric_part_is_definite), so it is nonsingular.
+    One zgbtrf factors the band of all modes; pivoting stays in each block."""
+    s = np.sqrt(lam)[:, None]
+    kl, ku, ab = _mode_band(s, A_e, S_e)
+    gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    lub, piv, info = gbtrf(ab, kl, ku, overwrite_ab=True)
+    if info > 0:
+        mode, pivot = divmod(info - 1, A_e.shape[0])
+        raise SingularSystemError(
+            f"space mode {mode}: pivot {pivot + 1} of its time system is exactly zero"
+        )
 
     def solve_modes(R_lam, R_chi):
-        y = np.empty((len(factors), n))
-        y[:, 0::2], y[:, 1::2] = Phi.T @ R_lam, Phi.T @ R_chi
-        for row, (lub, piv) in zip(y, factors):
-            row[:] = gbtrs(lub, kl, ku, row, piv)[0]
-        return Phi @ y[:, 0::2], Phi @ y[:, 1::2]
+        r = (Phi.T @ R_lam) / s + 1j * (Phi.T @ R_chi)
+        z = gbtrs(lub, kl, ku, r.ravel(), piv, overwrite_b=True)[0].reshape(r.shape)
+        return Phi @ (z.real / s), Phi @ z.imag
 
     return solve_modes
 
@@ -276,6 +270,8 @@ def solve(system):
 def _shift_values(problem, xs, d_x, d_t, which):
     if d_t > 0:
         return np.zeros_like(xs)
+    if d_x > 1:
+        raise InvalidProblemError(f"the initial-data shift has no space derivative of order {d_x}")
     if problem is None:
         raise InvalidProblemError(
             "the solution carries no problem for its initial-data shift; "

@@ -212,6 +212,27 @@ def test_error_report_tabulates_each_basis_once(
     assert len(tabulate_calls) <= 2
 
 
+@pytest.mark.parametrize("name", ["smooth", "singular"])
+def test_error_report_applies_each_space_product_once(monkeypatch, name):
+    # five fields (four with dt_v missing) read three space products,
+    # (0, "u"), (0, "v") and (1, "u"); the kink halves reuse them
+    problem = xw.by_name(name).spec
+    sx = xw.make_uniform_space(problem.omega, 8, 2, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, problem.T), 8, 2, 1, "zero-left")
+    sol = xw.solve(xw.assemble(problem, sx, st_))
+    expected = xw.error_report(sol, problem)
+    calls = []
+    apply = splines.ElementTable.apply
+
+    def counted(self, C, d=0):
+        calls.append(d)
+        return apply(self, C, d)
+
+    monkeypatch.setattr(splines.ElementTable, "apply", counted)
+    assert xw.error_report(sol, problem) == expected
+    assert len(calls) <= 3
+
+
 @pytest.mark.parametrize("n_quad", [None, 8])
 def test_error_report_shifts_with_its_problem_argument(tmp_path, smooth_problem, n_quad):
     # a loaded solution rebuilds the solve's operator on the system's rule

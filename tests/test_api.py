@@ -59,9 +59,9 @@ def test_exported_names():
     assert SUBMODULES <= modules
 
 
-def _solve(problem):
-    sx = xw.make_uniform_space(problem.omega, 2, 1, None, "zero-both")
-    st = xw.make_uniform_space((0.0, problem.T), 2, 1, None, "zero-left")
+def _solve(problem, degree=1):
+    sx = xw.make_uniform_space(problem.omega, 2, degree, None, "zero-both")
+    st = xw.make_uniform_space((0.0, problem.T), 2, degree, None, "zero-left")
     return xw.solve(xw.assemble(problem, sx, st))
 
 
@@ -82,6 +82,10 @@ TYPED_ERRORS = {
     "gradient of the V shift without dV0": (
         InvalidProblemError,
         lambda p: xw.evaluate(_solve(replace(p, dV0=None)), 0.5, 1.0, d_x=1),
+    ),
+    "second space derivative of the shift": (
+        InvalidProblemError,
+        lambda p: xw.evaluate(_solve(p, degree=3), 0.3, 0.0, d_x=2),
     ),
     "one breakpoint": (InvalidSpaceError, lambda p: xw.KnotVector(np.array([0.0]), 1)),
     "repeated breakpoint": (InvalidSpaceError, lambda p: xw.make_space([0.0, 0.5, 0.5, 1.0], 2)),

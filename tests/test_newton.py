@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import xtwave as xw
 from xtwave import newton
@@ -131,3 +132,25 @@ def test_weighted_dual_norm_bounds(rng, smooth_problem):
         z = solver.solve_K(solver.M_x @ w)
         pot_l2e = np.sqrt(np.sum((solver.M_x @ z @ M_e) * z))
         assert pot_l2e <= C * neh + 1e-12
+
+
+def test_infsup_never_factors_K_x(smooth_problem, monkeypatch):
+    # the Cholesky factor of K_x is built on first use, and estimate_infsup
+    # reads only the eigenpairs; solve_K gives the eager factor's values
+    sx = xw.make_uniform_space(smooth_problem.omega, 12, 2, None, "zero-both")
+    st = xw.make_uniform_space((0.0, smooth_problem.T), 5, 2, None, "zero-left")
+    shapes = []
+    cho_factor = newton.sla.cho_factor
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return cho_factor(a, *args, **kwargs)
+
+    monkeypatch.setattr(newton.sla, "cho_factor", counted)
+    xw.estimate_infsup(smooth_problem, sx, st)
+    assert (sx.dim, sx.dim) not in shapes
+    solver = _solver()
+    rhs = solver.M_x @ np.sin(np.arange(solver.space.dim))
+    expected = sla.cho_solve(cho_factor(solver.K_x), rhs)
+    assert np.array_equal(solver.solve_K(rhs), expected)
+    assert solver.K_cho is solver.K_cho

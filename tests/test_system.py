@@ -22,7 +22,7 @@ from xtwave.errors import (
     SingularSystemError,
     SolutionFileError,
 )
-from xtwave.forms import assemble_space_matrix, assemble_time_matrix
+from xtwave.forms import assemble_space_matrix, assemble_time_matrix, rule_size, time_factors
 from xtwave.quadrature import panel_points, time_panel_points
 from xtwave.system import evaluate, evaluate_grid
 
@@ -144,7 +144,7 @@ def test_singular_matrix_detected(unit_problem):
     system = xw.assemble(unit_problem, sx, st)
     system.A_e = np.zeros_like(system.A_e)
     system.S_e = np.zeros_like(system.S_e)
-    with pytest.raises(SingularSystemError, match="exactly zero"):
+    with pytest.raises(SingularSystemError, match="space mode 0: pivot 1 .* exactly zero"):
         xw.solve(system)
 
 
@@ -215,19 +215,36 @@ def test_mode_solve_matches_sparse_lu(smooth_problem, p, data, gaps_x, gaps_t, a
 def test_mode_bands_hold_each_mode_matrix(smooth_problem, p, r):
     system = xw.assemble(smooth_problem, *_spaces(smooth_problem, 4, 6, p, r))
     A, S = system.A_e, system.S_e
-    kl, ku, ab_stiff, ab_rest = xw.system._mode_bands(A, S)
-    n = 2 * A.shape[0]
+    lam = system.space_op.eigenpairs[0]
+    kl, ku, ab = xw.system._mode_band(np.sqrt(lam)[:, None], A, S)
+    n = lam.size * A.shape[0]
+    assert ab.shape == (2 * kl + ku + 1, n)
     rows, cols = np.indices((n, n))
     inside = (rows - cols <= kl) & (cols - rows <= ku)
-    order = np.arange(n).reshape(2, -1).T.ravel()  # (u_0, v_0, u_1, v_1, ...)
-    for lam in (0.0, 1.0, 37.5):
-        ab = ab_rest + lam * ab_stiff
-        expected = np.block([[lam * A, S], [-S, A]])[np.ix_(order, order)]
-        rebuilt = np.zeros((n, n))
-        rebuilt[inside] = ab[(kl + ku + rows - cols)[inside], cols[inside]]
-        np.testing.assert_array_equal(rebuilt, expected)
-        # the band holds the whole matrix, and the kl rows gbtrf fills are empty
-        assert not np.any(ab[:kl])
+    rebuilt = np.zeros((n, n), dtype=complex)
+    rebuilt[inside] = ab[(kl + ku + rows - cols)[inside], cols[inside]]
+    # block i is mode i's matrix, nothing couples neighbouring modes, and the
+    # kl rows gbtrf fills are empty
+    blocks = [A - 1j * S / np.sqrt(lam_i) for lam_i in lam]
+    np.testing.assert_array_equal(rebuilt, sla.block_diag(*blocks))
+    assert not np.any(ab[:kl])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    data=st.data(),
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8),
+    log_T=st.floats(-3.0, 2.0),
+)
+def test_time_coupling_symmetric_part_is_definite(p, data, gaps, log_T):
+    # integration by parts: A_e + A_e^T = exp(-1) theta(T) theta(T)^T + M_e / T,
+    # definite, so every mode system (A_e - i S_e / sqrt(lam)) is nonsingular
+    r = data.draw(st.integers(0, p - 1), label="regularity")
+    T = 10.0**log_T
+    space_t = xw.make_space(_graded(0.0, T, gaps), p, p - r, "zero-left")
+    A_e = time_factors(space_t, T, rule_size(None, space_t))[2]
+    sla.cholesky(A_e + A_e.T)
 
 
 def _reference_assemble(problem, space_x, space_t):
@@ -399,6 +416,17 @@ def test_dump_load_is_identity(
     ts = np.linspace(0.0, smooth_problem.T, 13)
     for before, after in zip(evaluate_grid(sol, xs, ts), evaluate_grid(loaded, xs, ts)):
         assert np.array_equal(before, after)
+
+
+def test_second_space_derivative_of_the_shift_is_refused(smooth_problem):
+    # the shift has only the traces and their first space derivatives: adding
+    # dU0 for d_x = 2 gave 1.8466 at (0.3, 0), where U_xx = -7.98
+    sol = xw.solve(xw.assemble(smooth_problem, *_spaces(smooth_problem, 16, 16, 3)))
+    with pytest.raises(InvalidProblemError, match="order 2"):
+        evaluate_grid(sol, [0.3], [0.0], d_x=2)
+    # a time derivative carries no shift, so its space derivatives stay
+    u, _ = evaluate(sol, 0.3, 0.5, d_x=2, d_t=1)
+    assert np.isfinite(u)
 
 
 def test_solution_loaded_without_problem_asks_for_it(tmp_path, smooth_problem):
