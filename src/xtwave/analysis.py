@@ -163,7 +163,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         # block k) leaves them, and both halves enter.  Node i cuts element k
         # unless the kink is within 1e-13 of its ends.
         bp_t = st.breakpoints
-        ts = np.array([exact.kink_time(x) for x in xq], dtype=float)
+        ts = np.broadcast_to(np.asarray(exact.kink_time(xq), dtype=float), xq.shape)
         k = np.clip(np.searchsorted(bp_t, ts, side="right") - 1, 0, bp_t.size - 2)
         cut = (bp_t[0] + 1e-13 < ts) & (ts < bp_t[-1] - 1e-13)
         cut &= np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
@@ -377,12 +377,12 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
 
 def discrete_veh_norm(system, solution):
     """Stability norm of the discrete (shifted) solution of the block system."""
-    Cu, Cv = solution.u_coeffs, solution.v_coeffs
+    Cu, Cv, op = solution.u_coeffs, solution.v_coeffs, system.space_op
     q = (
-        np.sum((system.M_x @ Cu @ system.S_e) * Cu)
-        + np.sum((system.K_x @ Cu @ system.M_e) * Cu)
-        + system.space_op.dual_form(Cv, system.S_e)
-        + np.sum((system.M_x @ Cv @ system.M_e) * Cv)
+        np.sum((op.M_x @ Cu @ system.S_e) * Cu)
+        + np.sum((op.K_x @ Cu @ system.M_e) * Cu)
+        + op.dual_form(Cv, system.S_e)
+        + np.sum((op.M_x @ Cv @ system.M_e) * Cv)
     )
     return np.sqrt(max(float(q), 0.0))
 

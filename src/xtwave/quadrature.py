@@ -19,18 +19,23 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+def index_or_negative(value):
+    """operator.index(value), or -1, below every valid value, for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return -1
+
+
 def gauss_rule(n_points):
     """Gauss-Legendre rule with n_points nodes on (0, 1).
 
     Rules are computed once per size and shared, so their arrays are
     read-only.
     """
-    try:
-        n = operator.index(n_points)
-    except TypeError:
-        raise UnsupportedRuleError(f"n_points must be an integer, got {n_points!r}") from None
+    n = index_or_negative(n_points)
     if not (1 <= n <= MAX_POINTS):
-        raise UnsupportedRuleError(f"n_points must be in [1, {MAX_POINTS}], got {n_points}")
+        raise UnsupportedRuleError(f"n_points {n_points!r} is not an integer in [1, {MAX_POINTS}]")
     return _cached_rule(n)
 
 

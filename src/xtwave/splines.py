@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidRegularityError, InvalidSpaceError, OutOfDomainError
-from .quadrature import panel_points
+from .quadrature import index_or_negative, panel_points
 
 CONSTRAINTS = ("none", "zero-left", "zero-both")
 
@@ -31,12 +31,12 @@ class KnotVector:
             raise InvalidSpaceError("breakpoints must be a 1d array with at least 2 entries")
         if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
             raise InvalidSpaceError(f"breakpoints must be finite and strictly increasing, got {bp}")
-        if self.degree < 0:
-            raise InvalidSpaceError("degree must be non-negative")
-        m = self.interior_multiplicity
-        if not (1 <= m <= max(self.degree, 1)):
+        p, m = self.degree, self.interior_multiplicity
+        if index_or_negative(p) < 0:
+            raise InvalidSpaceError(f"degree must be a non-negative integer, got {p!r}")
+        if not (1 <= index_or_negative(m) <= max(p, 1)):
             raise InvalidRegularityError(
-                f"interior multiplicity {m} not in [1, {self.degree}] for degree {self.degree}"
+                f"multiplicity m = {m!r} (regularity {p} - m) not an integer in [1, {max(p, 1)}]"
             )
 
     @property
@@ -69,8 +69,8 @@ def clip_to_interval(xs, interval):
 
 
 def _check_orders(lowest, highest, degree):
-    if not 0 <= lowest <= highest <= degree:
-        raise InvalidSpaceError(f"derivative orders {lowest} to {highest} not in [0, {degree}]")
+    if not 0 <= index_or_negative(lowest) <= index_or_negative(highest) <= degree:
+        raise InvalidSpaceError(f"derivative orders {lowest}, {highest} not ints in [0, {degree}]")
 
 
 def _ders_basis_funs(knots, p, xs, n_ders, spans=None):
@@ -270,16 +270,12 @@ def make_uniform_space(interval, n_elements, degree, regularity=None, constraint
     regularity defaults to degree-1 (maximal regularity, simple interior
     knots).
     """
-    if n_elements < 1:
-        raise InvalidSpaceError("n_elements must be >= 1")
+    if index_or_negative(n_elements) < 1:
+        raise InvalidSpaceError(f"n_elements must be a positive integer, got {n_elements!r}")
     if degree < 1:
         raise InvalidSpaceError("degree must be >= 1")
     if regularity is None:
         regularity = degree - 1
-    if not (0 <= regularity <= degree - 1):
-        raise InvalidRegularityError(
-            f"regularity {regularity} not in [0, {degree - 1}] for degree {degree}"
-        )
     a, b = float(interval[0]), float(interval[1])
     breakpoints = np.linspace(a, b, n_elements + 1)
     return make_space(breakpoints, degree, degree - regularity, constraint)

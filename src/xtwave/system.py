@@ -45,7 +45,7 @@ class ExactSolution:
     v: callable  # V = dU/dt
     dt_v: callable = None
     dxdt_u: callable = None
-    kink_time: callable = None  # t*(x) where V jumps, or None
+    kink_time: callable = None  # t*(x) where V jumps, or None; vectorized in x like the rest
 
 
 @dataclass
@@ -83,8 +83,8 @@ class BlockSystem:
     space_x: object
     space_t: object
     space_op: NewtonSolver  # M_x, K_x, the factor of K_x and the eigenpairs
-    M_x: np.ndarray  # space mass (coefficient 1), space_op.M_x
-    K_x: np.ndarray  # space stiffness (coefficient c^2), space_op.K_x
+    M_x: np.ndarray  # space mass (coefficient 1), space_op.M_x; the library reads space_op's
+    K_x: np.ndarray  # space stiffness (coefficient c^2), space_op.K_x; likewise
     M_e: np.ndarray  # weighted time mass
     S_e: np.ndarray  # weighted time stiffness of theta'
     A_e: np.ndarray  # A_e[b, b'] = int theta_b' theta_{b'} exp(-t/T)
@@ -103,7 +103,7 @@ class BlockSystem:
         the inf-sup estimate work with the factors and never read it."""
         import scipy.sparse as sp  # only here, so importing xtwave skips it
 
-        Ks, Ms = sp.csr_matrix(self.K_x), sp.csr_matrix(self.M_x)
+        Ks, Ms = sp.csr_matrix(self.space_op.K_x), sp.csr_matrix(self.space_op.M_x)
         Ss, As = sp.csr_matrix(self.S_e), sp.csr_matrix(self.A_e)
         return sp.bmat(
             [[sp.kron(As, Ks), sp.kron(Ss, Ms)], [-sp.kron(Ss, Ms), sp.kron(As, Ms)]],
@@ -289,7 +289,6 @@ def _shift_values(problem, xs, d_x, d_t, which):
 def evaluate_grid(solution, xs, ts, d_x=0, d_t=0):
     """(U, V) values on the tensor grid xs x ts, shape (len(xs), len(ts))."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
     Bx = solution.space_x.tabulate(xs, d_x)
     Bt = solution.space_t.tabulate(ts, d_t)
     p = solution.problem
@@ -339,9 +338,9 @@ _ROW = np.dtype([("block", "U2"), ("i_x", np.intp), ("i_t", np.intp), ("value", 
 
 
 def load_solution(path, problem=None):
-    """Round-trip counterpart of dump_solution.  Refuses, with
-    SolutionFileError, a file that does not give every coefficient exactly
-    once."""
+    """Round-trip counterpart of dump_solution.  Refuses, with SolutionFileError,
+    a body other than each coefficient once in dump_solution's order, and with
+    InvalidSpaceError spaces that are not on problem's omega and (0, T)."""
     with open(path) as f:
         lines = f.read().splitlines()
     if lines[:1] != [SOLUTION_HEADER]:
@@ -351,29 +350,21 @@ def load_solution(path, problem=None):
         space_t = _parse_space_header(lines[2], "time")
         shape = (2, space_x.dim, space_t.dim)
         body = list(filter(None, lines[3:]))
+        if len(body) != np.prod(shape):
+            raise ValueError(f"{len(body)} coefficient lines, not 2 x {shape[1]} x {shape[2]}")
         # numpy's parser refuses a line without exactly 4 fields, or with an
         # index that is not an integer or a value that is not a float
         table = np.empty(0, _ROW)
         if body:  # loadtxt warns on no lines, the body of a space of dim 0
             table = np.loadtxt(body, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
-        unknown = (table["block"] != "U") & (table["block"] != "V")
-        if np.any(unknown):
-            raise ValueError(f"unknown block in {body[int(np.argmax(unknown))]!r}")
-        index = np.vstack((table["block"] == "V", table["i_x"], table["i_t"]))
-        values = table["value"]
-        outside = np.any((index < 0) | (index >= np.array(shape)[:, None]), axis=0)
-        if np.any(outside):
-            line = body[int(np.argmax(outside))]
-            raise ValueError(f"index in {line!r} outside the dims {shape[1:]}")
-        flat = np.ravel_multi_index(index, shape)
-        counts = np.bincount(flat, minlength=np.prod(shape))
-        if np.any(counts != 1):
-            bad = int(np.argmax(counts != 1))
-            b, i, j = (int(k) for k in np.unravel_index(bad, shape))
-            raise ValueError(f"coefficient {'UV'[b]}({i}, {j}) appears {counts[bad]} times")
-        coeffs = np.empty(counts.size)
-        coeffs[flat] = values
+        b, i, j = np.indices(shape).reshape(3, -1)
+        bad = (table["block"] != np.where(b, "V", "U")) | (table["i_x"] != i) | (table["i_t"] != j)
+        if np.any(bad):
+            raise ValueError(f"line {body[int(np.argmax(bad))]!r} out of dump_solution's order")
     except (ValueError, KeyError, IndexError, OverflowError) as exc:
         raise SolutionFileError(f"{path}: malformed solution file ({exc!r})") from exc
-    u, v = coeffs.reshape(shape)
+    if problem is not None:
+        check_interval(space_x, problem.omega, "space_x")
+        check_interval(space_t, (0, problem.T), "space_t")
+    u, v = table["value"].copy().reshape(shape)  # a view would keep the table alive
     return DiscreteSolution(u, v, space_x, space_t, problem)

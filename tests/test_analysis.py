@@ -660,9 +660,8 @@ def test_singular_error_report_evaluates_each_exact_callable_once(singular_probl
     exact_calls.clear()
     xw.error_report(sol, singular_problem)
     # the main grid needs u, v, dx_u and dt_v, the kink halves u, v and dx_u;
-    # V and dtU share the values of v; kink_time is a function of one node
-    fields = Counter(name for name in exact_calls if name != "kink_time")
-    assert fields == {"u": 2, "v": 2, "dx_u": 2, "dt_v": 1}
+    # V and dtU share the values of v; kink_time takes all space nodes at once
+    assert Counter(exact_calls) == {"u": 2, "v": 2, "dx_u": 2, "dt_v": 1, "kink_time": 1}
 
 
 @pytest.mark.parametrize("name, recursions", [("smooth", 4), ("singular", 5)])

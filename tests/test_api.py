@@ -1,14 +1,21 @@
 """The public surface of the package: the names it exports and the typed
 errors its library paths raise."""
 
+import tempfile
 import types
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import xtwave as xw
-from xtwave.errors import InvalidProblemError, InvalidSpaceError, UnsupportedRuleError
+from xtwave.errors import (
+    InvalidProblemError,
+    InvalidRegularityError,
+    InvalidSpaceError,
+    UnsupportedRuleError,
+)
 
 # every name `import xtwave` exports, apart from its submodules; a new export
 # is added here on purpose
@@ -63,6 +70,14 @@ def _solve(problem, degree=1):
     sx = xw.make_uniform_space(problem.omega, 2, degree, None, "zero-both")
     st = xw.make_uniform_space((0.0, problem.T), 2, degree, None, "zero-left")
     return xw.solve(xw.assemble(problem, sx, st))
+
+
+def _load_on(problem, other):
+    """A solution of problem, written to a file and loaded with other."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "solution.txt"
+        xw.dump_solution(_solve(problem), path)
+        return xw.load_solution(path, other)
 
 
 # library refusals: case -> (error type, call on the smooth problem)
@@ -134,6 +149,35 @@ TYPED_ERRORS = {
     "degree zero uniform space": (
         InvalidSpaceError,
         lambda p: xw.make_uniform_space((0.0, 1.0), 2, 0),
+    ),
+    # non-integer space parameters: regularity 1.5 used to give the C^2 knots
+    # of multiplicity 1 while recording 1.5, and the others failed untyped
+    "regularity 1.5": (
+        InvalidRegularityError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 4, 3, 1.5),
+    ),
+    "multiplicity 1.5": (InvalidRegularityError, lambda p: xw.make_space([0.0, 0.5, 1.0], 3, 1.5)),
+    "n_elements 2.5": (InvalidSpaceError, lambda p: xw.make_uniform_space((0.0, 1.0), 2.5, 2)),
+    "degree 2.0": (InvalidSpaceError, lambda p: xw.make_uniform_space((0.0, 1.0), 4, 2.0)),
+    "derivative order 1.5": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate([0.5], 1.5),
+    ),
+    "derivative order 1.5 of an element table": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).element_table(4, max_order=1.5),
+    ),
+    "derivative order 1.5 of evaluate_grid": (
+        InvalidSpaceError,
+        lambda p: xw.evaluate_grid(_solve(p, degree=2), [0.5], [1.0], d_x=1.5),
+    ),
+    "solution file loaded with a problem on another omega": (
+        InvalidSpaceError,
+        lambda p: _load_on(p, xw.by_name("singular").spec),
+    ),
+    "solution file loaded with a problem of another T": (
+        InvalidSpaceError,
+        lambda p: _load_on(p, replace(p, T=2 * p.T)),
     ),
 }
 

@@ -112,6 +112,18 @@ def test_invalid_regularity():
         splines.make_space(np.linspace(0, 1, 5), 2, 3)
 
 
+def test_numpy_integer_parameters_are_accepted():
+    i = np.int64
+    space = splines.make_uniform_space((0.0, 1.0), i(4), i(3), i(1))
+    same = splines.make_uniform_space((0.0, 1.0), 4, 3, 1)
+    assert space.knots.interior_multiplicity == 2 and space.dim == same.dim
+    xs = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(space.tabulate(xs, i(1)), same.tabulate(xs, 1))
+    assert np.array_equal(space.tabulate(xs, np.arange(2)), same.tabulate(xs, (0, 1)))
+    table, same_table = space.element_table(i(4), i(2)), same.element_table(4, 2)
+    assert np.array_equal(table.values, same_table.values)
+
+
 def test_increasing_breakpoints_required():
     with pytest.raises(ValueError):
         splines.make_space([0.0, 0.5, 0.5, 1.0], 2)

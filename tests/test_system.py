@@ -368,6 +368,10 @@ def test_dump_load_round_trip(tmp_path, smooth_problem):
         loaded = xw.load_solution(path, smooth_problem)
         assert np.array_equal(loaded.u_coeffs, sol.u_coeffs)
         assert np.array_equal(loaded.v_coeffs, sol.v_coeffs)
+        # arrays of their own: a strided view of the parsed table would keep
+        # all of it alive as long as the solution
+        for c in (loaded.u_coeffs, loaded.v_coeffs):
+            assert c.dtype == np.float64 and c.flags.c_contiguous
         assert loaded.space_x.dim == sx.dim
         assert loaded.space_t.dim == st.dim
         for before, after in zip(evaluate_grid(sol, xs, ts), evaluate_grid(loaded, xs, ts)):
@@ -444,6 +448,20 @@ def test_solution_loaded_without_problem_asks_for_it(tmp_path, smooth_problem):
         assert np.array_equal(before, after)
 
 
+def test_load_checks_the_file_against_the_problem(tmp_path, smooth_problem, singular_problem):
+    # a smooth solution loaded with the singular problem used to evaluate
+    # with the singular initial-data shift: U(0.3, 0.5) = 0.5017, not 1.3107
+    sol = xw.solve(xw.assemble(smooth_problem, *_spaces(smooth_problem, 8, 8, 2)))
+    path = tmp_path / "solution.txt"
+    xw.dump_solution(sol, path)
+    with pytest.raises(InvalidSpaceError, match=r"space_x interval \(0.0, 1.0\)"):
+        xw.load_solution(path, singular_problem)
+    with pytest.raises(InvalidSpaceError, match=r"space_t interval \(0.0, 3.0\)"):
+        xw.load_solution(path, replace(smooth_problem, T=1.0))
+    loaded = xw.load_solution(path, smooth_problem)
+    assert evaluate(loaded, 0.3, 0.5) == evaluate(sol, 0.3, 0.5)
+
+
 def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
     sx, st = _spaces(smooth_problem, 2, 2, 1)
     path = tmp_path / "solution.txt"
@@ -467,6 +485,7 @@ def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
         good[:-1],  # truncated
         good + [good[-1]],  # a line given twice
         good[:4] + [good[3].rsplit(",", 1)[0] + ",123.0"] + good[5:],  # index repeated
+        good[:3] + [good[4], good[3]] + good[5:],  # two lines swapped
     )
     for lines in bad_files:
         path.write_text("\n".join(lines) + "\n")
