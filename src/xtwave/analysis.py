@@ -9,7 +9,7 @@ import scipy.linalg as sla
 from .errors import InvalidProblemError
 from .forms import rule_size, time_factors
 from .newton import make_newton_solver, weighted_dual_sq
-from .quadrature import panel_points, sample, time_panel_points
+from .quadrature import exp_weights, panel_points, sample, time_panel_points
 from .system import _factors, _shift_values
 
 # error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
@@ -81,56 +81,66 @@ def _time_sums(sq, w_x, wt, wt_e):
     return w_x @ np.einsum("cq,cq->c", sq, wt), w_x @ np.einsum("cq,cq->c", sq, wt_e)
 
 
-def _sq_sums(problem, fields, nodes, weights, cells=None, dual=None):
-    """Squared sums of the error and of the exact values of every field over
-    a node set, {name: [[error, error weighted], [exact, exact weighted]]},
-    with the plain time weights wt and the weighted ones wt_e.
+def _sq_sums(problem, nodes, field_values, weights, cells=None):
+    """Squared sums of the error and of the exact values of every field of
+    _FIELDS over a node set, {name: [[error, error weighted], [exact, exact
+    weighted]]}, with the plain time weights wt and the weighted ones wt_e.
 
-    nodes = (x, t, XC, Bt): space nodes x and time nodes t, one time vector
-    for all rows or one row of times per space node, the space products
-    XC[d_x, which] (the coefficients of field which, "u" or "v", times the
-    basis of order d_x at x), and the time basis table of orders 0 and 1 at
-    t, the order on the second-to-last axis, as tabulate returns it;
+    nodes = (x, t): space nodes x and time nodes t, one time vector for all
+    rows or one row of times per space node; field_values(d_x, d_t, which,
+    out) writes the discrete field `which` ("u" or "v") of derivative
+    orders (d_x, d_t), without its shift, at those nodes into out;
     weights = (wx, c2x, wt, wt_e).  Each ExactSolution callable is evaluated
-    once, when the first field reads it, and dropped after the last one
-    does; the initial-data shift is that of problem, so a solution loaded
-    without one can be measured.  Each field goes through one grid buffer:
-    its discrete values, its error, the squared error.  The share of
-    cells = (rows, cols) is taken from the buffer and leaves the sums.
-    Field dtV enters only as the weighted squared dual seminorm of
-    dual = (operator, its space's ElementTable at x), in the weighted
-    column."""
-    x, t, XC, Bt = nodes
+    once, when the first field reads it, and its squared sums serve every
+    field that reads it; it is dropped after the last one does.  The
+    initial-data shift is that of problem, so a solution loaded without one
+    can be measured.  Each field goes through one grid buffer: its discrete
+    values, its error, the squared error.  The share of cells =
+    (rows, cols) is taken from the buffer and leaves the sums."""
+    x, t = nodes
     wx, c2x, wt, wt_e = weights
-    readers = Counter(f[3] for f in fields.values())  # fields yet to read each callable
-    exact = {}
-    buf, sq = np.empty((2, x.size, np.shape(t)[-1]))
-    sums = {}
-    for name, (d_x, d_t, which, exact_name) in fields.items():
+    readers = Counter(f[3] for f in _FIELDS.values())  # fields yet to read each callable
+    exact, exact_sums, sums = {}, {}, {}
+    buf = np.empty((x.size, np.shape(t)[-1]))
+
+    def sq_sums(sq, d_x):
+        w_x = wx * c2x if d_x else wx
+        total = _time_sums(sq, w_x, wt, wt_e)
+        if cells is None:
+            return total
+        rows, cols = cells
+        return np.subtract(total, _time_sums(sq[cells], w_x[rows[:, 0]], wt[cols], wt_e[cols]))
+
+    for name, (d_x, d_t, which, exact_name) in _FIELDS.items():
         if exact_name not in exact:
             exact[exact_name] = sample(getattr(problem.exact, exact_name), x, t)
+            exact_sums[exact_name] = sq_sums(np.square(exact[exact_name], out=buf), d_x)
+        field_values(d_x, d_t, which, buf)
+        if d_t == 0:  # the shift is constant in time
+            buf += _shift_values(problem, x, d_x, d_t, which)[:, None]
+        np.subtract(exact[exact_name], buf, out=buf)
         readers[exact_name] -= 1
-        values = exact[exact_name] if readers[exact_name] else exact.pop(exact_name)
-        BxC = XC[d_x, which]
-        Bt_d = Bt[..., d_t, :]
-        if np.ndim(t) == 1:  # one GEMM with the dense time table
-            np.matmul(BxC, Bt_d.T, out=buf)
-        else:
-            np.einsum("cqb,cb->cq", Bt_d, BxC, out=buf)
-        buf += _shift_values(problem, x, d_x, d_t, which)[:, None]
-        np.subtract(values, buf, out=buf)
-        if name == "dtV":
-            sums[name] = np.array([(0.0, weighted_dual_sq(*dual, v, wt_e)) for v in (buf, values)])
-            continue
-        np.square(buf, out=buf)
-        np.square(values, out=sq)
-        w_x = wx * c2x if name == "cgradU" else wx
-        sums[name] = np.array([_time_sums(s, w_x, wt, wt_e) for s in (buf, sq)])
-        if cells is not None:
-            rows, cols = cells
-            w_cut = w_x[rows[:, 0]], wt[cols], wt_e[cols]
-            sums[name] -= [_time_sums(s[cells], *w_cut) for s in (buf, sq)]
+        if not readers[exact_name]:
+            del exact[exact_name]
+        sums[name] = np.array([sq_sums(np.square(buf, out=buf), d_x), exact_sums[exact_name]])
     return sums
+
+
+def _tensor_grid(Ex, Et, coeffs, keys):
+    """Field values on the tensor grid of the nodes of the ElementTables Ex
+    (rows) and Et (columns) by sum factorization, with no dense table.
+    First the time axis, on the small coefficient arrays: one product
+    CT[which, d_t] = coeffs[which] B_t,d_t^T (n_x, n_tq) per key of keys.
+    Returns CT and values(d_x, d_t, which, out=None), which contracts the
+    space axis, B_x,d_x CT[which, d_t], as one batched product of Ex's
+    element blocks written into out (C-contiguous, n_xq x n_tq) in row
+    order, so nothing is transposed on the grid."""
+    CT = {(which, d_t): Et.apply(coeffs[which].T, d_t).T for which, d_t in keys}
+
+    def values(d_x, d_t, which, out=None):
+        return Ex.apply(CT[which, d_t], d_x, out)
+
+    return CT, values
 
 
 def error_report(solution, problem, n_quad=None, relative=True):
@@ -146,16 +156,17 @@ def error_report(solution, problem, n_quad=None, relative=True):
         raise InvalidProblemError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
     n = rule_size(n_quad, sx, st, extra=3)
-    Ex = sx.element_table(n)
-    xq, wx = Ex.nodes, Ex.weights
-    tq, wt, wt_e = time_panel_points(st.breakpoints, n, problem.T)
+    Ex, Et = sx.element_table(n), st.element_table(n)
+    xq, wx, tq, wt = Ex.nodes, Ex.weights, Et.nodes, Et.weights
+    wt_e = exp_weights(tq, wt, problem.T)
     c2x = problem.c2(xq)
-
-    fields, dual, cells = _FIELDS, None, None
+    coeffs = {"u": solution.u_coeffs, "v": solution.v_coeffs}
+    keys = dict.fromkeys((which, d_t) for _, d_t, which, _ in _FIELDS.values())
     if exact.dt_v is not None:
-        # Newton seminorm of the time derivative of the velocity error
-        solver = solution.space_op or _factors(problem, sx, st, n_quad)[0]
-        fields, dual = dict(_FIELDS, dtV=(0, 1, "v", "dt_v")), (solver, Ex)
+        keys[("v", 1)] = None
+    CT, grid_values = _tensor_grid(Ex, Et, coeffs, keys)
+
+    cells = None
     if exact.kink_time is not None:
         # A Gauss rule is only legitimate where the integrand is smooth, so
         # time element k cut by the kink at space node i is integrated by two
@@ -170,19 +181,27 @@ def error_report(solution, problem, n_quad=None, relative=True):
         i = np.flatnonzero(cut)
         k, ts = k[i], ts[i]
         cells = i[:, None], k[:, None] * n + np.arange(n)
-    # one table of both derivative orders per space, the space one per
-    # element; the space products are shared by the fields and by the kink
-    # halves, and each field forms only its own time product
-    coeffs = {"u": solution.u_coeffs, "v": solution.v_coeffs}
-    keys = dict.fromkeys((d_x, which) for d_x, _, which, _ in fields.values())
-    XC = {(d_x, which): Ex.apply(coeffs[which], d_x) for d_x, which in keys}
-    nodes = (xq, tq, XC, st.tabulate(tq, (0, 1)))
-    sums = _sq_sums(problem, fields, nodes, (wx, c2x, wt, wt_e), cells, dual)
+    sums = _sq_sums(problem, (xq, tq), grid_values, (wx, c2x, wt, wt_e), cells)
+    if exact.dt_v is not None:
+        # Newton seminorm of the time derivative of the velocity error, from
+        # its moments: B_x^T W B_x = M_x on any rule of at least p + 1 points,
+        # so the discrete field's moments are M_x CT and it is never formed
+        solver = solution.space_op or _factors(problem, sx, st, n_quad)[0]
+        m = Ex.moments(sample(exact.dt_v, xq, tq), 0, wx)
+        loads = np.stack((m - solver.mass(CT["v", 1]), m), axis=1)  # error, exact
+        sums["dtV"] = np.array([(0.0, s) for s in weighted_dual_sq(solver, loads, wt_e)])
     if cells is not None:
+        # the halves take their space products from the cut rows only
         th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
         Bth = st.tabulate(th.ravel(), (0, 1)).reshape(*th.shape, 2, st.dim)
-        halves = (xq[i], th, {key: v[i] for key, v in XC.items()}, Bth), (wx[i], c2x[i], wh, whe)
-        for name, value in _sq_sums(problem, _FIELDS, *halves).items():
+        rows = dict.fromkeys((d_x, which) for d_x, _, which, _ in _FIELDS.values())
+        XC = {(d_x, which): Ex.apply_rows(coeffs[which], d_x, i) for d_x, which in rows}
+
+        def half_values(d_x, d_t, which, out):
+            np.einsum("cqb,cb->cq", Bth[..., d_t, :], XC[d_x, which], out=out)
+
+        weights = (wx[i], c2x[i], wh, whe)
+        for name, value in _sq_sums(problem, (xq[i], th), half_values, weights).items():
             sums[name] += value
     neh = sums.get("dtV", np.zeros((2, 2)))
     veh = sums["dtU"] + neh + sums["cgradU"] + sums["V"]

@@ -41,6 +41,16 @@ class NewtonSolver:
         MC = self.M_x @ C
         return float(np.sum(self.solve_K(MC @ G) * MC))
 
+    def mass(self, C):
+        """M_x @ C from the 2p + 1 diagonals of M_x, p the degree of the
+        space: basis functions more than p apart share no element."""
+        M = self.M_x
+        out = M.diagonal()[:, None] * C
+        for k in range(1, self.space.degree + 1):
+            out[:-k] += M.diagonal(k)[:, None] * C[k:]
+            out[k:] += M.diagonal(-k)[:, None] * C[:-k]
+        return out
+
     @cached_property
     def eigenpairs(self):
         """(lam, Phi) with K_x Phi = M_x Phi diag(lam) and Phi^T M_x Phi = I:
@@ -59,11 +69,10 @@ def make_newton_solver(space_x, c2, E):
     return NewtonSolver(space_x, M_x, K_x)
 
 
-def weighted_dual_sq(solver, E, values, wt_e):
+def weighted_dual_sq(solver, moments, wt_e):
     """Exponentially weighted time integral of the squared dual seminorm of a
-    load given at the nodes of E (rows, an ElementTable of the solver's
-    space) and time nodes (columns, weights wt_e).  The moments fold the
-    space weights into the element blocks, so the values are not copied."""
-    moments = E.moments(values, 0, E.weights)  # (n_x, n_tq)
-    z = solver.solve_K(moments)
-    return float(wt_e @ np.einsum("aq,aq->q", moments, z))
+    load given by its mass moments against the solver's space (first axis)
+    at time nodes (last axis, weights wt_e).  Loads stacked on middle axes
+    give one value each, from one solve."""
+    z = solver.solve_K(moments.reshape(len(moments), -1)).reshape(moments.shape)
+    return np.einsum("a...q,a...q->...q", moments, z) @ wt_e

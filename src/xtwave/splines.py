@@ -31,13 +31,17 @@ class KnotVector:
             raise InvalidSpaceError("breakpoints must be a 1d array with at least 2 entries")
         if not (np.all(np.isfinite(bp)) and np.all(np.diff(bp) > 0)):
             raise InvalidSpaceError(f"breakpoints must be finite and strictly increasing, got {bp}")
-        p, m = self.degree, self.interior_multiplicity
-        if index_or_negative(p) < 0:
-            raise InvalidSpaceError(f"degree must be a non-negative integer, got {p!r}")
-        if not (1 <= index_or_negative(m) <= max(p, 1)):
+        p, m = index_or_negative(self.degree), index_or_negative(self.interior_multiplicity)
+        if p < 0:
+            raise InvalidSpaceError(f"degree must be a non-negative integer, got {self.degree!r}")
+        if not 1 <= m <= max(p, 1):
             raise InvalidRegularityError(
-                f"multiplicity m = {m!r} (regularity {p} - m) not an integer in [1, {max(p, 1)}]"
+                f"multiplicity m = {self.interior_multiplicity!r} (regularity {p} - m) "
+                f"not an integer in [1, {max(p, 1)}]"
             )
+        # plain ints, so that a bool or a NumPy integer is written as a number
+        object.__setattr__(self, "degree", p)
+        object.__setattr__(self, "interior_multiplicity", m)
 
     @property
     def interval(self):
@@ -173,12 +177,31 @@ class ElementTable:
         G = np.bincount(flat.ravel(), local.ravel(), n * n).reshape(n, n)
         return np.ascontiguousarray(G[self.kept, self.kept])
 
-    def apply(self, C, d=0):
-        """B_d @ C: node values (one row per node) of the fields whose
-        coefficients are the columns of C (dim, k)."""
+    def _gather(self, C, elements=slice(None)):
+        """(elements, p + 1, k): the rows of C (dim, k) of each element's
+        active functions, zero for the functions the constraint drops."""
         padded = np.zeros((self.n_basis, C.shape[1]))
         padded[self.kept] = C
-        return (self.values[d] @ padded[self._index()]).reshape(-1, C.shape[1])
+        return padded[self._index()[elements]]
+
+    def apply(self, C, d=0, out=None):
+        """B_d @ C: node values (one row per node) of the fields whose
+        coefficients are the columns of C (dim, k), from one batched product
+        of the element blocks; written into out, a C-contiguous
+        (n_nodes, k) array, when it is given."""
+        B = self.values[d]
+        if out is None:
+            out = np.empty((B.shape[0] * B.shape[1], C.shape[1]))
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        np.matmul(B, self._gather(C), out=out.reshape(*B.shape[:2], -1))
+        return out
+
+    def apply_rows(self, C, d, rows):
+        """(B_d @ C)[rows], from the element blocks of those nodes only."""
+        n_points, width = self.values.shape[2:]
+        B = self.values[d].reshape(-1, width)[rows]
+        return np.einsum("rj,rjk->rk", B, self._gather(C, rows // n_points))
 
 
 @dataclass(frozen=True)
@@ -232,6 +255,8 @@ class SplineSpace:
         and equal bit for bit to the table of that order alone.
         """
         orders = np.atleast_1d(deriv_order)
+        if orders.size == 0:
+            raise InvalidSpaceError("no derivative order given")
         _check_orders(orders.min(), orders.max(), self.degree)
         xs = clip_to_interval(np.atleast_1d(xs), self.interval)
         spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, int(orders.max()))
@@ -272,10 +297,12 @@ def make_uniform_space(interval, n_elements, degree, regularity=None, constraint
     """
     if index_or_negative(n_elements) < 1:
         raise InvalidSpaceError(f"n_elements must be a positive integer, got {n_elements!r}")
-    if degree < 1:
-        raise InvalidSpaceError("degree must be >= 1")
+    if index_or_negative(degree) < 1:
+        raise InvalidSpaceError(f"degree must be an integer >= 1, got {degree!r}")
     if regularity is None:
         regularity = degree - 1
+    elif index_or_negative(regularity) < 0:
+        raise InvalidRegularityError(f"regularity {regularity!r} is not a non-negative integer")
     a, b = float(interval[0]), float(interval[1])
     breakpoints = np.linspace(a, b, n_elements + 1)
     return make_space(breakpoints, degree, degree - regularity, constraint)

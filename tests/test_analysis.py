@@ -214,23 +214,46 @@ def test_error_report_tabulates_each_basis_once(
 
 @pytest.mark.parametrize("name", ["smooth", "singular"])
 def test_error_report_applies_each_space_product_once(monkeypatch, name):
-    # five fields (four with dt_v missing) read three space products,
-    # (0, "u"), (0, "v") and (1, "u"); the kink halves reuse them
+    # sum factorization: one time product on the coefficients per
+    # (field, d_t) read, (u, 0), (v, 0), (u, 1) and (v, 1) for dtV; one
+    # space contraction per grid field, U, V, dtU and cgradU (dtV's
+    # moments come from M_x, not from a grid field); the kink halves take
+    # (0, u), (0, v) and (1, u) on the cut rows only.  No product is
+    # computed twice, and the main grid builds no dense table.
     problem = xw.by_name(name).spec
     sx = xw.make_uniform_space(problem.omega, 8, 2, 1, "zero-both")
-    st_ = xw.make_uniform_space((0.0, problem.T), 8, 2, 1, "zero-left")
+    st_ = xw.make_uniform_space((0.0, problem.T), 6, 2, 1, "zero-left")
     sol = xw.solve(xw.assemble(problem, sx, st_))
     expected = xw.error_report(sol, problem)
-    calls = []
-    apply = splines.ElementTable.apply
+    calls, tabulated = Counter(), []
 
-    def counted(self, C, d=0):
-        calls.append(d)
-        return apply(self, C, d)
+    def counted(method):
+        original = getattr(splines.ElementTable, method)
 
-    monkeypatch.setattr(splines.ElementTable, "apply", counted)
+        def call(self, C, d=0, *args):
+            axis = "time" if self.values.shape[1] == 6 else "space"
+            calls[method, axis, d, C.shape, np.ascontiguousarray(C).tobytes()] += 1
+            return original(self, C, d, *args)
+
+        return call
+
+    def tabulate(self, xs, *args):
+        tabulated.append(np.size(xs))
+        return original_tabulate(self, xs, *args)
+
+    original_tabulate = splines.SplineSpace.tabulate
+    for method in ("apply", "apply_rows"):
+        monkeypatch.setattr(splines.ElementTable, method, counted(method))
+    monkeypatch.setattr(splines.SplineSpace, "tabulate", tabulate)
     assert xw.error_report(sol, problem) == expected
-    assert len(calls) <= 3
+    assert max(calls.values()) == 1
+    kinds = Counter(key[:2] for key in calls)
+    expected_kinds = {("apply", "time"): 4, ("apply", "space"): 4}
+    if name == "singular":
+        expected_kinds[("apply_rows", "space")] = 3
+    assert kinds == expected_kinds
+    # the kink halves keep their dense per-row time table
+    assert len(tabulated) == (name == "singular")
 
 
 @pytest.mark.parametrize("n_quad", [None, 8])
@@ -295,13 +318,99 @@ def test_error_report_without_dt_v(smooth_problem, smooth_solution_cache):
 
 def test_error_report_streams_its_fields(smooth_problem, smooth_solution_cache, traced_peak):
     # every field goes through one reused grid buffer, so the report holds
-    # the exact values, the buffer, one scratch array of squares and the time
-    # table, not one array per field and sum
+    # the exact values, the buffer and the gathered element blocks of one
+    # space contraction, not one array per field and sum
     _, sol = smooth_solution_cache(3, 2, 32, 96)
     n = default_n_points(sol.space_x, sol.space_t, extra=3)
     grid_bytes = 32 * n * 96 * n * 8
     xw.error_report(sol, smooth_problem)  # fills the caches of the rules
     assert traced_peak(xw.error_report, sol, smooth_problem) <= 9 * grid_bytes
+
+
+def test_time_heavy_error_report_peak(smooth_problem, smooth_solution_cache, traced_peak):
+    # no dense n_tq x n_t time table: on a time-heavy level the report's
+    # peak is a few grid arrays (29 with the dense table at p=2 16x1024)
+    _, sol = smooth_solution_cache(2, 1, 16, 1024)
+    n = default_n_points(sol.space_x, sol.space_t, extra=3)
+    grid_bytes = 16 * n * 1024 * n * 8
+    xw.error_report(sol, smooth_problem)  # fills the caches of the rules
+    assert traced_peak(xw.error_report, sol, smooth_problem) <= 6 * grid_bytes
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    gaps_x=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=5),
+    gaps_t=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5),
+    extra=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_grid_matches_dense_tables(p, gaps_x, gaps_t, extra, seed):
+    # the sum-factorized grid of error_report equals B_x C B_t^T from the
+    # dense tables of the same nodes, for every derivative order and
+    # multiplicity, on graded meshes
+    rng = np.random.default_rng(seed)
+    bp_x = np.concatenate(([0.0], np.cumsum(gaps_x)))
+    bp_t = np.concatenate(([0.0], np.cumsum(gaps_t)))
+    n = p + extra
+    for m_x in range(1, p + 1):
+        for m_t in range(1, p + 1):
+            sx = xw.make_space(bp_x, p, m_x, "zero-both")
+            st_ = xw.make_space(bp_t, p, m_t, "zero-left")
+            Ex, Et = sx.element_table(n), st_.element_table(n)
+            C = rng.standard_normal((sx.dim, st_.dim))
+            _, values = analysis._tensor_grid(Ex, Et, {"u": C}, [("u", 0), ("u", 1)])
+            out = np.empty((Ex.nodes.size, Et.nodes.size))
+            for d_x in (0, 1):
+                for d_t in (0, 1):
+                    dense = sx.tabulate(Ex.nodes, d_x) @ C @ st_.tabulate(Et.nodes, d_t).T
+                    assert values(d_x, d_t, "u", out) is out
+                    assert np.max(np.abs(out - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+# the relative fields of the anchor levels, computed with the dense time
+# table that error_report used before its sum factorization; keyed by
+# (problem, p, n_x, n_t), in the field order of ErrorReport
+DENSE_TABLE_RELATIVE = {
+    ("smooth", 2, 8, 24): (
+        0.04010636391833624, 0.04007949404614096, 0.0031117262089698115, 0.0076089262531126665,
+        0.028051999927303204, 0.0019172486832307067, 0.0019261824250724462, 0.007676317979326039,
+    ),
+    ("singular", 2, 12, 4): (
+        0.7643602787894169, 0.9007499997585539, 0.9932102982382972, 1.0121401578112899,
+        0.9106873303407415, 0.43748202499704286, 0.45818949744545945, 1.0206849170664927,
+    ),
+    ("singular", 2, 24, 8): (
+        0.47514151042529107, 0.9046619460586653, 0.6619050044107826, 0.5565793424029177,
+        0.8119667445483332, 0.15978110476952867, 0.16802178439226362, 0.5745063340782849,
+    ),
+    ("singular", 3, 12, 4): (
+        0.709094808169418, 0.9047132177530699, 0.9882165771888064, 0.9190390454761228,
+        0.8966626250868194, 0.4149763624090195, 0.41758604817541417, 0.9313468646555326,
+    ),
+    ("singular", 3, 24, 8): (
+        0.4122521669095868, 0.9071147500623602, 0.5079555156197755, 0.579279805495331,
+        0.8001674695538481, 0.09886202916970208, 0.10420115716358454, 0.5882848429889709,
+    ),
+    ("graded", 2, 48, 16): (
+        0.3420562758133842, 0.9130552217072418, 0.36946758698124726, 0.37000596297562316,
+        0.780418999312188, 0.051025863652378746, 0.05505457415929996, 0.38538365768224736,
+    ),
+}
+
+
+def test_relative_fields_match_the_dense_time_table(smooth_problem, singular_problem):
+    fields = [f.name for f in dataclasses.fields(analysis.ErrorReport)][:-1]
+    for (name, p, n_x, n_t), expected in DENSE_TABLE_RELATIVE.items():
+        prob = smooth_problem if name == "smooth" else singular_problem
+        if name == "graded":
+            sx = xw.make_space(_graded_breakpoints(8, 40, prob.omega), p, 1, "zero-both")
+        else:
+            sx = xw.make_uniform_space(prob.omega, n_x, p, p - 1, "zero-both")
+        st_ = xw.make_uniform_space((0.0, prob.T), n_t, p, p - 1, "zero-left")
+        rep = xw.error_report(xw.solve(xw.assemble(prob, sx, st_)), prob)
+        got = np.array([getattr(rep, f) for f in fields])
+        assert np.max(np.abs(got - expected)) <= 1e-13, (name, p, n_x, n_t)
 
 
 def test_infsup_size_cap(smooth_problem):

@@ -171,6 +171,14 @@ TYPED_ERRORS = {
         InvalidSpaceError,
         lambda p: xw.evaluate_grid(_solve(p, degree=2), [0.5], [1.0], d_x=1.5),
     ),
+    "empty sequence of derivative orders": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate([0.5], ()),
+    ),
+    "regularity given as a string": (
+        InvalidRegularityError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 4, 2, "1"),
+    ),
     "solution file loaded with a problem on another omega": (
         InvalidSpaceError,
         lambda p: _load_on(p, xw.by_name("singular").spec),

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import xtwave as xw
 from xtwave import newton
@@ -37,6 +39,25 @@ def test_defining_property(rng):
     u = rng.standard_normal(solver.space.dim)
     z = solver.solve_K(solver.M_x @ u)
     assert np.max(np.abs(solver.K_x @ z - solver.M_x @ u)) < 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    gaps=st.lists(st.floats(1e-3, 1.0), min_size=2, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_banded_mass_product(p, gaps, seed):
+    # mass(C) reads the 2p + 1 diagonals of M_x for every multiplicity
+    rng = np.random.default_rng(seed)
+    bp = np.concatenate(([0.0], np.cumsum(gaps)))
+    for m in range(1, p + 1):
+        space = xw.make_space(bp, p, m, "zero-both")
+        solver = newton.make_newton_solver(space, np.ones_like, space.element_table(p + 1))
+        C = rng.standard_normal((space.dim, 3))
+        expected = solver.M_x @ C
+        atol = 1e-14 * np.abs(expected).max(initial=1e-300)
+        np.testing.assert_allclose(solver.mass(C), expected, rtol=0, atol=atol)
 
 
 def test_self_adjointness(rng):
@@ -107,7 +128,8 @@ def test_seminorm_two_paths_match(rng):
     a = np.sqrt(solver.dual_form(w, time_factors(space_t, T, 8)[0]))
     E = solver.space.element_table(8)
     tq, _, wt_e = time_panel_points(space_t.breakpoints, 8, T)
-    b = np.sqrt(newton.weighted_dual_sq(solver, E, sample(v, E.nodes, tq), wt_e))
+    moments = E.moments(sample(v, E.nodes, tq), 0, E.weights)
+    b = np.sqrt(newton.weighted_dual_sq(solver, moments, wt_e))
     assert abs(a - b) < 1e-11 * max(1.0, a)
 
 

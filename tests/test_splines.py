@@ -279,3 +279,8 @@ def test_element_tables_match_dense_tables(p, a, gaps, extra, seed):
                 _assert_close(E.moments(values, d, w), B[:, d].T @ (values * w[:, None]))
                 _assert_close(E.moments(values[:, 0], d), B[:, d].T @ values[:, 0])
                 _assert_close(E.apply(C, d), B[:, d] @ C)
+                out = np.empty((xq.size, 2))
+                assert E.apply(C, d, out) is out
+                _assert_close(out, B[:, d] @ C)
+                rows = rng.choice(xq.size, size=min(xq.size, 5), replace=False)
+                _assert_close(E.apply_rows(C, d, rows), (B[:, d] @ C)[rows])

@@ -378,6 +378,23 @@ def test_dump_load_round_trip(tmp_path, smooth_problem):
             assert np.array_equal(before, after)
 
 
+@pytest.mark.parametrize("degree", [True, np.int64(2)])
+def test_integer_like_degrees_are_stored_as_ints(tmp_path, smooth_problem, degree):
+    # a bool or NumPy degree is kept as a plain int, so the file records a
+    # number that load_solution reads back
+    sx = xw.make_space([0.0, 0.5, 1.0], degree, 1, "zero-both")
+    st_ = xw.make_space(np.linspace(0.0, smooth_problem.T, 4), degree, np.int64(1), "zero-left")
+    for knots in (sx.knots, st_.knots):
+        assert type(knots.degree) is int and type(knots.interior_multiplicity) is int
+    sol = xw.solve(xw.assemble(smooth_problem, sx, st_))
+    path = tmp_path / "solution.txt"
+    xw.dump_solution(sol, path)
+    loaded = xw.load_solution(path, smooth_problem)
+    for space in (loaded.space_x, loaded.space_t):
+        assert type(space.degree) is int and space.degree == int(degree)
+    assert np.array_equal(loaded.u_coeffs, sol.u_coeffs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.integers(1, 5),
