@@ -7,7 +7,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidProblemError
-from .forms import rule_size, time_factors
+from .forms import finite, rule_size, time_factors
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import exp_weights, panel_points, sample, time_panel_points
 from .system import _factors, _shift_values
@@ -23,9 +23,10 @@ _FIELDS = {
 # its working memory for any number of modes
 _MODE_STACK_BYTES = 16 << 20
 # uniform elements per axis and Gauss points per element of the quadrature
-# in stability_data_bound
+# in stability_data_bound, and the most grid values (256 KiB) it holds at once
 _BOUND_ELEMENTS = 64
 _BOUND_POINTS = 12
+_BOUND_BLOCK = 1 << 15
 
 
 @dataclass
@@ -131,16 +132,16 @@ def _tensor_grid(Ex, Et, coeffs, keys):
     (rows) and Et (columns) by sum factorization, with no dense table.
     First the time axis, on the small coefficient arrays: one product
     CT[which, d_t] = coeffs[which] B_t,d_t^T (n_x, n_tq) per key of keys.
-    Returns CT and values(d_x, d_t, which, out=None), which contracts the
-    space axis, B_x,d_x CT[which, d_t], as one batched product of Ex's
-    element blocks written into out (C-contiguous, n_xq x n_tq) in row
-    order, so nothing is transposed on the grid."""
+    Returns values(d_x, d_t, which, out=None), which contracts the space
+    axis, B_x,d_x CT[which, d_t], as one batched product of Ex's element
+    blocks written into out (C-contiguous, n_xq x n_tq) in row order, so
+    nothing is transposed on the grid."""
     CT = {(which, d_t): Et.apply(coeffs[which].T, d_t).T for which, d_t in keys}
 
     def values(d_x, d_t, which, out=None):
         return Ex.apply(CT[which, d_t], d_x, out)
 
-    return CT, values
+    return values
 
 
 def error_report(solution, problem, n_quad=None, relative=True):
@@ -162,9 +163,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
     c2x = problem.c2(xq)
     coeffs = {"u": solution.u_coeffs, "v": solution.v_coeffs}
     keys = dict.fromkeys((which, d_t) for _, d_t, which, _ in _FIELDS.values())
-    if exact.dt_v is not None:
-        keys[("v", 1)] = None
-    CT, grid_values = _tensor_grid(Ex, Et, coeffs, keys)
+    grid_values = _tensor_grid(Ex, Et, coeffs, keys)
 
     cells = None
     if exact.kink_time is not None:
@@ -185,10 +184,12 @@ def error_report(solution, problem, n_quad=None, relative=True):
     if exact.dt_v is not None:
         # Newton seminorm of the time derivative of the velocity error, from
         # its moments: B_x^T W B_x = M_x on any rule of at least p + 1 points,
-        # so the discrete field's moments are M_x CT and it is never formed
+        # so the discrete field's moments are M_x C_v B_t,1^T, with M_x
+        # applied to the n_x x n_t coefficients, and it is never formed
         solver = solution.space_op or _factors(problem, sx, st, n_quad)[0]
         m = Ex.moments(sample(exact.dt_v, xq, tq), 0, wx)
-        loads = np.stack((m - solver.mass(CT["v", 1]), m), axis=1)  # error, exact
+        discrete = Et.apply(solver.mass(solution.v_coeffs).T, 1).T
+        loads = np.stack((m - discrete, m), axis=1)  # error, exact
         sums["dtV"] = np.array([(0.0, s) for s in weighted_dual_sq(solver, loads, wt_e)])
     if cells is not None:
         # the halves take their space products from the cut rows only
@@ -408,7 +409,9 @@ def discrete_veh_norm(system, solution):
 
 def stability_data_bound(problem):
     """Upper bound on the stability norm in terms of the problem data, by
-    quadrature on _BOUND_ELEMENTS uniform elements per axis."""
+    quadrature on _BOUND_ELEMENTS uniform elements per axis.  The space-time
+    grid of F is summed in row blocks of at most _BOUND_BLOCK values, so it
+    is never held whole.  Non-finite data are refused with AssemblyError."""
     beta = 1.0 / infsup_lower_bound(problem)
     for name, trace in (("div(c^2 grad U0)", problem.div_c2_grad_U0), ("dV0", problem.dV0)):
         if trace is None:
@@ -418,7 +421,13 @@ def stability_data_bound(problem):
     ts = np.linspace(0.0, T, _BOUND_ELEMENTS + 1)
     xq, wx = panel_points(xs, _BOUND_POINTS)
     tq, _, wt_e = time_panel_points(ts, _BOUND_POINTS, T)
-    norm_F = np.sqrt(float(wx @ sample(problem.F, xq, tq) ** 2 @ wt_e))
-    norm_div = np.sqrt(float(wx @ problem.div_c2_grad_U0(xq) ** 2))
-    norm_cgradV0 = np.sqrt(float(wx @ (problem.c2(xq) * problem.dV0(xq) ** 2)))
+    step = max(1, _BOUND_BLOCK // tq.size)
+    sq_F = 0.0
+    for s in range(0, xq.size, step):
+        F = finite(sample(problem.F, xq[s : s + step], tq), "F")
+        sq_F += wx[s : s + step] @ F**2 @ wt_e
+    norm_F = np.sqrt(float(sq_F))
+    norm_div = np.sqrt(float(wx @ finite(problem.div_c2_grad_U0(xq), "div(c^2 grad U0)") ** 2))
+    cdV0_sq = finite(problem.c2(xq) * problem.dV0(xq) ** 2, "c2 * dV0^2")
+    norm_cgradV0 = np.sqrt(float(wx @ cdV0_sq))
     return beta * (norm_F + np.sqrt(T) * norm_div + np.sqrt(T) * norm_cgradV0)

@@ -30,6 +30,13 @@ def rule_size(n_points, *spaces, extra=2):
     return n_points
 
 
+def finite(values, name):
+    """values, or AssemblyError naming the term name if any is non-finite."""
+    if not np.all(np.isfinite(values)):
+        raise AssemblyError(f"{name} is non-finite at a quadrature node")
+    return values
+
+
 def check_interval(space, interval, name):
     """InvalidSpaceError unless space is on interval within 1e-12."""
     (a, b), (lo, hi) = space.interval, interval
@@ -65,7 +72,4 @@ def assemble_space_matrix(E, order, coefficient=None):
     order with a pointwise coefficient, on the ElementTable E of the space."""
     if coefficient is None:
         coefficient = np.ones_like
-    fvals = coefficient(E.nodes)
-    if not np.all(np.isfinite(fvals)):
-        raise AssemblyError("coefficient is non-finite at a quadrature node")
-    return E.gram(order, order, E.weights * fvals)
+    return E.gram(order, order, E.weights * finite(coefficient(E.nodes), "coefficient"))

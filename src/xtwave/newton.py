@@ -10,6 +10,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import InvalidSpaceError
 from .forms import assemble_space_matrix
@@ -19,27 +20,44 @@ from .forms import assemble_space_matrix
 class NewtonSolver:
     """The spatial operator: mass M_x and c^2-stiffness K_x on a zero-both
     spline space, assembled once and shared by the block system, the
-    discrete norms and the projectors.  dual_form evaluates the discrete
-    Newton (dual) norm through solve_K; the Cholesky factor of K_x and the
-    eigenpairs of (K_x, M_x) are computed on first use."""
+    discrete norms and the projectors.
+
+    K_x has half-bandwidth p, the degree, so its one factor is the lower
+    band Cholesky factor K_x = L L^T (K_band, cholesky_banded's lower
+    storage: row k holds the k-th subdiagonal), built on first use.
+    solve_K solves with L and L^T; the Newton (dual) norms need only
+    solve_L, one band triangular solve, since m^T K_x^-1 m = |L^-1 m|^2.
+    The dense M_x and K_x stay for the eigenpairs of (K_x, M_x), which are
+    also computed on first use."""
 
     space: object
     M_x: np.ndarray
     K_x: np.ndarray
 
     @cached_property
-    def K_cho(self):
-        return sla.cho_factor(self.K_x)
+    def K_band(self):
+        K, n = self.K_x, len(self.K_x)
+        ab = np.zeros((self.space.degree + 1, n))
+        for k in range(len(ab)):
+            ab[k, : n - k] = K.diagonal(-k)
+        return sla.cholesky_banded(ab, lower=True)
 
     def solve_K(self, rhs):
-        return sla.cho_solve(self.K_cho, rhs)
+        return sla.cho_solve_banded((self.K_band, True), rhs)
+
+    def solve_L(self, rhs):
+        """L^-1 rhs for a 2-d rhs (n_x, k), by LAPACK tbtrs."""
+        y, info = dtbtrs(self.K_band, rhs, uplo="L")
+        if info:
+            raise np.linalg.LinAlgError(f"dtbtrs returned info {info}")
+        return y
 
     def dual_form(self, C, G):
         """sum((N C G) * C) with the Newton matrix N = M_x K_x^-1 M_x, for a
         coefficient array C (space dim x time dim) and a symmetric time
-        factor G, computed as sum((K_x^-1 M_x C G) * (M_x C)) without N."""
-        MC = self.M_x @ C
-        return float(np.sum(self.solve_K(MC @ G) * MC))
+        factor G, computed as sum((Y G) * Y) with Y = L^-1 M_x C."""
+        Y = self.solve_L(self.mass(C))
+        return float(np.sum((Y @ G) * Y))
 
     def mass(self, C):
         """M_x @ C from the 2p + 1 diagonals of M_x, p the degree of the
@@ -73,6 +91,7 @@ def weighted_dual_sq(solver, moments, wt_e):
     """Exponentially weighted time integral of the squared dual seminorm of a
     load given by its mass moments against the solver's space (first axis)
     at time nodes (last axis, weights wt_e).  Loads stacked on middle axes
-    give one value each, from one solve."""
-    z = solver.solve_K(moments.reshape(len(moments), -1)).reshape(moments.shape)
-    return np.einsum("a...q,a...q->...q", moments, z) @ wt_e
+    give one value each, from one triangular solve: m^T K_x^-1 m is the
+    squared norm of y = L^-1 m."""
+    y = solver.solve_L(moments.reshape(len(moments), -1)).reshape(moments.shape)
+    return np.einsum("a...q,a...q->...q", y, y) @ wt_e

@@ -16,9 +16,12 @@ from .quadrature import index_or_negative, panel_points
 CONSTRAINTS = ("none", "zero-left", "zero-both")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnotVector:
-    """Breakpoint mesh plus degree and uniform interior knot multiplicity."""
+    """Breakpoint mesh plus degree and uniform interior knot multiplicity.
+    Two knot vectors are equal when degree, multiplicity and breakpoints
+    are, and equal ones hash alike, so spaces can be compared and kept in
+    sets."""
 
     breakpoints: np.ndarray
     degree: int
@@ -42,6 +45,19 @@ class KnotVector:
         # plain ints, so that a bool or a NumPy integer is written as a number
         object.__setattr__(self, "degree", p)
         object.__setattr__(self, "interior_multiplicity", m)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.degree == other.degree
+            and self.interior_multiplicity == other.interior_multiplicity
+            and np.array_equal(self.breakpoints, other.breakpoints)
+        )
+
+    def __hash__(self):
+        # hash(0.0) == hash(-0.0), as array_equal takes them equal
+        return hash((self.degree, self.interior_multiplicity, *self.breakpoints.tolist()))
 
     @property
     def interval(self):

@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError, SolutionFileError
-from .forms import check_interval, rule_size, time_factors
+from .forms import check_interval, finite, rule_size, time_factors
 from .newton import NewtonSolver, make_newton_solver
 from .quadrature import sample
 from .splines import make_space
@@ -154,11 +154,11 @@ def assemble(problem, space_x, space_t, n_quad=None):
     d_e = Et.moments(wt_e, 1)  # d_e[b] = int theta_b' exp(-t/T)
 
     # right-hand side: lambda rows then chi rows, space index fastest
-    Fvals = sample(problem.F, xq, Et.nodes)
+    Fvals = finite(sample(problem.F, xq, Et.nodes), "F")
     rhs_F = Et.moments(Ex.moments(Fvals, 0, wx).T, 1, wt_e).T  # (n_x, n_t)
 
-    g_U0 = Ex.moments(problem.c2(xq) * problem.dU0(xq), 1, wx)
-    m_V0 = Ex.moments(problem.V0(xq), 0, wx)
+    g_U0 = Ex.moments(finite(problem.c2(xq) * problem.dU0(xq), "c2 * dU0"), 1, wx)
+    m_V0 = Ex.moments(finite(problem.V0(xq), "V0"), 0, wx)
     rhs_lam = rhs_F - np.outer(g_U0, d_e)
     rhs_chi = -np.outer(m_V0, d_e)
     rhs = np.concatenate([rhs_lam.T.ravel(), rhs_chi.T.ravel()])

@@ -359,7 +359,7 @@ def test_tensor_grid_matches_dense_tables(p, gaps_x, gaps_t, extra, seed):
             st_ = xw.make_space(bp_t, p, m_t, "zero-left")
             Ex, Et = sx.element_table(n), st_.element_table(n)
             C = rng.standard_normal((sx.dim, st_.dim))
-            _, values = analysis._tensor_grid(Ex, Et, {"u": C}, [("u", 0), ("u", 1)])
+            values = analysis._tensor_grid(Ex, Et, {"u": C}, [("u", 0), ("u", 1)])
             out = np.empty((Ex.nodes.size, Et.nodes.size))
             for d_x in (0, 1):
                 for d_t in (0, 1):
@@ -644,6 +644,16 @@ def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):
     norm = analysis.discrete_veh_norm(system, sol)
     bound = xw.stability_data_bound(smooth_problem)
     assert 0 < norm <= bound
+
+
+def test_stability_data_bound_streams_its_grid(smooth_problem, traced_peak):
+    # F is summed in row blocks of _BOUND_BLOCK values (256 KiB): the bound
+    # holds a few such blocks, not the whole 768 x 768 grid
+    n = analysis._BOUND_ELEMENTS * analysis._BOUND_POINTS
+    block_bytes = 8 * analysis._BOUND_BLOCK
+    assert 5 * block_bytes < 8 * n * n
+    xw.stability_data_bound(smooth_problem)  # fills the cache of the rule
+    assert traced_peak(xw.stability_data_bound, smooth_problem) <= 5 * block_bytes
 
 
 def test_manufactured_stability_norm_below_data_bound():

@@ -11,6 +11,7 @@ import pytest
 
 import xtwave as xw
 from xtwave.errors import (
+    AssemblyError,
     InvalidProblemError,
     InvalidRegularityError,
     InvalidSpaceError,
@@ -80,6 +81,11 @@ def _load_on(problem, other):
         return xw.load_solution(path, other)
 
 
+def _constant(value):
+    """Problem data f(x) or f(x, t) equal to value at every node."""
+    return lambda *args: np.full(np.broadcast(*args).shape, value)
+
+
 # library refusals: case -> (error type, call on the smooth problem)
 TYPED_ERRORS = {
     "error_report without exact solution": (
@@ -93,6 +99,23 @@ TYPED_ERRORS = {
     "stability bound without dV0": (
         InvalidProblemError,
         lambda p: xw.stability_data_bound(replace(p, dV0=None)),
+    ),
+    # non-finite data used to reach the solver, which refused them as a
+    # singular system, or to make the stability bound inf or nan
+    "assemble with NaN F": (AssemblyError, lambda p: _solve(replace(p, F=_constant(np.nan)))),
+    "assemble with infinite dU0": (AssemblyError, lambda p: _solve(replace(p, dU0=_constant(np.inf)))),
+    "assemble with NaN V0": (AssemblyError, lambda p: _solve(replace(p, V0=_constant(np.nan)))),
+    "stability bound with infinite F": (
+        AssemblyError,
+        lambda p: xw.stability_data_bound(replace(p, F=_constant(np.inf))),
+    ),
+    "stability bound with NaN div(c^2 grad U0)": (
+        AssemblyError,
+        lambda p: xw.stability_data_bound(replace(p, div_c2_grad_U0=_constant(np.nan))),
+    ),
+    "stability bound with infinite dV0": (
+        AssemblyError,
+        lambda p: xw.stability_data_bound(replace(p, dV0=_constant(np.inf))),
     ),
     "gradient of the V shift without dV0": (
         InvalidProblemError,

@@ -286,6 +286,18 @@ def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "solver failure: forced\n"
 
 
+@pytest.mark.parametrize(
+    "line, term",
+    [("F = 1e400*x*t", "F"), ("U0 = 1e400*x", "c2 * dU0"), ("V0 = 1e400*x", "V0")],
+)
+def test_non_finite_data_exit_2(tmp_path, capsys, line, term):
+    # a data fault, not a solver failure: assemble refuses it by name
+    key = line.split(" =")[0]
+    text = re.sub(rf"^{key} = .*$", line, INLINE, flags=re.M)
+    assert cli.run(replace(cli.parse_config(text), out=str(tmp_path / "out"))) == 2
+    assert capsys.readouterr().err == f"error: {term} is non-finite at a quadrature node\n"
+
+
 @pytest.mark.parametrize("mode", ["solve", "infsup"])
 def test_level_without_unknowns_exits_2(tmp_path, capsys, mode):
     # degree 1 on one element: the zero-both space_x keeps none of its 2 functions

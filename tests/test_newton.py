@@ -60,6 +60,38 @@ def test_banded_mass_product(p, gaps, seed):
         np.testing.assert_allclose(solver.mass(C), expected, rtol=0, atol=atol)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    gaps=st.lists(st.floats(1e-4, 1.0), min_size=2, max_size=10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_band_factor_matches_dense_cholesky(p, gaps, seed):
+    # solve_K and the one-solve Newton norms against the dense Cholesky
+    # reference, on rough graded meshes for every multiplicity
+    rng = np.random.default_rng(seed)
+    bp = np.concatenate(([0.0], np.cumsum(gaps)))
+    c2 = lambda x: 1.0 + 0.5 * np.sin(3 * x)
+    for m in range(1, p + 1):
+        space = xw.make_space(bp, p, m, "zero-both")
+        solver = newton.make_newton_solver(space, c2, space.element_table(p + 2))
+        dense = sla.cho_factor(solver.K_x)
+        rhs = rng.standard_normal((space.dim, 3))
+        z = sla.cho_solve(dense, rhs)
+        assert np.max(np.abs(solver.solve_K(rhs) - z)) <= 1e-10 * np.max(np.abs(z))
+        moments = rng.standard_normal((space.dim, 2, 4))
+        wt_e = rng.uniform(0.1, 1.0, 4)
+        z = sla.cho_solve(dense, moments.reshape(space.dim, -1)).reshape(moments.shape)
+        expected = np.einsum("a...q,a...q->...q", moments, z) @ wt_e
+        actual = newton.weighted_dual_sq(solver, moments, wt_e)
+        np.testing.assert_allclose(actual, expected, rtol=1e-10)
+        C, A = rng.standard_normal((space.dim, 3)), rng.standard_normal((3, 3))
+        G = A @ A.T + np.eye(3)
+        MC = solver.M_x @ C
+        expected = np.sum(sla.cho_solve(dense, MC @ G) * MC)
+        assert solver.dual_form(C, G) == pytest.approx(expected, rel=1e-10, abs=0)
+
+
 def test_self_adjointness(rng):
     solver = _solver(n_x=10, p=2)
     M = solver.M_x
@@ -157,22 +189,24 @@ def test_weighted_dual_norm_bounds(rng, smooth_problem):
 
 
 def test_infsup_never_factors_K_x(smooth_problem, monkeypatch):
-    # the Cholesky factor of K_x is built on first use, and estimate_infsup
-    # reads only the eigenpairs; solve_K gives the eager factor's values
+    # the band Cholesky factor of K_x is built on first use, and
+    # estimate_infsup reads only the eigenpairs; solve_K agrees with the
+    # dense factor's solve to rounding
     sx = xw.make_uniform_space(smooth_problem.omega, 12, 2, None, "zero-both")
     st = xw.make_uniform_space((0.0, smooth_problem.T), 5, 2, None, "zero-left")
     shapes = []
-    cho_factor = newton.sla.cho_factor
+    cholesky_banded = newton.sla.cholesky_banded
 
-    def counted(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return cho_factor(a, *args, **kwargs)
+    def counted(ab, *args, **kwargs):
+        shapes.append(ab.shape)
+        return cholesky_banded(ab, *args, **kwargs)
 
-    monkeypatch.setattr(newton.sla, "cho_factor", counted)
+    monkeypatch.setattr(newton.sla, "cholesky_banded", counted)
     xw.estimate_infsup(smooth_problem, sx, st)
-    assert (sx.dim, sx.dim) not in shapes
+    assert shapes == []
     solver = _solver()
     rhs = solver.M_x @ np.sin(np.arange(solver.space.dim))
-    expected = sla.cho_solve(cho_factor(solver.K_x), rhs)
-    assert np.array_equal(solver.solve_K(rhs), expected)
-    assert solver.K_cho is solver.K_cho
+    expected = sla.cho_solve(sla.cho_factor(solver.K_x), rhs)
+    assert np.max(np.abs(solver.solve_K(rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert shapes == [(solver.space.degree + 1, solver.space.dim)]
+    assert solver.K_band is solver.K_band

@@ -124,6 +124,26 @@ def test_numpy_integer_parameters_are_accepted():
     assert np.array_equal(table.values, same_table.values)
 
 
+def test_value_equality_and_hash():
+    # equal degree, multiplicity, constraint and breakpoints make equal
+    # spaces with equal hashes, whatever the breakpoints' container
+    space = splines.make_space([0.0, 0.5, 1.0], 2)
+    same = splines.make_space(np.array([0.0, 0.5, 1.0]), 2)
+    assert space == same and hash(space) == hash(same) and len({space, same}) == 1
+    assert space.knots == same.knots and hash(space.knots) == hash(same.knots)
+    assert splines.make_space([-0.0, 1.0], 1) == splines.make_space([0.0, 1.0], 1)
+    assert hash(splines.make_space([-0.0, 1.0], 1)) == hash(splines.make_space([0.0, 1.0], 1))
+    assert space != splines.make_space([0.0, 0.5, 1.0], 2, 1, "zero-left")
+    for other in (
+        splines.make_space([0.0, 0.5, 1.0], 3),
+        splines.make_space([0.0, 0.5, 1.0], 2, 2),
+        splines.make_space([0.0, 0.6, 1.0], 2),
+        splines.make_space([0.0, 1.0], 2),
+    ):
+        assert space.knots != other.knots and space != other
+    assert space.knots != (space.knots.breakpoints, 2, 1)
+
+
 def test_increasing_breakpoints_required():
     with pytest.raises(ValueError):
         splines.make_space([0.0, 0.5, 0.5, 1.0], 2)
