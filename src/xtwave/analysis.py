@@ -59,7 +59,7 @@ class InfSupEstimate:
     lower_bound: float
     dims: tuple
     mode_index: int = None  # space mode (eigenpair of (K_x, M_x)) attaining gamma_h
-    lam: float = None  # its eigenvalue
+    lam: float = None  # its eigenvalue, from NewtonSolver.eigenvalues
 
 
 def eoc(errors):
@@ -279,12 +279,11 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
 
 def _mode_terms(A_e, S_e, M_e):
     """The mode-independent parts of the mode matrices of _modes_infsup:
-    sigma, V^T P V and V^T D V."""
+    sigma, V^T P V and V^T D V, from the time pencil's eigenpairs alone."""
     sigma, V = sla.eigh(S_e, M_e)
-    AV = A_e @ V
-    P = AV.T @ sla.cho_solve(sla.cho_factor(S_e), AV)  # V^T P V
-    D = V.T @ AV - AV.T @ V  # V^T D V
-    return sigma, P, D
+    At = V.T @ A_e @ V
+    W = At / np.sqrt(sigma)[:, None]
+    return sigma, W.T @ W, At - At.T
 
 
 def _mode_stack(stack, lam, sigma, P, D):
@@ -328,9 +327,14 @@ def _modes_infsup(lam, A_e, S_e, M_e):
     it has twice each.  So mu_i is the smallest eigenvalue of the n_t x n_t
     Hermitian pencil (H + iK, G).  With S V = M V diag(sigma) and
     V^T M V = I, V^T G V = diag(sigma + l), and the pencil is the Hermitian
-    matrix E V^T (H + iK) V E with E = diag(sigma + l)^-1/2.  V^T P V and
-    V^T D V are shared by all modes; each mode costs one scaling and one
-    eigvalsh of its stacked matrix, in stacks of at most _MODE_STACK_BYTES.
+    matrix E V^T (H + iK) V E with E = diag(sigma + l)^-1/2.  The same
+    eigenpairs invert S: S^-1 = V diag(1/sigma) V^T, so with At = V^T A V
+
+        V^T P V = At^T diag(1/sigma) At,  V^T D V = At - At^T,
+
+    and S is never factored.  V^T P V and V^T D V are shared by all modes;
+    each mode costs one scaling and one eigvalsh of its stacked matrix, in
+    stacks of at most _MODE_STACK_BYTES.
     This all-modes scan is the fallback and the reference of
     _min_mode_infsup, which estimate_infsup runs.
     """
@@ -382,9 +386,10 @@ def _min_mode_infsup(lam, A_e, S_e, M_e):
 def estimate_infsup(problem, space_x, space_t, n_quad=None):
     """Smallest generalized singular value of the block form in the discrete
     trial/test norm pair, minimized over the space modes that split it.
-    Needs only the operator factors, not the problem's data."""
+    Needs only the operator factors, not the problem's data, and of the
+    space pencil (K_x, M_x) only its eigenvalues."""
     space_op, M_e, S_e, A_e, *_ = _factors(problem, space_x, space_t, n_quad)
-    lam = space_op.eigenpairs[0]
+    lam = space_op.eigenvalues
     mu, i = _min_mode_infsup(lam, A_e, S_e, M_e)
     return InfSupEstimate(
         gamma_h=float(np.sqrt(max(mu, 0.0))),

@@ -27,8 +27,9 @@ class NewtonSolver:
     storage: row k holds the k-th subdiagonal), built on first use.
     solve_K solves with L and L^T; the Newton (dual) norms need only
     solve_L, one band triangular solve, since m^T K_x^-1 m = |L^-1 m|^2.
-    The dense M_x and K_x stay for the eigenpairs of (K_x, M_x), which are
-    also computed on first use."""
+    The dense M_x and K_x stay for the pencil (K_x, M_x), whose eigenpairs
+    (for solve) and eigenvalues alone (for estimate_infsup) are each
+    computed on first use."""
 
     space: object
     M_x: np.ndarray
@@ -74,6 +75,13 @@ class NewtonSolver:
         """(lam, Phi) with K_x Phi = M_x Phi diag(lam) and Phi^T M_x Phi = I:
         the space modes that split the block system."""
         return sla.eigh(self.K_x, self.M_x)
+
+    @cached_property
+    def eigenvalues(self):
+        """lam of eigenpairs, by eigh without eigenvectors: all that the
+        inf-sup estimate reads.  It may differ from eigenpairs[0] in the
+        last bits, since LAPACK takes another route without vectors."""
+        return sla.eigh(self.K_x, self.M_x, eigvals_only=True)
 
 
 def make_newton_solver(space_x, c2, E):

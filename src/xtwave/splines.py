@@ -28,7 +28,12 @@ class KnotVector:
     interior_multiplicity: int = 1
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
+        try:
+            bp = np.asarray(self.breakpoints, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidSpaceError(
+                f"breakpoints must be numbers, got {self.breakpoints!r}"
+            ) from None
         object.__setattr__(self, "breakpoints", bp)
         if bp.ndim != 1 or bp.size < 2:
             raise InvalidSpaceError("breakpoints must be a 1d array with at least 2 entries")
@@ -77,10 +82,13 @@ class KnotVector:
 
 
 def clip_to_interval(xs, interval):
-    """Points xs clipped to the closed interval; OutOfDomainError names the
-    first point outside it by more than 1e-14 * max(1, interval length)."""
+    """Points xs, a 1d array, clipped to the closed interval; OutOfDomainError
+    refuses any other shape and names the first point outside the interval
+    by more than 1e-14 * max(1, interval length)."""
     a, b = interval
     xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise OutOfDomainError(f"points must be a 1d array, got shape {xs.shape}")
     tol = 1e-14 * max(1.0, b - a)
     bad = ~((xs >= a - tol) & (xs <= b + tol))
     if np.any(bad):
@@ -264,7 +272,8 @@ class SplineSpace:
         return self.dim_unconstrained - self._left_removed - self._right_removed
 
     def tabulate(self, xs, deriv_order=0):
-        """Dense matrix of basis values, shape (len(xs), dim).
+        """Dense matrix of basis values, shape (len(xs), dim), at a point or
+        a 1d array of points xs; any other shape raises OutOfDomainError.
 
         A sequence of derivative orders gives every order from one recursion,
         shape (len(xs), len(orders), dim); each table [:, k] is C-contiguous

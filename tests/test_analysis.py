@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import xtwave as xw
 from xtwave import analysis, newton, splines, system
-from xtwave.forms import default_n_points
+from xtwave.forms import default_n_points, time_factors
 from xtwave.quadrature import panel_points
 
 
@@ -463,7 +463,7 @@ def test_infsup_matches_dense_reference(smooth_problem, p, data, gaps_x, gaps_t,
     assert est.gamma_h == pytest.approx(np.sqrt(_smallest_mu(A, X)), rel=1e-9)
     # restricted to its own space mode (U and V columns I kron phi_i), the
     # dense problem attains gamma_h
-    lam, Phi = system.space_op.eigenpairs
+    lam, Phi = system.space_op.eigenvalues, system.space_op.eigenpairs[1]
     assert est.lam == lam[est.mode_index]
     P = sla.block_diag(*[np.kron(np.eye(system.n_t), Phi[:, [est.mode_index]])] * 2)
     mu_i = _smallest_mu(P.T @ A @ P, P.T @ X @ P)
@@ -501,13 +501,37 @@ def test_batched_modes_match_loop(smooth_problem, p, data, gaps_x, gaps_t, log_T
     space_x = xw.make_space(_graded(*prob.omega, gaps_x), p, p - r, "zero-both")
     space_t = xw.make_space(_graded(0.0, T, gaps_t), p, p - r, "zero-left")
     system = xw.assemble(prob, space_x, space_t)
-    lam = system.space_op.eigenpairs[0]
+    lam = system.space_op.eigenvalues
     mu = analysis._modes_infsup(lam, system.A_e, system.S_e, system.M_e)
     mu_loop = _loop_mode_infsup(lam, system.A_e, system.S_e, system.M_e)
     assert mu == pytest.approx(mu_loop, rel=1e-9)
     est = xw.estimate_infsup(prob, space_x, space_t)
     assert est.lam == lam[est.mode_index]
     assert est.gamma_h == pytest.approx(np.sqrt(np.min(mu_loop)), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    data=st.data(),
+    gaps=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=6),
+    log_T=st.floats(-3.0, 2.0),
+)
+def test_mode_terms_match_cholesky_form(p, data, gaps, log_T):
+    # V^T P V and V^T D V from the time pencil's eigenpairs alone equal the
+    # form with a Cholesky factor of S_e, AV^T S_e^-1 AV and V^T (A_e - A_e^T) V
+    m = data.draw(st.integers(1, p), label="multiplicity")
+    T = 10.0**log_T
+    space_t = xw.make_space(_graded(0.0, T, gaps), p, m, "zero-left")
+    M_e, S_e, A_e, *_ = time_factors(space_t, T, default_n_points(space_t))
+    sigma, P, D = analysis._mode_terms(A_e, S_e, M_e)
+    sigma_ref, V = sla.eigh(S_e, M_e)
+    AV = A_e @ V
+    P_ref = AV.T @ sla.cho_solve(sla.cho_factor(S_e), AV)
+    D_ref = V.T @ (A_e - A_e.T) @ V
+    assert np.array_equal(sigma, sigma_ref)
+    for got, ref in ((P, P_ref), (D, D_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_batched_modes_chunking_is_exact(smooth_problem, monkeypatch):

@@ -15,6 +15,7 @@ from xtwave.errors import (
     InvalidProblemError,
     InvalidRegularityError,
     InvalidSpaceError,
+    OutOfDomainError,
     UnsupportedRuleError,
 )
 
@@ -202,6 +203,17 @@ TYPED_ERRORS = {
         InvalidRegularityError,
         lambda p: xw.make_uniform_space((0.0, 1.0), 4, 2, "1"),
     ),
+    # a 2-d point array failed in NumPy's broadcasting, and string
+    # breakpoints in float conversion, both with an untyped ValueError
+    "2-d points of tabulate": (
+        OutOfDomainError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate([[0.5, 0.2]]),
+    ),
+    "2-d points of evaluate_grid": (
+        OutOfDomainError,
+        lambda p: xw.evaluate_grid(_solve(p), [[0.5, 0.2]], [0.1]),
+    ),
+    "string breakpoints": (InvalidSpaceError, lambda p: xw.make_space(["a", "b"], 1)),
     "solution file loaded with a problem on another omega": (
         InvalidSpaceError,
         lambda p: _load_on(p, xw.by_name("singular").spec),

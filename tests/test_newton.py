@@ -190,7 +190,7 @@ def test_weighted_dual_norm_bounds(rng, smooth_problem):
 
 def test_infsup_never_factors_K_x(smooth_problem, monkeypatch):
     # the band Cholesky factor of K_x is built on first use, and
-    # estimate_infsup reads only the eigenpairs; solve_K agrees with the
+    # estimate_infsup reads only the eigenvalues; solve_K agrees with the
     # dense factor's solve to rounding
     sx = xw.make_uniform_space(smooth_problem.omega, 12, 2, None, "zero-both")
     st = xw.make_uniform_space((0.0, smooth_problem.T), 5, 2, None, "zero-left")
@@ -210,3 +210,35 @@ def test_infsup_never_factors_K_x(smooth_problem, monkeypatch):
     assert np.max(np.abs(solver.solve_K(rhs) - expected)) <= 1e-12 * np.max(np.abs(expected))
     assert shapes == [(solver.space.degree + 1, solver.space.dim)]
     assert solver.K_band is solver.K_band
+
+
+def test_infsup_computes_no_space_eigenvectors(smooth_problem, monkeypatch):
+    # gamma_h reads only the eigenvalues of (K_x, M_x), and _mode_terms
+    # inverts S_e by the time pencil's eigenpairs, so estimate_infsup makes
+    # one eigh per axis, with eigenvectors only in time, factors nothing by
+    # Cholesky in scipy, and leaves the operator's eigenpairs unbuilt
+    sx = xw.make_uniform_space(smooth_problem.omega, 12, 2, None, "zero-both")
+    st = xw.make_uniform_space((0.0, smooth_problem.T), 5, 2, None, "zero-left")
+    eighs, solvers = [], []
+    eigh, make = newton.sla.eigh, xw.system.make_newton_solver
+
+    def counted_eigh(a, b=None, *args, eigvals_only=False, **kwargs):
+        eighs.append((len(a), eigvals_only))
+        return eigh(a, b, *args, eigvals_only=eigvals_only, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("Cholesky factorization in estimate_infsup")
+
+    def kept(*args):
+        solvers.append(make(*args))
+        return solvers[-1]
+
+    monkeypatch.setattr(newton.sla, "eigh", counted_eigh)
+    for name in ("cho_factor", "cholesky", "cholesky_banded"):
+        monkeypatch.setattr(newton.sla, name, refused)
+    monkeypatch.setattr(xw.system, "make_newton_solver", kept)
+    est = xw.estimate_infsup(smooth_problem, sx, st)
+    assert sorted(eighs) == [(st.dim, False), (sx.dim, True)]
+    (solver,) = solvers
+    assert "eigenpairs" not in vars(solver)
+    assert est.lam == solver.eigenvalues[est.mode_index]
