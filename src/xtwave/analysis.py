@@ -6,11 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import InvalidProblemError
+from .errors import InvalidProblemError, InvalidSpaceError
 from .forms import finite, rule_size, time_factors
 from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import exp_weights, panel_points, sample, time_panel_points
-from .system import _factors, _shift_values
+from .system import _check_domain, _level, _shift_values
 
 # error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
 _FIELDS = {
@@ -145,8 +145,8 @@ def _tensor_grid(Ex, Et, coeffs, keys):
 
 
 def error_report(solution, problem, n_quad=None, relative=True):
-    """Weighted norm components of the error against the exact solution.
-
+    """Weighted norm components of the error against the exact solution;
+    InvalidSpaceError refuses spaces not on problem's omega and (0, T).
     The fields are integrated on a rule of n_quad points per element (by
     default the system's rule plus one).  The Newton seminorm of the dtV
     error is the dual norm of the spatial operator the solution was solved
@@ -156,6 +156,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
     if exact is None:
         raise InvalidProblemError("problem has no exact solution")
     sx, st = solution.space_x, solution.space_t
+    _check_domain(problem, sx, st)
     n = rule_size(n_quad, sx, st, extra=3)
     Ex, Et = sx.element_table(n), st.element_table(n)
     xq, wx, tq, wt = Ex.nodes, Ex.weights, Et.nodes, Et.weights
@@ -186,7 +187,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         # its moments: B_x^T W B_x = M_x on any rule of at least p + 1 points,
         # so the discrete field's moments are M_x C_v B_t,1^T, with M_x
         # applied to the n_x x n_t coefficients, and it is never formed
-        solver = solution.space_op or _factors(problem, sx, st, n_quad)[0]
+        solver = solution.space_op or _level(problem, sx, st, n_quad).space_op
         m = Ex.moments(sample(exact.dt_v, xq, tq), 0, wx)
         discrete = Et.apply(solver.mass(solution.v_coeffs).T, 1).T
         loads = np.stack((m - discrete, m), axis=1)  # error, exact
@@ -388,9 +389,9 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
     trial/test norm pair, minimized over the space modes that split it.
     Needs only the operator factors, not the problem's data, and of the
     space pencil (K_x, M_x) only its eigenvalues."""
-    space_op, M_e, S_e, A_e, *_ = _factors(problem, space_x, space_t, n_quad)
-    lam = space_op.eigenvalues
-    mu, i = _min_mode_infsup(lam, A_e, S_e, M_e)
+    level = _level(problem, space_x, space_t, n_quad)
+    lam = level.space_op.eigenvalues
+    mu, i = _min_mode_infsup(lam, level.A_e, level.S_e, level.M_e)
     return InfSupEstimate(
         gamma_h=float(np.sqrt(max(mu, 0.0))),
         lower_bound=infsup_lower_bound(problem),
@@ -401,7 +402,10 @@ def estimate_infsup(problem, space_x, space_t, n_quad=None):
 
 
 def discrete_veh_norm(system, solution):
-    """Stability norm of the discrete (shifted) solution of the block system."""
+    """Stability norm of the discrete (shifted) solution of the block system;
+    InvalidSpaceError refuses a solution on other spaces than the system's."""
+    if (solution.space_x, solution.space_t) != (system.space_x, system.space_t):
+        raise InvalidSpaceError("the solution's spaces are not the system's")
     Cu, Cv, op = solution.u_coeffs, solution.v_coeffs, system.space_op
     q = (
         np.sum((op.M_x @ Cu @ system.S_e) * Cu)

@@ -82,11 +82,14 @@ class KnotVector:
 
 
 def clip_to_interval(xs, interval):
-    """Points xs, a 1d array, clipped to the closed interval; OutOfDomainError
-    refuses any other shape and names the first point outside the interval
-    by more than 1e-14 * max(1, interval length)."""
+    """Points xs (a point or a 1d array) as a 1d array clipped to the closed
+    interval; OutOfDomainError refuses non-numbers, any other shape and the
+    first point outside it by more than 1e-14 * max(1, interval length)."""
     a, b = interval
-    xs = np.asarray(xs, dtype=float)
+    try:
+        xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    except (TypeError, ValueError):
+        raise OutOfDomainError(f"points must be numbers, got {xs!r}") from None
     if xs.ndim != 1:
         raise OutOfDomainError(f"points must be a 1d array, got shape {xs.shape}")
     tol = 1e-14 * max(1.0, b - a)
@@ -280,10 +283,10 @@ class SplineSpace:
         and equal bit for bit to the table of that order alone.
         """
         orders = np.atleast_1d(deriv_order)
-        if orders.size == 0:
-            raise InvalidSpaceError("no derivative order given")
+        if orders.size == 0 or orders.ndim > 1 or orders.dtype.kind not in "iu":
+            raise InvalidSpaceError(f"derivative orders must be ints, at most 1d: {deriv_order!r}")
         _check_orders(orders.min(), orders.max(), self.degree)
-        xs = clip_to_interval(np.atleast_1d(xs), self.interval)
+        xs = clip_to_interval(xs, self.interval)
         spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, int(orders.max()))
         # constrained index of each point's p + 1 active functions
         cols = (spans - self.degree - self._left_removed)[:, None] + np.arange(self.degree + 1)
@@ -328,6 +331,9 @@ def make_uniform_space(interval, n_elements, degree, regularity=None, constraint
         regularity = degree - 1
     elif index_or_negative(regularity) < 0:
         raise InvalidRegularityError(f"regularity {regularity!r} is not a non-negative integer")
-    a, b = float(interval[0]), float(interval[1])
+    try:
+        a, b = map(float, interval)
+    except (TypeError, ValueError):
+        raise InvalidSpaceError(f"interval must be two numbers, got {interval!r}") from None
     breakpoints = np.linspace(a, b, n_elements + 1)
     return make_space(breakpoints, degree, degree - regularity, constraint)

@@ -77,7 +77,8 @@ class ProblemSpec:
 
 @dataclass
 class BlockSystem:
-    """Kronecker factors and right-hand side of the 2x2 block system."""
+    """One space-time level: its spaces, operator and weighted time factors on
+    one rule, and the block system's right-hand side, which assemble adds."""
 
     problem: ProblemSpec
     space_x: object
@@ -88,14 +89,19 @@ class BlockSystem:
     M_e: np.ndarray  # weighted time mass
     S_e: np.ndarray  # weighted time stiffness of theta'
     A_e: np.ndarray  # A_e[b, b'] = int theta_b' theta_{b'} exp(-t/T)
-    rhs: np.ndarray
     n_quad: int
+    Ex: object  # ElementTable of space_x on the rule, shared with the right-hand side
+    Et: object  # ElementTable of space_t on the rule
+    wt_e: np.ndarray  # Et's weights times exp(-t/T)
+    rhs: np.ndarray = None  # lambda rows then chi rows, space index fastest
     n_x = property(lambda self: self.space_x.dim)
     n_t = property(lambda self: self.space_t.dim)
 
-    @property
-    def size(self):
-        return 2 * self.n_x * self.n_t
+    def apply(self, U, V):
+        """The block form on coefficient arrays (n_x, n_t), with space_op's K
+        and M: (K U A_e^T + M V S_e^T, -M U S_e^T + M V A_e^T)."""
+        K_x, M_x, A_e, S_e = self.space_op.K_x, self.space_op.M_x, self.A_e, self.S_e
+        return K_x @ U @ A_e.T + M_x @ (V @ S_e.T), M_x @ (V @ A_e.T - U @ S_e.T)
 
     @cached_property
     def matrix(self):
@@ -131,29 +137,35 @@ class DiscreteSolution:
     refine_ratio: float = None
 
 
-def _factors(problem, space_x, space_t, n_quad=None):
-    """The spatial operator, the weighted time factors M_e, S_e, A_e, the
-    rule size n, the time ElementTable with its weights wt_e times
-    exp(-t/T), and the space ElementTable the operator was built from, so
-    the right-hand side tabulates neither space again.  A space without
-    unknowns leaves no system and is refused with InvalidSpaceError."""
+def _check_domain(problem, space_x, space_t):
+    """InvalidSpaceError unless space_x is on problem's omega and space_t on (0, T)."""
     check_interval(space_x, problem.omega, "space_x")
+    check_interval(space_t, (0, problem.T), "space_t")
+
+
+def _level(problem, space_x, space_t, n_quad=None):
+    """The level without its right-hand side, with the ElementTables of its
+    rule, so the right-hand side tabulates neither space again.  A space
+    without unknowns leaves no system and is refused with InvalidSpaceError."""
+    _check_domain(problem, space_x, space_t)
     for name, space in (("space_x", space_x), ("space_t", space_t)):
         if space.dim == 0:
             raise InvalidSpaceError(f"{name} has no unknowns: dim 0 under {space.constraint}")
     n = rule_size(n_quad, space_x, space_t)
     M_e, S_e, A_e, Et, wt_e = time_factors(space_t, problem.T, n)
     Ex = space_x.element_table(n)
-    return make_newton_solver(space_x, problem.c2, Ex), M_e, S_e, A_e, n, Et, wt_e, Ex
+    op = make_newton_solver(space_x, problem.c2, Ex)
+    return BlockSystem(
+        problem, space_x, space_t, op, op.M_x, op.K_x, M_e, S_e, A_e, n, Ex, Et, wt_e
+    )
 
 
 def assemble(problem, space_x, space_t, n_quad=None):
     """Build the block system for the given trial spaces."""
-    space_op, M_e, S_e, A_e, n, Et, wt_e, Ex = _factors(problem, space_x, space_t, n_quad)
+    level = _level(problem, space_x, space_t, n_quad)
+    Ex, Et, wt_e = level.Ex, level.Et, level.wt_e
     xq, wx = Ex.nodes, Ex.weights
     d_e = Et.moments(wt_e, 1)  # d_e[b] = int theta_b' exp(-t/T)
-
-    # right-hand side: lambda rows then chi rows, space index fastest
     Fvals = finite(sample(problem.F, xq, Et.nodes), "F")
     rhs_F = Et.moments(Ex.moments(Fvals, 0, wx).T, 1, wt_e).T  # (n_x, n_t)
 
@@ -161,27 +173,8 @@ def assemble(problem, space_x, space_t, n_quad=None):
     m_V0 = Ex.moments(finite(problem.V0(xq), "V0"), 0, wx)
     rhs_lam = rhs_F - np.outer(g_U0, d_e)
     rhs_chi = -np.outer(m_V0, d_e)
-    rhs = np.concatenate([rhs_lam.T.ravel(), rhs_chi.T.ravel()])
-
-    return BlockSystem(
-        problem=problem,
-        space_x=space_x,
-        space_t=space_t,
-        space_op=space_op,
-        M_x=space_op.M_x,
-        K_x=space_op.K_x,
-        M_e=M_e,
-        S_e=S_e,
-        A_e=A_e,
-        rhs=rhs,
-        n_quad=n,
-    )
-
-
-def _block_apply(K_x, M_x, A_e, S_e, U, V):
-    """The block operator on coefficient arrays (n_x, n_t), as Kronecker
-    products: (K U A_e^T + M V S_e^T, -M U S_e^T + M V A_e^T)."""
-    return K_x @ U @ A_e.T + M_x @ (V @ S_e.T), M_x @ (V @ A_e.T - U @ S_e.T)
+    level.rhs = np.concatenate([rhs_lam.T.ravel(), rhs_chi.T.ravel()])
+    return level
 
 
 def _mode_band(s, A_e, S_e):
@@ -229,14 +222,11 @@ def solve(system):
     guard.
     """
     t0 = time.perf_counter()
-    op, A_e, S_e = system.space_op, system.A_e, system.S_e
-    n_x, n_t = system.n_x, system.n_t
-    R_lam = system.rhs[: n_x * n_t].reshape(n_t, n_x).T
-    R_chi = system.rhs[n_x * n_t :].reshape(n_t, n_x).T
-    solve_modes = _factor_modes(*op.eigenpairs, A_e, S_e)
+    R_lam, R_chi = system.rhs.reshape(2, system.n_t, system.n_x).transpose(0, 2, 1)
+    solve_modes = _factor_modes(*system.space_op.eigenpairs, system.A_e, system.S_e)
     U, V = solve_modes(R_lam, R_chi)
     # refine against the operator the eigenpairs come from
-    B_lam, B_chi = _block_apply(op.K_x, op.M_x, A_e, S_e, U, V)
+    B_lam, B_chi = system.apply(U, V)
     dU, dV = solve_modes(R_lam - B_lam, R_chi - B_chi)
     size = np.hypot(np.linalg.norm(U), np.linalg.norm(V))
     step = np.hypot(np.linalg.norm(dU), np.linalg.norm(dV))
@@ -246,7 +236,7 @@ def solve(system):
     elapsed = time.perf_counter() - t0
     # the guard applies the operator refinement used, not the eigenpairs, so
     # it also catches eigenpairs that no longer match it
-    B_lam, B_chi = _block_apply(op.K_x, op.M_x, A_e, S_e, U, V)
+    B_lam, B_chi = system.apply(U, V)
     res = np.hypot(np.linalg.norm(B_lam - R_lam), np.linalg.norm(B_chi - R_chi))
     scale = np.linalg.norm(system.rhs)
     residual = res / scale if scale > 0 else res
@@ -262,7 +252,7 @@ def solve(system):
         problem=system.problem,
         residual=residual,
         solve_seconds=elapsed,
-        space_op=op,
+        space_op=system.space_op,
         refine_ratio=float(step / size if size > 0 else step),
     )
 
@@ -288,8 +278,8 @@ def _shift_values(problem, xs, d_x, d_t, which):
 
 def evaluate_grid(solution, xs, ts, d_x=0, d_t=0):
     """(U, V) values on the tensor grid xs x ts, shape (len(xs), len(ts))."""
+    Bx = solution.space_x.tabulate(xs, d_x)  # refuses points that are not numbers
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    Bx = solution.space_x.tabulate(xs, d_x)
     Bt = solution.space_t.tabulate(ts, d_t)
     p = solution.problem
     u = Bx @ solution.u_coeffs @ Bt.T + _shift_values(p, xs, d_x, d_t, "u")[:, None]
@@ -364,7 +354,6 @@ def load_solution(path, problem=None):
     except (ValueError, KeyError, IndexError, OverflowError) as exc:
         raise SolutionFileError(f"{path}: malformed solution file ({exc!r})") from exc
     if problem is not None:
-        check_interval(space_x, problem.omega, "space_x")
-        check_interval(space_t, (0, problem.T), "space_t")
+        _check_domain(problem, space_x, space_t)
     u, v = table["value"].copy().reshape(shape)  # a view would keep the table alive
     return DiscreteSolution(u, v, space_x, space_t, problem)

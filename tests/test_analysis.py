@@ -648,8 +648,9 @@ def test_infsup_eigensolves_one_mode(smooth_problem, unit_problem, eigvalsh_matr
 
 
 def _full_scan_infsup(problem, space_x, space_t):
-    space_op, M_e, S_e, A_e, *_ = system._factors(problem, space_x, space_t)
-    return np.argmin(analysis._modes_infsup(space_op.eigenpairs[0], A_e, S_e, M_e))
+    level = system._level(problem, space_x, space_t)
+    lam = level.space_op.eigenpairs[0]
+    return np.argmin(analysis._modes_infsup(lam, level.A_e, level.S_e, level.M_e))
 
 
 def test_certified_route_peak_within_full_scan(smooth_problem, monkeypatch, traced_peak):

@@ -1,6 +1,8 @@
 """The public surface of the package: the names it exports and the typed
 errors its library paths raise."""
 
+import subprocess
+import sys
 import tempfile
 import types
 from dataclasses import replace
@@ -222,6 +224,42 @@ TYPED_ERRORS = {
         InvalidSpaceError,
         lambda p: _load_on(p, replace(p, T=2 * p.T)),
     ),
+    # error_report measured a solution against a problem on another domain,
+    # and discrete_veh_norm failed in NumPy's matmul on other spaces
+    "error_report with a problem on another domain": (
+        InvalidSpaceError,
+        lambda p: xw.error_report(_solve(p), xw.by_name("singular").spec),
+    ),
+    "discrete_veh_norm of a solution on other spaces": (
+        InvalidSpaceError,
+        lambda p: xw.analysis.discrete_veh_norm(xw.assemble(p, *_cubic_spaces(p)), _solve(p)),
+    ),
+    # each failed untyped in NumPy or in float()
+    "string points of tabulate": (
+        OutOfDomainError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate("a"),
+    ),
+    "2-d derivative orders of tabulate": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate([0.5], [[0, 1]]),
+    ),
+    "string derivative order of tabulate": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate([0.5], "a"),
+    ),
+    "string points of evaluate_grid": (
+        OutOfDomainError,
+        lambda p: xw.evaluate_grid(_solve(p), ["a"], [0.1]),
+    ),
+    "string interval of make_uniform_space": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space(("a", 1), 2, 2),
+    ),
+    # used to give a space on the first two entries
+    "three-entry interval of make_uniform_space": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 0.5, 1.0), 2, 2),
+    ),
 }
 
 
@@ -256,3 +294,30 @@ def test_library_errors_are_typed(case, smooth_problem):
     with pytest.raises(xw.XTWaveError) as err:
         call(smooth_problem)
     assert type(err.value) is kind
+
+
+# applies the warning filters given as arguments, as pytest does, then
+# imports the module that hypothesis imports to report a failing example
+_FILTERED_IMPORT = """
+import sys, warnings
+from importlib import import_module
+for spec in sys.argv[1:]:
+    action, message, category = spec.split(":")
+    module, _, name = category.rpartition(".")
+    warnings.filterwarnings(action, message, getattr(import_module(module or "builtins"), name))
+import hypothesis.extra._patching
+"""
+
+
+def test_hypothesis_failure_report_imports_under_the_suite_filters():
+    # with libcst installed, hypothesis imports it to report a falsifying
+    # example; its DeprecationWarning, turned into an error by the suite's
+    # filters, ended the run in INTERNALERROR without naming the example
+    pytest.importorskip("libcst")
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    config = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    filters = config["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    run = subprocess.run(
+        [sys.executable, "-c", _FILTERED_IMPORT, *filters], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr

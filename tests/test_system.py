@@ -37,7 +37,7 @@ def test_system_size(unit_problem):
     sx, st = _spaces(unit_problem, 4, 4, 1, 0)
     assert (sx.dim, st.dim) == (3, 4)
     system = xw.assemble(unit_problem, sx, st)
-    assert system.size == 24
+    assert 2 * system.n_x * system.n_t == 24
     assert system.matrix.shape == (24, 24)
     assert system.rhs.shape == (24,)
 
@@ -181,6 +181,33 @@ def _graded(a, b, gaps):
     return a + (b - a) * np.concatenate(([0.0], np.cumsum(gaps))) / np.sum(gaps)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    gaps_x=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5),
+    gaps_t=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_level_form_and_norm_match_kronecker_matrices(smooth_problem, p, gaps_x, gaps_t, seed):
+    # the form the level applies is system.matrix, and discrete_veh_norm is
+    # the trial norm X = blockdiag(S_e (x) M_x + M_e (x) K_x, S_e (x) N +
+    # M_e (x) M_x), N = M_x K_x^-1 M_x, of the explicit Kronecker matrices
+    prob = smooth_problem
+    sx = xw.make_space(_graded(*prob.omega, gaps_x), p, 1, "zero-both")
+    st_ = xw.make_space(_graded(0.0, prob.T, gaps_t), p, 1, "zero-left")
+    system = xw.assemble(prob, sx, st_)
+    U, V = np.random.default_rng(seed).standard_normal((2, sx.dim, st_.dim))
+    z = np.concatenate([U.T.ravel(), V.T.ravel()])  # space index fastest
+    expected = system.matrix @ z
+    got = np.concatenate([W.T.ravel() for W in system.apply(U, V)])
+    assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+    M_x, K_x, M_e, S_e = system.space_op.M_x, system.space_op.K_x, system.M_e, system.S_e
+    N = M_x @ np.linalg.solve(K_x, M_x)
+    X = sla.block_diag(np.kron(S_e, M_x) + np.kron(M_e, K_x), np.kron(S_e, N) + np.kron(M_e, M_x))
+    norm = analysis.discrete_veh_norm(system, xw.DiscreteSolution(U, V, sx, st_, prob))
+    assert abs(norm**2 - z @ X @ z) <= 1e-10 * (z @ X @ z)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.integers(1, 5),
@@ -208,7 +235,6 @@ def test_mode_solve_matches_sparse_lu(smooth_problem, p, data, gaps_x, gaps_t, a
     assert sol.residual <= 1e-10
     assert np.linalg.norm(system.matrix @ z - system.rhs) <= 1e-10 * scale
     assert np.linalg.norm(system.matrix @ z_lu - system.rhs) <= 1e-10 * scale
-
 
 
 @pytest.mark.parametrize("p, r", [(1, 0), (2, 0), (2, 1), (3, 2), (4, 1), (5, 0), (5, 4)])
