@@ -1,6 +1,5 @@
 """Discrete norms, error reports, elliptic projectors and inf-sup estimation."""
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,12 +11,13 @@ from .newton import make_newton_solver, weighted_dual_sq
 from .quadrature import exp_weights, panel_points, sample, time_panel_points
 from .system import _check_domain, _level, _shift_values
 
-# error fields: name -> (d_x, d_t, discrete field, ExactSolution attribute)
+# error fields by the ExactSolution attribute they are measured against:
+# attribute -> (d_x, ((name, d_t, discrete field), ...)); d_x also picks the
+# space weight, c^2 for the gradient
 _FIELDS = {
-    "U": (0, 0, "u", "u"),
-    "V": (0, 0, "v", "v"),
-    "dtU": (0, 1, "u", "v"),
-    "cgradU": (1, 0, "u", "dx_u"),
+    "u": (0, (("U", 0, "u"),)),
+    "v": (0, (("V", 0, "v"), ("dtU", 1, "u"))),
+    "dx_u": (1, (("cgradU", 0, "u"),)),
 }
 # bytes of one stack of space-mode matrices in estimate_infsup, which bounds
 # its working memory for any number of modes
@@ -73,15 +73,6 @@ def infsup_lower_bound(problem):
     return 1.0 / (2.0 * np.sqrt(c**2 + 4.0 * problem.T**2))
 
 
-def _time_sums(sq, w_x, wt, wt_e):
-    """(w_x^T sq wt, w_x^T sq wt_e): the time weights are one vector for all
-    rows, so one product w_x @ sq serves both, or one row per space node."""
-    if wt.ndim == 1:
-        r = w_x @ sq
-        return r @ wt, r @ wt_e
-    return w_x @ np.einsum("cq,cq->c", sq, wt), w_x @ np.einsum("cq,cq->c", sq, wt_e)
-
-
 def _sq_sums(problem, nodes, field_values, weights, cells=None):
     """Squared sums of the error and of the exact values of every field of
     _FIELDS over a node set, {name: [[error, error weighted], [exact, exact
@@ -91,39 +82,37 @@ def _sq_sums(problem, nodes, field_values, weights, cells=None):
     rows or one row of times per space node; field_values(d_x, d_t, which,
     out) writes the discrete field `which` ("u" or "v") of derivative
     orders (d_x, d_t), without its shift, at those nodes into out;
-    weights = (wx, c2x, wt, wt_e).  Each ExactSolution callable is evaluated
-    once, when the first field reads it, and its squared sums serve every
-    field that reads it; it is dropped after the last one does.  The
-    initial-data shift is that of problem, so a solution loaded without one
-    can be measured.  Each field goes through one grid buffer: its discrete
-    values, its error, the squared error.  The share of cells =
-    (rows, cols) is taken from the buffer and leaves the sums."""
+    weights = (wx, c2x, wt, wt_e).  Each ExactSolution callable is sampled
+    once, its squared sums serve every field that reads it, and its values
+    are dropped before the next one is sampled.  The initial-data shift is
+    that of problem, so a solution loaded without one can be measured.
+    Each field goes through one grid buffer: its discrete values, its error,
+    the squared error.  The cells = (rows, cols) are zeroed in the squared
+    buffer, so they leave the sums."""
     x, t = nodes
     wx, c2x, wt, wt_e = weights
-    readers = Counter(f[3] for f in _FIELDS.values())  # fields yet to read each callable
-    exact, exact_sums, sums = {}, {}, {}
     buf = np.empty((x.size, np.shape(t)[-1]))
+    sums = {}
 
     def sq_sums(sq, d_x):
+        if cells is not None:
+            sq[cells] = 0.0
         w_x = wx * c2x if d_x else wx
-        total = _time_sums(sq, w_x, wt, wt_e)
-        if cells is None:
-            return total
-        rows, cols = cells
-        return np.subtract(total, _time_sums(sq[cells], w_x[rows[:, 0]], wt[cols], wt_e[cols]))
+        if wt.ndim == 1:  # one time vector for all rows: one product w_x @ sq
+            r = w_x @ sq
+            return r @ wt, r @ wt_e
+        return w_x @ np.einsum("cq,cq->c", sq, wt), w_x @ np.einsum("cq,cq->c", sq, wt_e)
 
-    for name, (d_x, d_t, which, exact_name) in _FIELDS.items():
-        if exact_name not in exact:
-            exact[exact_name] = sample(getattr(problem.exact, exact_name), x, t)
-            exact_sums[exact_name] = sq_sums(np.square(exact[exact_name], out=buf), d_x)
-        field_values(d_x, d_t, which, buf)
-        if d_t == 0:  # the shift is constant in time
-            buf += _shift_values(problem, x, d_x, d_t, which)[:, None]
-        np.subtract(exact[exact_name], buf, out=buf)
-        readers[exact_name] -= 1
-        if not readers[exact_name]:
-            del exact[exact_name]
-        sums[name] = np.array([sq_sums(np.square(buf, out=buf), d_x), exact_sums[exact_name]])
+    for exact_name, (d_x, fields) in _FIELDS.items():
+        exact = sample(getattr(problem.exact, exact_name), x, t)
+        exact_sums = sq_sums(np.square(exact, out=buf), d_x)
+        for name, d_t, which in fields:
+            field_values(d_x, d_t, which, buf)
+            if d_t == 0:  # the shift is constant in time
+                buf += _shift_values(problem, x, d_x, d_t, which)[:, None]
+            np.subtract(exact, buf, out=buf)
+            sums[name] = np.array([sq_sums(np.square(buf, out=buf), d_x), exact_sums])
+        del exact
     return sums
 
 
@@ -150,7 +139,8 @@ def error_report(solution, problem, n_quad=None, relative=True):
     The fields are integrated on a rule of n_quad points per element (by
     default the system's rule plus one).  The Newton seminorm of the dtV
     error is the dual norm of the spatial operator the solution was solved
-    with; a solution loaded from a file builds that operator as assemble
+    with, when that operator has problem's c2; a solution loaded from a
+    file, or solved with another c2, builds problem's operator as assemble
     would, with the system's rule (n_quad, or default_n_points)."""
     exact = problem.exact
     if exact is None:
@@ -163,21 +153,21 @@ def error_report(solution, problem, n_quad=None, relative=True):
     wt_e = exp_weights(tq, wt, problem.T)
     c2x = problem.c2(xq)
     coeffs = {"u": solution.u_coeffs, "v": solution.v_coeffs}
-    keys = dict.fromkeys((which, d_t) for _, d_t, which, _ in _FIELDS.values())
+    keys = dict.fromkeys((which, d_t) for _, fields in _FIELDS.values() for _, d_t, which in fields)
     grid_values = _tensor_grid(Ex, Et, coeffs, keys)
 
     cells = None
     if exact.kink_time is not None:
         # A Gauss rule is only legitimate where the integrand is smooth, so
         # time element k cut by the kink at space node i is integrated by two
-        # panels meeting at the kink: its share of the main sums (row i, time
-        # block k) leaves them, and both halves enter.  Node i cuts element k
-        # unless the kink is within 1e-13 of its ends.
+        # panels meeting at the kink: its cells of the main grid (row i, time
+        # block k) are zeroed there, and both halves enter.  Node i cuts
+        # element k unless the kink is within 1e-13 of its ends (a kink
+        # outside (0, T), or NaN, cuts none).
         bp_t = st.breakpoints
         ts = np.broadcast_to(np.asarray(exact.kink_time(xq), dtype=float), xq.shape)
         k = np.clip(np.searchsorted(bp_t, ts, side="right") - 1, 0, bp_t.size - 2)
-        cut = (bp_t[0] + 1e-13 < ts) & (ts < bp_t[-1] - 1e-13)
-        cut &= np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
+        cut = np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
         i = np.flatnonzero(cut)
         k, ts = k[i], ts[i]
         cells = i[:, None], k[:, None] * n + np.arange(n)
@@ -187,7 +177,9 @@ def error_report(solution, problem, n_quad=None, relative=True):
         # its moments: B_x^T W B_x = M_x on any rule of at least p + 1 points,
         # so the discrete field's moments are M_x C_v B_t,1^T, with M_x
         # applied to the n_x x n_t coefficients, and it is never formed
-        solver = solution.space_op or _level(problem, sx, st, n_quad).space_op
+        solver = solution.space_op
+        if solver is None or solution.problem.c2 is not problem.c2:
+            solver = _level(problem, sx, st, n_quad).space_op
         m = Ex.moments(sample(exact.dt_v, xq, tq), 0, wx)
         discrete = Et.apply(solver.mass(solution.v_coeffs).T, 1).T
         loads = np.stack((m - discrete, m), axis=1)  # error, exact
@@ -196,7 +188,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         # the halves take their space products from the cut rows only
         th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
         Bth = st.tabulate(th.ravel(), (0, 1)).reshape(*th.shape, 2, st.dim)
-        rows = dict.fromkeys((d_x, which) for d_x, _, which, _ in _FIELDS.values())
+        rows = dict.fromkeys((d_x, w) for d_x, fields in _FIELDS.values() for _, _, w in fields)
         XC = {(d_x, which): Ex.apply_rows(coeffs[which], d_x, i) for d_x, which in rows}
 
         def half_values(d_x, d_t, which, out):

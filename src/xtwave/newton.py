@@ -16,7 +16,7 @@ from .errors import InvalidSpaceError
 from .forms import assemble_space_matrix
 
 
-@dataclass
+@dataclass(eq=False)
 class NewtonSolver:
     """The spatial operator: mass M_x and c^2-stiffness K_x on a zero-both
     spline space, assembled once and shared by the block system, the

@@ -11,7 +11,7 @@ from .errors import UnsupportedRuleError
 MAX_POINTS = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Gauss-Legendre nodes and weights on the reference element (0, 1)."""
 

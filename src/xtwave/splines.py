@@ -152,7 +152,7 @@ def _ders_basis_funs(knots, p, xs, n_ders, spans=None):
     return spans, ders
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementTable:
     """Basis values on the composite Gauss rule of n_points nodes per
     element, element by element: values[d, e, q, j] is the derivative of

@@ -75,7 +75,7 @@ class ProblemSpec:
         return self.length / np.pi
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockSystem:
     """One space-time level: its spaces, operator and weighted time factors on
     one rule, and the block system's right-hand side, which assemble adds."""
@@ -117,7 +117,7 @@ class BlockSystem:
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteSolution:
     """Coefficient arrays of the shifted unknowns plus the data shift.
 

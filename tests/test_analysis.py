@@ -270,6 +270,20 @@ def test_error_report_shifts_with_its_problem_argument(tmp_path, smooth_problem,
     assert xw.error_report(loaded, smooth_problem, n_quad) == report
 
 
+def test_error_report_measures_dtV_with_its_problems_operator(tmp_path, smooth_problem):
+    # a solution reported against a problem with another c2 measures the
+    # Newton seminorm with that problem's operator, as a loaded copy does
+    sx = xw.make_uniform_space(smooth_problem.omega, 8, 2, 1, "zero-both")
+    st_ = xw.make_uniform_space((0.0, smooth_problem.T), 8, 2, 1, "zero-left")
+    sol = xw.solve(xw.assemble(smooth_problem, sx, st_))
+    path = tmp_path / "solution.txt"
+    xw.dump_solution(sol, path)
+    other = replace(smooth_problem, c2=lambda x: 4 + 0 * x)
+    report = xw.error_report(sol, other)
+    assert report == xw.error_report(xw.load_solution(path), other)
+    assert report.err_dtV_Neh != xw.error_report(sol, smooth_problem).err_dtV_Neh
+
+
 def test_error_report_needs_no_dV0(smooth_problem, smooth_solution_cache):
     # no error field is the space derivative of V, so dV0 is never read
     system, sol = smooth_solution_cache(2, 1, 8, 24)
@@ -795,6 +809,73 @@ def test_graded_singular_error_regression_anchor(singular_problem):
     for relative, expected in GRADED_SINGULAR_ANCHOR.items():
         rep = xw.error_report(sol, prob, relative=relative)
         assert [getattr(rep, name) for name in fields] == pytest.approx(expected, rel=1e-10)
+
+
+def _row_split_reference(sol, prob, relative):
+    """The ErrorReport fields of sol on prob from dense tabulate tables, one
+    space node at a time: its time integrals take the main rule on every
+    time element but the one its kink cuts (at least 1e-13 from both
+    ends), which takes the rule on each of the two panels meeting at the
+    kink.  The dtV seminorm is the weighted dual norm of the error's space
+    moments on the main rule, with dense M_x and K_x."""
+    ex, T = prob.exact, prob.T
+    sx, st_ = sol.space_x, sol.space_t
+    n = default_n_points(sx, st_, extra=3)
+    xq, wx = panel_points(sx.breakpoints, n)
+    Bx = sx.tabulate(xq, (0, 1))
+    Cu, Cv = sol.u_coeffs, sol.v_coeffs
+    c2, U0, V0, dU0 = prob.c2(xq), prob.U0(xq), prob.V0(xq), prob.dU0(xq)
+    bp_t = st_.breakpoints
+    sums = {name: np.zeros((2, 2)) for name in ("U", "V", "dtU", "cgradU", "dtV")}
+    for i, x in enumerate(xq):
+        kink = float(ex.kink_time(x))
+        k = np.searchsorted(bp_t, kink) - 1
+        cut = 0 <= k < bp_t.size - 1 and min(kink - bp_t[k], bp_t[k + 1] - kink) >= 1e-13
+        t, w = panel_points(np.insert(bp_t, k + 1, kink) if cut else bp_t, n)
+        Bt = st_.tabulate(t, (0, 1))
+        fields = {
+            "U": (Bx[i, 0] @ Cu @ Bt[:, 0].T + U0[i], ex.u(x, t), wx[i]),
+            "V": (Bx[i, 0] @ Cv @ Bt[:, 0].T + V0[i], ex.v(x, t), wx[i]),
+            "dtU": (Bx[i, 0] @ Cu @ Bt[:, 1].T, ex.v(x, t), wx[i]),
+            "cgradU": (Bx[i, 1] @ Cu @ Bt[:, 0].T + dU0[i], ex.dx_u(x, t), wx[i] * c2[i]),
+        }
+        for name, (discrete, exact, w_x) in fields.items():
+            sq = np.array([(exact - discrete) ** 2, exact**2])
+            sums[name] += w_x * np.stack((sq @ w, sq @ (w * np.exp(-t / T))), axis=1)
+    tq, wt = panel_points(bp_t, n)
+    M = Bx[:, 0].T @ (wx[:, None] * Bx[:, 0])
+    K = Bx[:, 1].T @ ((wx * c2)[:, None] * Bx[:, 1])
+    m = Bx[:, 0].T @ (wx[:, None] * ex.dt_v(xq[:, None], tq))
+    for row, z in enumerate((m - M @ Cv @ st_.tabulate(tq, 1).T, m)):
+        sums["dtV"][row, 1] = np.sum(z * np.linalg.solve(K, z), axis=0) @ (wt * np.exp(-tq / T))
+    sums["Veh"] = sums["dtU"] + sums["dtV"] + sums["cgradU"] + sums["V"]
+
+    def component(s, col=1):
+        value = np.sqrt(s[0, col])
+        return value / np.sqrt(s[1, col]) if relative else value
+
+    weighted = [component(sums[name]) for name in ("dtU", "dtV", "cgradU", "V", "Veh", "U")]
+    return weighted + [component(sums["U"], 0), component(sums["V"], 0)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    p=st.integers(1, 3),
+    gaps_x=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=6),
+    gaps_t=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=5),
+)
+def test_kink_split_matches_row_by_row_reference(singular_problem, p, gaps_x, gaps_t):
+    # error_report zeroes the cut cells of its main grid and adds the halves
+    # of the cut time elements; the reference integrates row by row
+    prob = singular_problem
+    sx = xw.make_space(_graded(*prob.omega, gaps_x), p, 1, "zero-both")
+    st_ = xw.make_space(_graded(0.0, prob.T, gaps_t), p, 1, "zero-left")
+    sol = xw.solve(xw.assemble(prob, sx, st_))
+    fields = [f.name for f in dataclasses.fields(analysis.ErrorReport)][:-1]
+    for relative in (True, False):
+        rep = xw.error_report(sol, prob, relative=relative)
+        got = [getattr(rep, name) for name in fields]
+        assert got == pytest.approx(_row_split_reference(sol, prob, relative), rel=1e-12)
 
 
 def test_singular_error_report_evaluates_each_exact_callable_once(singular_problem, exact_calls):

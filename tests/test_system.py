@@ -23,7 +23,7 @@ from xtwave.errors import (
     SolutionFileError,
 )
 from xtwave.forms import assemble_space_matrix, assemble_time_matrix, rule_size, time_factors
-from xtwave.quadrature import panel_points, time_panel_points
+from xtwave.quadrature import gauss_rule, panel_points, time_panel_points
 from xtwave.system import evaluate, evaluate_grid
 
 
@@ -334,6 +334,21 @@ def test_assemble_tabulates_each_basis_once(smooth_problem, tabulate_calls):
     sx, st_ = _spaces(smooth_problem, 6, 5, 3)
     xw.assemble(smooth_problem, sx, st_)
     assert len(tabulate_calls) <= 2
+
+
+def test_array_records_compare_by_identity(smooth_problem):
+    # records that hold arrays compare and hash by identity (equality of
+    # their array fields is ambiguous), while spaces keep value equality
+    sx, st_ = _spaces(smooth_problem, 4, 5, 2)
+    system = xw.assemble(smooth_problem, sx, st_)
+    solution = xw.solve(system)
+    records = [system, solution, system.space_op, system.Ex, gauss_rule(3)]
+    assert all(record == record for record in records)
+    assert len(set(records)) == len(records)
+    again = xw.assemble(smooth_problem, *_spaces(smooth_problem, 4, 5, 2))
+    assert system != again and solution != xw.solve(again)
+    assert system.space_op != again.space_op and system.Ex != again.Ex
+    assert (again.space_x, again.space_t) == (sx, st_)
 
 
 def test_solving_leaves_scipy_sparse_unimported():
