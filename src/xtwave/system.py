@@ -22,6 +22,7 @@ factors, not with the eigenpairs.
 import time
 from dataclasses import dataclass
 from functools import cached_property
+from zipfile import BadZipFile
 
 import numpy as np
 import scipy.linalg as sla
@@ -33,7 +34,24 @@ from .quadrature import sample
 from .splines import make_space
 
 RESIDUAL_TOL = 1e-10
+# first line of a v2 text file, which load_solution still reads; a v3 file
+# has no header line: it is told by its zip header and its entries
 SOLUTION_HEADER = "# xtwave solution v2"
+_ZIP_MAGIC = b"PK\x03\x04"
+
+# a v3 file's entries, exactly: name -> (scalar type, ndim)
+_V3_ENTRIES = {
+    "space_breakpoints": (np.float64, 1),
+    "space_degree": (np.int64, 0),
+    "space_multiplicity": (np.int64, 0),
+    "space_constraint": (np.str_, 0),
+    "time_breakpoints": (np.float64, 1),
+    "time_degree": (np.int64, 0),
+    "time_multiplicity": (np.int64, 0),
+    "time_constraint": (np.str_, 0),
+    "u_coeffs": (np.float64, 2),
+    "v_coeffs": (np.float64, 2),
+}
 
 
 @dataclass
@@ -294,23 +312,58 @@ def evaluate(solution, x, t, d_x=0, d_t=0):
 
 
 def dump_solution(solution, path):
-    """Write the coefficients as text, one line `block,i_x,i_t,value`, after a
-    header that records each space's breakpoints, degree and constraint."""
-    with open(path, "w") as f:
-        f.write(SOLUTION_HEADER + "\n")
-        for name, space in (("space", solution.space_x), ("time", solution.space_t)):
-            kv = space.knots
-            bp = ",".join(f"{b:.17g}" for b in kv.breakpoints)
-            f.write(
-                f"# {name} breakpoints={bp} degree={kv.degree} "
-                f"multiplicity={kv.interior_multiplicity} constraint={space.constraint}\n"
-            )
-        for name, coeffs in (("U", solution.u_coeffs), ("V", solution.v_coeffs)):
-            # one % per block; rows (i_x, i_t, value) with i_t fastest
-            rows = np.empty((coeffs.size, 3), dtype=object)
-            rows[:, :2] = np.indices(coeffs.shape).reshape(2, -1).T
-            rows[:, 2] = coeffs.ravel()
-            f.write((f"{name},%d,%d,%.17g\n" * coeffs.size) % tuple(rows.ravel()))
+    """Write solution to exactly path as a v3 file: one uncompressed .npz
+    holding the coefficient arrays u_coeffs and v_coeffs (float64,
+    C-contiguous) and, for each of space and time, its breakpoints, degree,
+    interior multiplicity and constraint.  Bit-exact by construction;
+    load_solution reads it back."""
+    entries = {}
+    for axis, space in (("space", solution.space_x), ("time", solution.space_t)):
+        kv = space.knots
+        entries[f"{axis}_breakpoints"] = kv.breakpoints
+        entries[f"{axis}_degree"] = np.int64(kv.degree)
+        entries[f"{axis}_multiplicity"] = np.int64(kv.interior_multiplicity)
+        entries[f"{axis}_constraint"] = space.constraint
+    entries["u_coeffs"] = np.ascontiguousarray(solution.u_coeffs, dtype=float)
+    entries["v_coeffs"] = np.ascontiguousarray(solution.v_coeffs, dtype=float)
+    # through an open file: np.savez appends .npz to a path without it
+    with open(path, "wb") as f:
+        np.savez(f, **entries)
+
+
+def _read_v3(f):
+    """(space_x, space_t, U, V) of a v3 file; ValueError unless its entries
+    are exactly those dump_solution writes, each of its type and ndim, and
+    the coefficients of shape (space_x.dim, space_t.dim)."""
+    try:
+        with np.load(f, allow_pickle=False) as npz:
+            if sorted(npz.files) != sorted(_V3_ENTRIES):
+                raise ValueError(f"entries {sorted(npz.files)}, not those of v3")
+            entries = {name: npz[name] for name in _V3_ENTRIES}
+    except (BadZipFile, EOFError, NotImplementedError, RuntimeError, OSError) as exc:
+        # zipfile's refusals of a damaged archive: a bad CRC or header, data
+        # cut short, a flipped compression or encryption flag, or an offset
+        # that seeks before the start of the file
+        raise ValueError(f"damaged zip archive ({exc!r})") from exc
+    for name, (kind, ndim) in _V3_ENTRIES.items():
+        a = entries[name]  # bytes for a member that is not a .npy
+        if not (isinstance(a, np.ndarray) and a.dtype.type is kind and a.dtype.isnative):
+            raise ValueError(f"entry {name} is not a native {kind.__name__} array")
+        if a.ndim != ndim:
+            raise ValueError(f"entry {name} has {a.ndim} dimensions, not {ndim}")
+    space_x, space_t = (
+        make_space(
+            entries[f"{axis}_breakpoints"],
+            entries[f"{axis}_degree"].item(),
+            entries[f"{axis}_multiplicity"].item(),
+            entries[f"{axis}_constraint"].item(),
+        )
+        for axis in ("space", "time")
+    )
+    u, v, shape = entries["u_coeffs"], entries["v_coeffs"], (space_x.dim, space_t.dim)
+    if not u.shape == v.shape == shape:
+        raise ValueError(f"coefficients of shapes {u.shape} and {v.shape}, not {shape}")
+    return space_x, space_t, u, v
 
 
 def _parse_space_header(line, name):
@@ -327,33 +380,44 @@ def _parse_space_header(line, name):
 _ROW = np.dtype([("block", "U2"), ("i_x", np.intp), ("i_t", np.intp), ("value", float)])
 
 
-def load_solution(path, problem=None):
-    """Round-trip counterpart of dump_solution.  Refuses, with SolutionFileError,
-    a body other than each coefficient once in dump_solution's order, and with
-    InvalidSpaceError spaces that are not on problem's omega and (0, T)."""
-    with open(path) as f:
-        lines = f.read().splitlines()
+def _read_v2(text):
+    """(space_x, space_t, U, V) of a v2 text file: its header line, each
+    space's header line, then one line `block,i_x,i_t,value` per coefficient
+    with i_t fastest, U then V; ValueError on any other text."""
+    lines = text.splitlines()
     if lines[:1] != [SOLUTION_HEADER]:
-        raise SolutionFileError(f"{path} is not an xtwave v2 solution file (v1 has no mesh)")
-    try:
-        space_x = _parse_space_header(lines[1], "space")
-        space_t = _parse_space_header(lines[2], "time")
-        shape = (2, space_x.dim, space_t.dim)
-        body = list(filter(None, lines[3:]))
-        if len(body) != np.prod(shape):
-            raise ValueError(f"{len(body)} coefficient lines, not 2 x {shape[1]} x {shape[2]}")
-        # numpy's parser refuses a line without exactly 4 fields, or with an
-        # index that is not an integer or a value that is not a float
-        table = np.empty(0, _ROW)
-        if body:  # loadtxt warns on no lines, the body of a space of dim 0
-            table = np.loadtxt(body, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
-        b, i, j = np.indices(shape).reshape(3, -1)
-        bad = (table["block"] != np.where(b, "V", "U")) | (table["i_x"] != i) | (table["i_t"] != j)
-        if np.any(bad):
-            raise ValueError(f"line {body[int(np.argmax(bad))]!r} out of dump_solution's order")
-    except (ValueError, KeyError, IndexError, OverflowError) as exc:
-        raise SolutionFileError(f"{path}: malformed solution file ({exc!r})") from exc
+        raise ValueError("not an xtwave v3 or v2 solution file (v1 has no mesh)")
+    space_x = _parse_space_header(lines[1], "space")
+    space_t = _parse_space_header(lines[2], "time")
+    shape = (2, space_x.dim, space_t.dim)
+    body = list(filter(None, lines[3:]))
+    if len(body) != np.prod(shape):
+        raise ValueError(f"{len(body)} coefficient lines, not 2 x {shape[1]} x {shape[2]}")
+    # numpy's parser refuses a line without exactly 4 fields, or with an
+    # index that is not an integer or a value that is not a float
+    table = np.empty(0, _ROW)
+    if body:  # loadtxt warns on no lines, the body of a space of dim 0
+        table = np.loadtxt(body, delimiter=",", dtype=_ROW, comments=None, ndmin=1)
+    b, i, j = np.indices(shape).reshape(3, -1)
+    bad = (table["block"] != np.where(b, "V", "U")) | (table["i_x"] != i) | (table["i_t"] != j)
+    if np.any(bad):
+        raise ValueError(f"line {body[int(np.argmax(bad))]!r} out of the v2 order")
+    u, v = table["value"].copy().reshape(shape)  # a view would keep the table alive
+    return space_x, space_t, u, v
+
+
+def load_solution(path, problem=None):
+    """Read a solution file: v3 (.npz, what dump_solution writes), told by
+    its zip header, or else v2 text.  Refuses, with SolutionFileError, a file
+    of another format or a malformed one, and with InvalidSpaceError spaces
+    that are not on problem's omega and (0, T)."""
+    with open(path, "rb") as f:
+        v3 = f.read(4) == _ZIP_MAGIC
+        f.seek(0)
+        try:
+            space_x, space_t, u, v = _read_v3(f) if v3 else _read_v2(f.read().decode())
+        except (ValueError, KeyError, IndexError, OverflowError) as exc:
+            raise SolutionFileError(f"{path}: malformed solution file ({exc!r})") from exc
     if problem is not None:
         _check_domain(problem, space_x, space_t)
-    u, v = table["value"].copy().reshape(shape)  # a view would keep the table alive
     return DiscreteSolution(u, v, space_x, space_t, problem)

@@ -148,6 +148,21 @@ def test_smooth_velocity_consistency(smooth_problem, rng):
     assert np.max(np.abs(fd - smooth_problem.exact.v(xs, ts))) < 1e-6
 
 
+def test_smooth_derivative_fields_consistency(smooth_problem, rng):
+    # dx_u, dt_v and dxdt_u are the derivatives of U and V (finite-difference oracle)
+    h = 1e-5
+    xs = rng.uniform(0.05, 0.95, 50)
+    ts = rng.uniform(0.05, 2.95, 50)
+    ex = smooth_problem.exact
+    for field, f, dx, dt in (
+        (ex.dx_u, ex.u, h, 0.0),
+        (ex.dt_v, ex.v, 0.0, h),
+        (ex.dxdt_u, ex.v, h, 0.0),
+    ):
+        fd = (f(xs + dx, ts + dt) - f(xs - dx, ts - dt)) / (2 * h)
+        assert np.max(np.abs(fd - field(xs, ts))) < 1e-6
+
+
 def test_wave_speed_positive(smooth_problem, singular_problem):
     for prob in (smooth_problem, singular_problem):
         xs = np.linspace(*prob.omega, 101)

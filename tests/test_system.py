@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -256,6 +257,21 @@ def test_mode_bands_hold_each_mode_matrix(smooth_problem, p, r):
     assert not np.any(ab[:kl])
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    p=st.integers(1, 5),
+    data=st.data(),
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=9),
+)
+def test_mode_band_is_the_time_degree(p, data, gaps):
+    # a zero-left time basis couples each function with the p on either side
+    m = data.draw(st.integers(1, p), label="multiplicity")
+    space_t = xw.make_space(_graded(0.0, 2.0, gaps), p, m, "zero-left")
+    _, S_e, A_e, _, _ = time_factors(space_t, 2.0, rule_size(None, space_t))
+    kl, ku, _ = xw.system._mode_band(np.ones((1, 1)), A_e, S_e)
+    assert kl == ku == min(p, space_t.dim - 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     p=st.integers(1, 5),
@@ -384,6 +400,19 @@ def test_out_of_domain_evaluation(smooth_problem):
         evaluate(sol, 0.5, -0.5)
 
 
+def test_refine_ratio_is_the_refinement_step(smooth_problem):
+    # ||(dU, dV)||_F / ||(U, V)||_F of the mode solve and its one refinement step
+    system = xw.assemble(smooth_problem, *_spaces(smooth_problem, 6, 5, 2))
+    solve_modes = xw.system._factor_modes(*system.space_op.eigenpairs, system.A_e, system.S_e)
+    R_lam, R_chi = system.rhs.reshape(2, system.n_t, system.n_x).transpose(0, 2, 1)
+    U, V = solve_modes(R_lam, R_chi)
+    B_lam, B_chi = system.apply(U, V)
+    dU, dV = solve_modes(R_lam - B_lam, R_chi - B_chi)
+    expected = np.sqrt(np.sum(dU**2) + np.sum(dV**2)) / np.sqrt(np.sum(U**2) + np.sum(V**2))
+    assert expected > 0
+    assert xw.solve(system).refine_ratio == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def test_error_regression_anchor(smooth_solution_cache, smooth_problem):
     # frozen relative V_eh errors; halving h roughly squares the p=2 error
     _, sol8 = smooth_solution_cache(2, 1, 8, 24)
@@ -452,21 +481,25 @@ def test_dump_load_is_identity(
     mult_t = data.draw(st.integers(1, p), label="time multiplicity")
     sx = xw.make_space(_graded(*smooth_problem.omega, gaps_x), p, mult_x, constraints[0])
     st_ = xw.make_space(_graded(0.0, smooth_problem.T, gaps_t), p, mult_t, constraints[1])
-    # coefficients over the whole exponent range, where %.17g must round-trip
+    # coefficients over the whole exponent range, which the file must keep bit for bit
     rng = np.random.default_rng(seed)
     shape = (sx.dim, st_.dim)
     u, v = (rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape) for _ in "uv")
     sol = xw.DiscreteSolution(u, v, sx, st_, smooth_problem)
     path = tmp_path_factory.mktemp("round_trip") / "solution.txt"
     xw.dump_solution(sol, path)
-    # the v2 body, one f-string per coefficient as the format defines it
-    expected = [
-        f"{name},{i_x},{i_t},{c[i_x, i_t]:.17g}"
-        for name, c in (("U", u), ("V", v))
-        for i_x in range(c.shape[0])
-        for i_t in range(c.shape[1])
-    ]
-    assert path.read_text().splitlines()[3:] == expected
+    # every array of the v3 file, bit for bit, and no other
+    stored = {"u_coeffs": u, "v_coeffs": v}
+    for axis, space in (("space", sx), ("time", st_)):
+        stored[f"{axis}_breakpoints"] = space.breakpoints
+        stored[f"{axis}_degree"] = np.int64(space.degree)
+        stored[f"{axis}_multiplicity"] = np.int64(space.knots.interior_multiplicity)
+        stored[f"{axis}_constraint"] = np.str_(space.constraint)
+    with np.load(path) as npz:
+        assert sorted(npz.files) == sorted(stored)
+        for name, expected in stored.items():
+            assert npz[name].dtype == np.asarray(expected).dtype, name
+            assert npz[name].tobytes() == np.asarray(expected).tobytes(), name
     loaded = xw.load_solution(path, smooth_problem)
     assert loaded.u_coeffs.tobytes() == u.tobytes()
     assert loaded.v_coeffs.tobytes() == v.tobytes()
@@ -520,32 +553,99 @@ def test_load_checks_the_file_against_the_problem(tmp_path, smooth_problem, sing
     assert evaluate(loaded, 0.3, 0.5) == evaluate(sol, 0.3, 0.5)
 
 
+# a v2 text file written by dump_solution before v3: the p=2 solution of the
+# smooth problem on graded breakpoints (0, 0.1, 0.5, 1) and (0, 0.2, 1.1, 3),
+# and its coefficients, kept apart from it as the hex of each float
+V2_FILE = Path(__file__).parent / "data" / "solution_v2_graded_p2.txt"
+V2_U = [
+    ["0x1.a3915c1e9a92fp-6", "0x1.7ecc1ac1dfa3fp-3", "-0x1.841ac10b1012bp-4", "0x1.8b02636b5c304p-2"],
+    ["0x1.989580cafc289p-3", "0x1.32562081a33d1p+0", "-0x1.21f58ef81f677p-1", "0x1.27669632eca53p+1"],
+    ["0x1.7c9f3e0d736e3p-3", "0x1.1a8239bd5258dp+0", "-0x1.08b632a10d848p-1", "0x1.dd099715fbce2p+0"],
+]
+V2_V = [
+    ["0x1.30f267386762bp-1", "-0x1.38809443590a6p-2", "0x1.accd4806857ddp-3", "0x1.be8748f2725d2p-2"],
+    ["0x1.14add763c2a04p+2", "-0x1.525ccfa9cebf4p+1", "0x1.2ecb0ff05215ap+1", "0x1.cdb40d9ceaa48p+0"],
+    ["0x1.00d607324f9cep+2", "-0x1.3b9c2d8abd18cp+1", "0x1.1505508fd2441p+1", "0x1.4c3a1d0019c24p+0"],
+]
+
+
+def _from_hex(rows):
+    return np.array([[float.fromhex(h) for h in row] for row in rows])
+
+
+def test_v2_file_still_loads(smooth_problem):
+    loaded = xw.load_solution(V2_FILE, smooth_problem)
+    assert loaded.u_coeffs.tobytes() == _from_hex(V2_U).tobytes()
+    assert loaded.v_coeffs.tobytes() == _from_hex(V2_V).tobytes()
+    expected = (
+        ([0.0, 0.1, 0.5, 1.0], "zero-both"),
+        ([0.0, 0.2, 1.1, 3.0], "zero-left"),
+    )
+    for space, (breakpoints, constraint) in zip((loaded.space_x, loaded.space_t), expected):
+        assert space.breakpoints.tobytes() == np.array(breakpoints).tobytes()
+        assert (space.degree, space.knots.interior_multiplicity) == (2, 1)
+        assert space.constraint == constraint
+
+
+def _npz_bytes(**entries):
+    buffer = io.BytesIO()
+    np.savez(buffer, **entries)
+    return buffer.getvalue()
+
+
 def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
-    sx, st = _spaces(smooth_problem, 2, 2, 1)
     path = tmp_path / "solution.txt"
-    xw.dump_solution(xw.solve(xw.assemble(smooth_problem, sx, st)), path)
-    assert xw.load_solution(path).u_coeffs.shape == (1, 2)
-    good = path.read_text().splitlines()
+    good = V2_FILE.read_text().splitlines()  # space dim 3, time dim 4
     v1 = [
         "# xtwave solution v1",
         "# space interval=0,1 n_elements=2 degree=1 multiplicity=1 constraint=zero-both",
         "# time interval=0,3 n_elements=2 degree=1 multiplicity=1 constraint=zero-left",
         "U,0,0,1",
     ]
-    bad_files = (
+    bad_v2 = (
         v1,
         ["# some other file"] + good[1:],
-        good[:3] + ["U,1,0,1.0"],  # space dim is 1
-        good[:3] + ["V,0,-1,1.0"],
-        good[:3] + ["W,0,0,1.0"],
+        good[:-1] + ["V,3,3,1.0"],  # space dim is 3
+        good[:-1] + ["V,2,-1,1.0"],
+        good[:3] + ["W" + good[3][1:]] + good[4:],
         good[:1] + [good[1].replace("breakpoints=", "points=")] + good[2:],
-        good[:3] + ["U,0,0"],
+        good[:3] + [good[3].rsplit(",", 1)[0]] + good[4:],
         good[:-1],  # truncated
         good + [good[-1]],  # a line given twice
         good[:4] + [good[3].rsplit(",", 1)[0] + ",123.0"] + good[5:],  # index repeated
         good[:3] + [good[4], good[3]] + good[5:],  # two lines swapped
     )
-    for lines in bad_files:
-        path.write_text("\n".join(lines) + "\n")
+    bad_files = [("\n".join(lines) + "\n").encode() for lines in bad_v2]
+    bad_files.append(b"\xff" + V2_FILE.read_bytes())  # not UTF-8
+
+    xw.dump_solution(xw.load_solution(V2_FILE), path)
+    v3 = path.read_bytes()
+    with np.load(path) as npz:
+        entries = {name: npz[name] for name in npz.files}
+    u = entries["u_coeffs"]
+    foreign = (
+        {name: a for name, a in entries.items() if name != "v_coeffs"},
+        {**entries, "extra": np.zeros(1)},
+        {**entries, "u_coeffs": u.astype(np.float32)},
+        {**entries, "u_coeffs": u.astype(">f8")},
+        {**entries, "space_degree": np.float64(2.0)},
+        {**entries, "time_constraint": np.array(["zero-left"])},  # ndim 1
+        {**entries, "u_coeffs": u[None]},
+        {**entries, "u_coeffs": u.T.copy()},
+        {**entries, "v_coeffs": entries["v_coeffs"][:, :-1]},
+        {**entries, "space_constraint": np.array("zero-both", dtype=object)},
+    )
+    bad_files += [v3[:n] for n in (2, 4, 30, len(v3) // 2, len(v3) - 1)]  # truncated
+    flipped = bytearray(v3)
+    flipped[v3.index(entries["v_coeffs"].tobytes())] ^= 1  # the zip's CRC catches it
+    bad_files.append(bytes(flipped))
+    bad_files += [_npz_bytes(**case) for case in foreign]
+    npy = io.BytesIO()
+    np.save(npy, u)
+    bad_files.append(npy.getvalue())  # one .npy array, not an .npz
+    for data in bad_files:
+        path.write_bytes(data)
         with pytest.raises(SolutionFileError):
             xw.load_solution(path)
+    path.write_bytes(v3)
+    assert xw.load_solution(path).u_coeffs.tobytes() == _from_hex(V2_U).tobytes()
