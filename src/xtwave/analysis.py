@@ -185,14 +185,25 @@ def error_report(solution, problem, n_quad=None, relative=True):
         loads = np.stack((m - discrete, m), axis=1)  # error, exact
         sums["dtV"] = np.array([(0.0, s) for s in weighted_dual_sq(solver, loads, wt_e)])
     if cells is not None:
-        # the halves take their space products from the cut rows only
+        # the halves of cut row r (space node i in space element e, time
+        # element k) read only the (p_x + 1) x (p_t + 1) coefficients of the
+        # functions active on e and k, the row's space values on e and the
+        # time functions of k at the halves' nodes
         th, wh, whe = time_panel_points(np.stack((bp_t[k], ts, bp_t[k + 1]), axis=1), n, problem.T)
-        Bth = st.tabulate(th.ravel(), (0, 1)).reshape(*th.shape, 2, st.dim)
+        Bth = st._element_values(th.ravel(), k.repeat(2 * n), 1).reshape(2, -1, *th.shape)
+        e = i // n
+        Bx = Ex.values[:, e, i % n]  # (2, cut rows, p_x + 1)
+        active = Ex._index()[e, :, None], Et._index()[k, None, :]
+        local = {}
+        for which, C in coeffs.items():  # (cut rows, p_x + 1, p_t + 1), 0 where dropped
+            padded = np.zeros((Ex.n_basis, Et.n_basis))
+            padded[Ex.kept, Et.kept] = C
+            local[which] = padded[active]
         rows = dict.fromkeys((d_x, w) for d_x, fields in _FIELDS.values() for _, _, w in fields)
-        XC = {(d_x, which): Ex.apply_rows(coeffs[which], d_x, i) for d_x, which in rows}
+        XC = {(d_x, w): np.einsum("ra,rab->rb", Bx[d_x], local[w]) for d_x, w in rows}
 
         def half_values(d_x, d_t, which, out):
-            np.einsum("cqb,cb->cq", Bth[..., d_t, :], XC[d_x, which], out=out)
+            np.einsum("brq,rb->rq", Bth[d_t], XC[d_x, which], out=out)
 
         weights = (wx[i], c2x[i], wh, whe)
         for name, value in _sq_sums(problem, (xq[i], th), half_values, weights).items():

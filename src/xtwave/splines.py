@@ -204,12 +204,12 @@ class ElementTable:
         G = np.bincount(flat.ravel(), local.ravel(), n * n).reshape(n, n)
         return np.ascontiguousarray(G[self.kept, self.kept])
 
-    def _gather(self, C, elements=slice(None)):
-        """(elements, p + 1, k): the rows of C (dim, k) of each element's
-        active functions, zero for the functions the constraint drops."""
+    def _gather(self, C):
+        """(n_el, p + 1, k): the rows of C (dim, k) of each element's active
+        functions, zero for the functions the constraint drops."""
         padded = np.zeros((self.n_basis, C.shape[1]))
         padded[self.kept] = C
-        return padded[self._index()[elements]]
+        return padded[self._index()]
 
     def apply(self, C, d=0, out=None):
         """B_d @ C: node values (one row per node) of the fields whose
@@ -223,12 +223,6 @@ class ElementTable:
             raise ValueError("out must be C-contiguous")
         np.matmul(B, self._gather(C), out=out.reshape(*B.shape[:2], -1))
         return out
-
-    def apply_rows(self, C, d, rows):
-        """(B_d @ C)[rows], from the element blocks of those nodes only."""
-        n_points, width = self.values.shape[2:]
-        B = self.values[d].reshape(-1, width)[rows]
-        return np.einsum("rj,rjk->rk", B, self._gather(C, rows // n_points))
 
 
 @dataclass(frozen=True)
@@ -295,17 +289,24 @@ class SplineSpace:
         out[:, np.nonzero(kept)[0], cols[kept]] = ders[orders].transpose(0, 2, 1)[:, kept]
         return out[0] if np.ndim(deriv_order) == 0 else out.transpose(1, 0, 2)
 
+    def _element_values(self, xs, elements, max_order):
+        """Derivatives of orders 0..max_order of the p + 1 functions active
+        on element elements[q] at each point xs[q], shape (max_order + 1,
+        p + 1, len(xs)); row j of element e is the unconstrained function
+        m e + j (m the interior multiplicity).  Element e is knot span
+        p + m e, so a point is taken in the element it is given, whatever its
+        rounding; neither points nor orders are checked."""
+        spans = self.degree + self.knots.interior_multiplicity * elements
+        return _ders_basis_funs(self._full_knots, self.degree, xs, max_order, spans)[1]
+
     def element_table(self, n_points, max_order=1):
         """ElementTable of derivative orders 0..max_order on the composite
-        rule of n_points Gauss nodes per element of this space's mesh.
-        Element e is knot span p + m e (m the interior multiplicity), so its
-        first active function is m e, whatever the rounding of its nodes."""
+        rule of n_points Gauss nodes per element of this space's mesh."""
         p = self.degree
         _check_orders(0, max_order, p)
         xq, wq = panel_points(self.breakpoints, n_points)
         m, n_el = self.knots.interior_multiplicity, self.breakpoints.size - 1
-        spans = np.repeat(p + m * np.arange(n_el), n_points)
-        _, ders = _ders_basis_funs(self._full_knots, p, xq, max_order, spans)
+        ders = self._element_values(xq, np.arange(n_el).repeat(n_points), max_order)
         values = ders.reshape(max_order + 1, p + 1, n_el, n_points).transpose(0, 2, 3, 1)
         n = self.dim_unconstrained
         kept = slice(self._left_removed, n - self._right_removed)

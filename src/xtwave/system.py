@@ -363,7 +363,8 @@ def _read_v3(f):
     u, v, shape = entries["u_coeffs"], entries["v_coeffs"], (space_x.dim, space_t.dim)
     if not u.shape == v.shape == shape:
         raise ValueError(f"coefficients of shapes {u.shape} and {v.shape}, not {shape}")
-    return space_x, space_t, u, v
+    # C order whatever order the file stores; no copy for dump_solution's files
+    return space_x, space_t, np.ascontiguousarray(u), np.ascontiguousarray(v)
 
 
 def _parse_space_header(line, name):

@@ -217,9 +217,9 @@ def test_error_report_applies_each_space_product_once(monkeypatch, name):
     # sum factorization: one time product on the coefficients per
     # (field, d_t) read, (u, 0), (v, 0), (u, 1) and (v, 1) for dtV; one
     # space contraction per grid field, U, V, dtU and cgradU (dtV's
-    # moments come from M_x, not from a grid field); the kink halves take
-    # (0, u), (0, v) and (1, u) on the cut rows only.  No product is
-    # computed twice, and the main grid builds no dense table.
+    # moments come from M_x, not from a grid field).  No product is
+    # computed twice, and no dense table is built: the singular kink halves
+    # read element-local values and coefficients, not whole rows.
     problem = xw.by_name(name).spec
     sx = xw.make_uniform_space(problem.omega, 8, 2, 1, "zero-both")
     st_ = xw.make_uniform_space((0.0, problem.T), 6, 2, 1, "zero-left")
@@ -242,18 +242,12 @@ def test_error_report_applies_each_space_product_once(monkeypatch, name):
         return original_tabulate(self, xs, *args)
 
     original_tabulate = splines.SplineSpace.tabulate
-    for method in ("apply", "apply_rows"):
-        monkeypatch.setattr(splines.ElementTable, method, counted(method))
+    monkeypatch.setattr(splines.ElementTable, "apply", counted("apply"))
     monkeypatch.setattr(splines.SplineSpace, "tabulate", tabulate)
     assert xw.error_report(sol, problem) == expected
     assert max(calls.values()) == 1
-    kinds = Counter(key[:2] for key in calls)
-    expected_kinds = {("apply", "time"): 4, ("apply", "space"): 4}
-    if name == "singular":
-        expected_kinds[("apply_rows", "space")] = 3
-    assert kinds == expected_kinds
-    # the kink halves keep their dense per-row time table
-    assert len(tabulated) == (name == "singular")
+    assert Counter(key[:2] for key in calls) == {("apply", "time"): 4, ("apply", "space"): 4}
+    assert tabulated == []
 
 
 @pytest.mark.parametrize("n_quad", [None, 8])
@@ -693,6 +687,35 @@ def test_stability_data_bound_streams_its_grid(smooth_problem, traced_peak):
     assert 5 * block_bytes < 8 * n * n
     xw.stability_data_bound(smooth_problem)  # fills the cache of the rule
     assert traced_peak(xw.stability_data_bound, smooth_problem) <= 5 * block_bytes
+
+
+def _gauss_panels(breakpoints, n):
+    x, w = np.polynomial.legendre.leggauss(n)
+    h = np.diff(breakpoints)[:, None]
+    return (breakpoints[:-1, None] + h * (x + 1.0) / 2.0).ravel(), (h * w / 2.0).ravel()
+
+
+@pytest.mark.parametrize("name, rel", [("smooth", 1e-12), ("singular", 1e-5)])
+def test_stability_data_bound_value(name, rel):
+    # beta (||F||_L2e + sqrt(T) ||div(c^2 grad U0)|| + sqrt(T) ||c grad V0||)
+    # against a finer panel rule of its own.  On singular, div(c^2 grad U0)
+    # = dt_v(x, 0) vanishes at the front x = -1, where its square has a kink
+    # in its second derivative: the rule here breaks there, the bound's
+    # uniform rule does not, which costs the bound 1.5e-6 relative
+    problem = xw.by_name(name).spec
+    (a, b), T = problem.omega, problem.T
+    bp_x = np.linspace(a, b, 97)
+    if name == "singular":
+        bp_x = np.union1d(np.linspace(a, -1.0, 33), np.linspace(-1.0, b, 65))
+    xq, wx = _gauss_panels(bp_x, 16)
+    tq, wt = _gauss_panels(np.linspace(0.0, T, 33), 16)
+    F = np.broadcast_to(problem.F(xq[:, None], tq[None, :]), (xq.size, tq.size))
+    norm_F = np.sqrt(wx @ F**2 @ (wt * np.exp(-tq / T)))
+    norm_div = np.sqrt(wx @ problem.div_c2_grad_U0(xq) ** 2)
+    norm_cgradV0 = np.sqrt(wx @ (problem.c2(xq) * problem.dV0(xq) ** 2))
+    beta = 2.0 * np.sqrt((problem.poincare_constant / problem.c0) ** 2 + 4.0 * T**2)
+    expected = beta * (norm_F + np.sqrt(T) * (norm_div + norm_cgradV0))
+    assert xw.stability_data_bound(problem) == pytest.approx(expected, rel=rel, abs=0)
 
 
 def test_manufactured_stability_norm_below_data_bound():

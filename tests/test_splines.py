@@ -303,6 +303,11 @@ def test_element_tables_match_dense_tables(p, a, gaps, extra, seed):
             B = s.tabulate(xq, (0, 1))
             assert E.values.shape == (2, bp.size - 1, n, p + 1)
             C = rng.standard_normal((s.dim, 2))
+            # values at points of known elements from their p + 1 functions
+            el = rng.integers(0, bp.size - 1, 5)
+            pts = bp[el] + rng.uniform(0.01, 0.99, 5) * np.diff(bp)[el]
+            local = np.einsum("djr,rjk->drk", s._element_values(pts, el, 1), E._gather(C)[el])
+            _assert_close(local, s.tabulate(pts, (0, 1)).transpose(1, 0, 2) @ C)
             for d in (0, 1):
                 for d_trial in (0, 1):
                     _assert_product(E.gram(d, d_trial, w), B[:, d].T, B[:, d_trial] * w[:, None])
@@ -312,5 +317,3 @@ def test_element_tables_match_dense_tables(p, a, gaps, extra, seed):
                 out = np.empty((xq.size, 2))
                 assert E.apply(C, d, out) is out
                 _assert_close(out, B[:, d] @ C)
-                rows = rng.choice(xq.size, size=min(xq.size, 5), replace=False)
-                _assert_close(E.apply_rows(C, d, rows), (B[:, d] @ C)[rows])

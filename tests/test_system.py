@@ -587,6 +587,25 @@ def test_v2_file_still_loads(smooth_problem):
         assert space.constraint == constraint
 
 
+def test_fortran_order_v3_file_loads_c_contiguous(tmp_path, smooth_problem):
+    # a v3 file written by other code may store its arrays in Fortran order;
+    # they load bit-equal and C-contiguous, as dump_solution's own files do
+    sol = xw.solve(xw.assemble(smooth_problem, *_spaces(smooth_problem, 3, 5, 2)))
+    path = tmp_path / "solution.npz"
+    xw.dump_solution(sol, path)
+    with np.load(path) as npz:
+        entries = {name: npz[name] for name in npz.files}
+    for name in ("u_coeffs", "v_coeffs"):
+        entries[name] = np.asfortranarray(entries[name])
+    path.write_bytes(_npz_bytes(**entries))
+    with np.load(path) as npz:  # stored in Fortran order
+        assert not npz["u_coeffs"].flags.c_contiguous
+    loaded = xw.load_solution(path, smooth_problem)
+    for got, expected in ((loaded.u_coeffs, sol.u_coeffs), (loaded.v_coeffs, sol.v_coeffs)):
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 def _npz_bytes(**entries):
     buffer = io.BytesIO()
     np.savez(buffer, **entries)
