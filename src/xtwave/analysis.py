@@ -193,12 +193,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         Bth = st._element_values(th.ravel(), k.repeat(2 * n), 1).reshape(2, -1, *th.shape)
         e = i // n
         Bx = Ex.values[:, e, i % n]  # (2, cut rows, p_x + 1)
-        active = Ex._index()[e, :, None], Et._index()[k, None, :]
-        local = {}
-        for which, C in coeffs.items():  # (cut rows, p_x + 1, p_t + 1), 0 where dropped
-            padded = np.zeros((Ex.n_basis, Et.n_basis))
-            padded[Ex.kept, Et.kept] = C
-            local[which] = padded[active]
+        local = {which: Ex.tensor_blocks(C, Et, e, k) for which, C in coeffs.items()}
         rows = dict.fromkeys((d_x, w) for d_x, fields in _FIELDS.values() for _, _, w in fields)
         XC = {(d_x, w): np.einsum("ra,rab->rb", Bx[d_x], local[w]) for d_x, w in rows}
 

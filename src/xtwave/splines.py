@@ -211,6 +211,15 @@ class ElementTable:
         padded[self.kept] = C
         return padded[self._index()]
 
+    def tensor_blocks(self, C, other, elements, other_elements):
+        """(len(elements), p + 1, q + 1): the coefficients C (dim, other's
+        dim) of the functions active on element elements[r] of this table
+        (rows) and element other_elements[r] of other (columns, q its
+        degree), zero for the functions either constraint drops."""
+        padded = np.zeros((self.n_basis, other.n_basis))
+        padded[self.kept, other.kept] = C
+        return padded[self._index()[elements, :, None], other._index()[other_elements, None, :]]
+
     def apply(self, C, d=0, out=None):
         """B_d @ C: node values (one row per node) of the fields whose
         coefficients are the columns of C (dim, k), from one batched product

@@ -308,6 +308,11 @@ def test_element_tables_match_dense_tables(p, a, gaps, extra, seed):
             pts = bp[el] + rng.uniform(0.01, 0.99, 5) * np.diff(bp)[el]
             local = np.einsum("djr,rjk->drk", s._element_values(pts, el, 1), E._gather(C)[el])
             _assert_close(local, s.tabulate(pts, (0, 1)).transpose(1, 0, 2) @ C)
+            # tensor blocks of pairs of known elements, this space on both axes
+            C2 = rng.standard_normal((s.dim, s.dim))
+            Bp, dense = s._element_values(pts, el, 0)[0], s.tabulate(pts, 0)
+            pairs = np.einsum("ar,rab,br->r", Bp, E.tensor_blocks(C2, E, el, el[::-1]), Bp[:, ::-1])
+            _assert_close(pairs, np.einsum("ra,ab,rb->r", dense, C2, dense[::-1]))
             for d in (0, 1):
                 for d_trial in (0, 1):
                     _assert_product(E.gram(d, d_trial, w), B[:, d].T, B[:, d_trial] * w[:, None])

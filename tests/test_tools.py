@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import subprocess
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -36,3 +37,19 @@ def test_mutate_swaps_each_operator_on_the_given_lines():
         mutated = SOURCE[: m.start] + m.new + SOURCE[m.end :]
         assert mutated.splitlines()[m.line - 1] != SOURCE.splitlines()[m.line - 1]
         ast.parse(mutated)
+
+
+def test_changed_lines_counts_every_line_of_untracked_sources(tmp_path):
+    def git(*args):
+        config = ["-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+        subprocess.run(["git", *config, *args], cwd=tmp_path, check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n")
+    git("init", "-q")
+    git("add", ".")
+    git("commit", "-q", "-m", "base")
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 3\n")
+    (tmp_path / "src" / "b.py").write_text("z = 1\nw = 2\n")
+    (tmp_path / "src" / "notes.txt").write_text("not python\n")
+    assert mutate.changed_lines("HEAD", tmp_path) == {"src/a.py": {2}, "src/b.py": {1, 2}}

@@ -1,18 +1,19 @@
 """Operator-swap mutation testing of the lines of src/ changed since a git base.
 
-    python tools/mutate.py [--base REV] [--workdir DIR] [--list] [--timeout S]
+    python tools/mutate.py BASE
 
 Run it from the root of an xtwave checkout.  It copies the working tree (the
 files git tracks or would track, with their uncommitted changes) into a
-scratch directory, so the checkout itself is never edited.  For each operator
-on a line of src/ that differs from --base (default HEAD), found with `ast`,
-it writes one mutant with that operator swapped (+ and -, * and /, // and %,
+temporary directory, so the checkout itself is never edited.  For each
+operator on a line of src/ that differs from the revision BASE (every line of
+a src/ file git does not track yet counts as changed), found with `ast`, it
+writes one mutant with that operator swapped (+ and -, * and /, // and %,
 < and <=, > and >=, == and !=, `is` and `is not`, `and` and `or`, and the
 same for augmented assignments), runs the Tier-1 suite on it with -x and
 restores the file.  A mutant is killed when the suite fails (or runs past
---timeout).  It prints every mutant with its source line and verdict, then
-the kill count; --list prints the mutants without running anything.  The
-exit status is 0 when the unmutated copy passes, 1 otherwise.
+TIMEOUT seconds).  It prints every mutant with its source line and verdict,
+then the kill count.  The exit status is 0 when the unmutated copy passes,
+1 otherwise.
 """
 
 import argparse
@@ -36,6 +37,7 @@ SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Is: r"\bis\b", ast.IsNot: r"\bis\s+not\b", ast.And: r"\band\b", ast.Or: r"\bor\b",
 }
+TIMEOUT = 600.0  # seconds per suite run
 TIER1 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
 
 
@@ -51,19 +53,25 @@ class Mutant:
 
 def changed_lines(base, root="."):
     """{path: set of 1-based line numbers} of the .py files under src/ whose
-    lines differ between base and the working tree."""
-    diff = subprocess.run(
-        ["git", "diff", "--unified=0", "--no-color", base, "--", "src"],
-        cwd=root, check=True, capture_output=True, text=True,
-    ).stdout
+    lines differ between base and the working tree; all lines of the files
+    git does not track yet."""
+    def git(*args):
+        return subprocess.run(
+            ["git", *args], cwd=root, check=True, capture_output=True, text=True
+        ).stdout
+
     lines, path = {}, None
-    for row in diff.splitlines():
+    for row in git("diff", "--unified=0", "--no-color", base, "--", "src").splitlines():
         if row.startswith("+++ "):
             path = row[6:] if row.startswith("+++ b/") else None
         elif row.startswith("@@") and path and path.endswith(".py"):
             start, _, count = re.match(r"@@ -\S+ \+(\d+)(,(\d+))? @@", row).groups()
             first, n = int(start), 1 if count is None else int(count)
             lines.setdefault(path, set()).update(range(first, first + n))
+    for path in git("ls-files", "--others", "--exclude-standard", "--", "src").splitlines():
+        if path.endswith(".py"):
+            with open(os.path.join(root, path), encoding="utf-8") as f:
+                lines[path] = set(range(1, len(f.read().splitlines()) + 1))
     return lines
 
 
@@ -125,13 +133,13 @@ def copy_tree(root, dest):
             shutil.copy2(source, os.path.join(dest, name))
 
 
-def run_tier1(workdir, timeout):
+def run_tier1(workdir):
     """(passed, seconds) of the Tier-1 suite with -x in workdir."""
     env = dict(os.environ, PYTHONPATH=os.path.join(workdir, "src"))
     start = time.monotonic()
     try:
         proc = subprocess.run(
-            [sys.executable, *TIER1], cwd=workdir, env=env, timeout=timeout,
+            [sys.executable, *TIER1], cwd=workdir, env=env, timeout=TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
         passed = proc.returncode == 0
@@ -142,51 +150,40 @@ def run_tier1(workdir, timeout):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--base", default="HEAD", help="git revision the changed lines are taken from")
-    ap.add_argument("--workdir", help="scratch directory for the copy (default: a new temporary one)")
-    ap.add_argument("--list", action="store_true", help="print the mutants, run nothing")
-    ap.add_argument("--timeout", type=float, default=600.0, help="seconds per suite run")
-    args = ap.parse_args(argv)
+    ap.add_argument("base", help="git revision the changed lines are taken from")
+    base = ap.parse_args(argv).base
 
     found = []
-    for path, lines in sorted(changed_lines(args.base).items()):
+    for path, lines in sorted(changed_lines(base).items()):
         with open(path, encoding="utf-8") as f:
             found += mutants(path, f.read(), lines)
-    print(f"{len(found)} mutants on the lines of src/ changed since {args.base}")
-    if args.list:
+    print(f"{len(found)} mutants on the lines of src/ changed since {base}")
+    with tempfile.TemporaryDirectory(prefix="xtwave-mutate-") as workdir:
+        copy_tree(".", workdir)
+        passed, seconds = run_tier1(workdir)
+        print(f"unmutated copy: {'passes' if passed else 'FAILS'} ({seconds:.1f} s)")
+        if not passed:
+            return 1
+        survivors = []
         for m in found:
-            print(f"{m.path}:{m.line}: {m.old} -> {m.new}")
-        return 0
-
-    workdir = args.workdir or tempfile.mkdtemp(prefix="xtwave-mutate-")
-    os.makedirs(workdir, exist_ok=True)
-    copy_tree(".", workdir)
-    passed, seconds = run_tier1(workdir, args.timeout)
-    print(f"unmutated copy: {'passes' if passed else 'FAILS'} ({seconds:.1f} s)")
-    if not passed:
-        return 1
-    survivors = []
-    for m in found:
-        target = os.path.join(workdir, m.path)
-        with open(target, encoding="utf-8") as f:
-            text = f.read()
-        with open(target, "w", encoding="utf-8") as f:
-            f.write(text[: m.start] + m.new + text[m.end :])
-        try:
-            passed, seconds = run_tier1(workdir, args.timeout)
-        finally:
+            target = os.path.join(workdir, m.path)
+            with open(target, encoding="utf-8") as f:
+                text = f.read()
             with open(target, "w", encoding="utf-8") as f:
-                f.write(text)
-        source = text.splitlines()[m.line - 1].strip()
-        verdict = "SURVIVED" if passed else "killed"
-        print(f"{verdict:8} {m.path}:{m.line}: {m.old} -> {m.new} ({seconds:.1f} s)  {source}")
-        if passed:
-            survivors.append(m)
+                f.write(text[: m.start] + m.new + text[m.end :])
+            try:
+                passed, seconds = run_tier1(workdir)
+            finally:
+                with open(target, "w", encoding="utf-8") as f:
+                    f.write(text)
+            source = text.splitlines()[m.line - 1].strip()
+            verdict = "SURVIVED" if passed else "killed"
+            print(f"{verdict:8} {m.path}:{m.line}: {m.old} -> {m.new} ({seconds:.1f} s)  {source}")
+            if passed:
+                survivors.append(m)
     print(f"killed {len(found) - len(survivors)} of {len(found)} mutants")
     for m in survivors:
         print(f"survivor {m.path}:{m.line}: {m.old} -> {m.new}")
-    if not args.workdir:
-        shutil.rmtree(workdir)
     return 0
 
 
