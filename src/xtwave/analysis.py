@@ -166,7 +166,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         # outside (0, T), or NaN, cuts none).
         bp_t = st.breakpoints
         ts = np.broadcast_to(np.asarray(exact.kink_time(xq), dtype=float), xq.shape)
-        k = np.clip(np.searchsorted(bp_t, ts, side="right") - 1, 0, bp_t.size - 2)
+        k = st._elements(ts)
         cut = np.minimum(ts - bp_t[k], bp_t[k + 1] - ts) >= 1e-13
         i = np.flatnonzero(cut)
         k, ts = k[i], ts[i]

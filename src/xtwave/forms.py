@@ -7,7 +7,7 @@ pointwise coefficient (typically the squared wave speed).
 import numpy as np
 
 from .errors import AssemblyError, InvalidSpaceError, UnsupportedRuleError
-from .quadrature import MAX_POINTS, exp_weights
+from .quadrature import MAX_POINTS, exp_weights, index_or_negative
 
 
 def default_n_points(*spaces, extra=2):
@@ -18,16 +18,16 @@ def default_n_points(*spaces, extra=2):
 
 
 def rule_size(n_points, *spaces, extra=2):
-    """n_points, or default_n_points for None; a size outside [largest degree
-    + 1, MAX_POINTS] is refused with UnsupportedRuleError."""
+    """n_points as an int, or default_n_points for None; UnsupportedRuleError
+    unless n_points is an integer in [largest degree + 1, MAX_POINTS]."""
     if n_points is None:
         return default_n_points(*spaces, extra=extra)
-    lo = default_n_points(*spaces, extra=1)
-    if n_points not in range(lo, MAX_POINTS + 1):
+    lo, n = default_n_points(*spaces, extra=1), index_or_negative(n_points)
+    if n not in range(lo, MAX_POINTS + 1):
         raise UnsupportedRuleError(
             f"rule size {n_points!r} outside [{lo}, {MAX_POINTS}]: degree + 1 to the largest rule"
         )
-    return n_points
+    return n
 
 
 def finite(values, name):

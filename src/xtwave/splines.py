@@ -100,22 +100,21 @@ def clip_to_interval(xs, interval):
 
 
 def _check_orders(lowest, highest, degree):
+    """highest as an int; InvalidSpaceError unless 0 <= lowest <= highest <= degree."""
     if not 0 <= index_or_negative(lowest) <= index_or_negative(highest) <= degree:
         raise InvalidSpaceError(f"derivative orders {lowest}, {highest} not ints in [0, {degree}]")
+    return index_or_negative(highest)
 
 
-def _ders_basis_funs(knots, p, xs, n_ders, spans=None):
+def _ders_basis_funs(knots, p, xs, n_ders, spans):
     """Values and derivatives of the p+1 B-splines active at each point.
 
-    Returns the knot spans i of the points, by default those with
-    knots[i] <= x < knots[i+1] (clamped to the last element), and an array
-    of shape (n_ders + 1, p + 1, len(xs)) of the functions i - p .. i.
-    Piegl and Tiller's A2.2 (Cox-de Boor values) and A2.3 (inverted-table
-    derivatives), each step run on all functions and points at once; every
-    entry takes A2.2/A2.3's operations in their order.
+    Returns an array of shape (n_ders + 1, p + 1, len(xs)) of the functions
+    i - p .. i of each point's knot span i.  Piegl and Tiller's A2.2
+    (Cox-de Boor values) and A2.3 (inverted-table derivatives), each step
+    run on all functions and points at once; every entry takes A2.2/A2.3's
+    operations in their order.
     """
-    if spans is None:
-        spans = np.minimum(np.searchsorted(knots, xs, side="right") - 1, knots.size - p - 2)
     steps = np.arange(1, p + 1)[:, None]
     right = knots[spans + steps] - xs  # right[i] = knots[span + 1 + i] - x
     left = xs - knots[spans + steps - p]  # left[p - 1 - i] = x - knots[span - i]
@@ -149,7 +148,7 @@ def _ders_basis_funs(knots, p, xs, n_ders, spans=None):
         for j in range(k + 1):
             ders[k] += a[j + 1] * N[j : j + p + 1]
         ders[k] *= math.perm(p, k)  # p! / (p - k)!
-    return spans, ders
+    return ders
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +242,7 @@ class SplineSpace:
     _full_knots: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.constraint not in CONSTRAINTS:
+        if not (isinstance(self.constraint, str) and self.constraint in CONSTRAINTS):
             raise InvalidSpaceError(f"unknown constraint {self.constraint!r}")
         object.__setattr__(self, "_full_knots", self.knots.full_knots())
         if self.dim < 0:
@@ -277,26 +276,26 @@ class SplineSpace:
     def dim(self):
         return self.dim_unconstrained - self._left_removed - self._right_removed
 
-    def tabulate(self, xs, deriv_order=0):
-        """Dense matrix of basis values, shape (len(xs), dim), at a point or
-        a 1d array of points xs; any other shape raises OutOfDomainError.
+    def _elements(self, xs):
+        """Element of each point xs: the last one starting at or left of it."""
+        bp = self.breakpoints
+        return np.clip(np.searchsorted(bp, xs, side="right") - 1, 0, bp.size - 2)
 
-        A sequence of derivative orders gives every order from one recursion,
-        shape (len(xs), len(orders), dim); each table [:, k] is C-contiguous
-        and equal bit for bit to the table of that order alone.
-        """
-        orders = np.atleast_1d(deriv_order)
-        if orders.size == 0 or orders.ndim > 1 or orders.dtype.kind not in "iu":
-            raise InvalidSpaceError(f"derivative orders must be ints, at most 1d: {deriv_order!r}")
-        _check_orders(orders.min(), orders.max(), self.degree)
+    def tabulate(self, xs, deriv_order=0):
+        """Dense matrix of the basis' derivatives of order deriv_order (an
+        integer), shape (len(xs), dim), at a point or a 1d array of points
+        xs; any other shape raises OutOfDomainError."""
+        p, m = self.degree, self.knots.interior_multiplicity
+        d = _check_orders(deriv_order, deriv_order, p)
         xs = clip_to_interval(xs, self.interval)
-        spans, ders = _ders_basis_funs(self._full_knots, self.degree, xs, int(orders.max()))
+        elements = self._elements(xs)
+        values = self._element_values(xs, elements, d)[d]
         # constrained index of each point's p + 1 active functions
-        cols = (spans - self.degree - self._left_removed)[:, None] + np.arange(self.degree + 1)
+        cols = (m * elements - self._left_removed)[:, None] + np.arange(p + 1)
         kept = (cols >= 0) & (cols < self.dim)
-        out = np.zeros((orders.size, xs.size, self.dim))
-        out[:, np.nonzero(kept)[0], cols[kept]] = ders[orders].transpose(0, 2, 1)[:, kept]
-        return out[0] if np.ndim(deriv_order) == 0 else out.transpose(1, 0, 2)
+        out = np.zeros((xs.size, self.dim))
+        out[np.nonzero(kept)[0], cols[kept]] = values.T[kept]
+        return out
 
     def _element_values(self, xs, elements, max_order):
         """Derivatives of orders 0..max_order of the p + 1 functions active
@@ -306,13 +305,12 @@ class SplineSpace:
         p + m e, so a point is taken in the element it is given, whatever its
         rounding; neither points nor orders are checked."""
         spans = self.degree + self.knots.interior_multiplicity * elements
-        return _ders_basis_funs(self._full_knots, self.degree, xs, max_order, spans)[1]
+        return _ders_basis_funs(self._full_knots, self.degree, xs, max_order, spans)
 
     def element_table(self, n_points, max_order=1):
         """ElementTable of derivative orders 0..max_order on the composite
         rule of n_points Gauss nodes per element of this space's mesh."""
-        p = self.degree
-        _check_orders(0, max_order, p)
+        p, max_order = self.degree, _check_orders(0, max_order, self.degree)
         xq, wq = panel_points(self.breakpoints, n_points)
         m, n_el = self.knots.interior_multiplicity, self.breakpoints.size - 1
         ders = self._element_values(xq, np.arange(n_el).repeat(n_points), max_order)

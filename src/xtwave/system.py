@@ -19,6 +19,7 @@ result with Kronecker products of the operator's M_x and K_x and the time
 factors, not with the eigenpairs.
 """
 
+import os
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -142,15 +143,15 @@ class DiscreteSolution:
     A solution from solve carries the spatial operator it was solved with
     and refine_ratio = ||(dU, dV)||_F / ||(U, V)||_F of its refinement step,
     an estimate of the relative forward error of the unrefined mode solve;
-    a solution loaded from a file has neither."""
+    a loaded solution has neither, and None residual and solve_seconds."""
 
     u_coeffs: np.ndarray  # (n_x, n_t)
     v_coeffs: np.ndarray  # (n_x, n_t)
     space_x: object
     space_t: object
     problem: ProblemSpec
-    residual: float = 0.0
-    solve_seconds: float = 0.0
+    residual: float = None
+    solve_seconds: float = None
     space_op: NewtonSolver = None
     refine_ratio: float = None
 
@@ -327,7 +328,7 @@ def dump_solution(solution, path):
     entries["u_coeffs"] = np.ascontiguousarray(solution.u_coeffs, dtype=float)
     entries["v_coeffs"] = np.ascontiguousarray(solution.v_coeffs, dtype=float)
     # through an open file: np.savez appends .npz to a path without it
-    with open(path, "wb") as f:
+    with open(os.fspath(path), "wb") as f:  # not an int file descriptor
         np.savez(f, **entries)
 
 
@@ -412,7 +413,7 @@ def load_solution(path, problem=None):
     its zip header, or else v2 text.  Refuses, with SolutionFileError, a file
     of another format or a malformed one, and with InvalidSpaceError spaces
     that are not on problem's omega and (0, T)."""
-    with open(path, "rb") as f:
+    with open(os.fspath(path), "rb") as f:  # not an int file descriptor
         v3 = f.read(4) == _ZIP_MAGIC
         f.seek(0)
         try:

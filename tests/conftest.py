@@ -102,7 +102,7 @@ def tabulate_calls(monkeypatch):
     calls = []
     recursion = splines._ders_basis_funs
 
-    def counted(knots, p, xs, n_ders, spans=None):
+    def counted(knots, p, xs, n_ders, spans):
         calls.append(n_ders)
         return recursion(knots, p, xs, n_ders, spans)
 

@@ -845,7 +845,7 @@ def _row_split_reference(sol, prob, relative):
     sx, st_ = sol.space_x, sol.space_t
     n = default_n_points(sx, st_, extra=3)
     xq, wx = panel_points(sx.breakpoints, n)
-    Bx = sx.tabulate(xq, (0, 1))
+    Bx = np.stack([sx.tabulate(xq, d) for d in (0, 1)], axis=1)
     Cu, Cv = sol.u_coeffs, sol.v_coeffs
     c2, U0, V0, dU0 = prob.c2(xq), prob.U0(xq), prob.V0(xq), prob.dU0(xq)
     bp_t = st_.breakpoints
@@ -855,7 +855,7 @@ def _row_split_reference(sol, prob, relative):
         k = np.searchsorted(bp_t, kink) - 1
         cut = 0 <= k < bp_t.size - 1 and min(kink - bp_t[k], bp_t[k + 1] - kink) >= 1e-13
         t, w = panel_points(np.insert(bp_t, k + 1, kink) if cut else bp_t, n)
-        Bt = st_.tabulate(t, (0, 1))
+        Bt = np.stack([st_.tabulate(t, d) for d in (0, 1)], axis=1)
         fields = {
             "U": (Bx[i, 0] @ Cu @ Bt[:, 0].T + U0[i], ex.u(x, t), wx[i]),
             "V": (Bx[i, 0] @ Cv @ Bt[:, 0].T + V0[i], ex.v(x, t), wx[i]),

@@ -247,6 +247,25 @@ TYPED_ERRORS = {
         InvalidSpaceError,
         lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate([0.5], "a"),
     ),
+    # a sequence of orders gave a 3-d table from tabulate, and failed untyped
+    # in evaluate_grid
+    "sequence of derivative orders of tabulate": (
+        InvalidSpaceError,
+        lambda p: xw.make_uniform_space((0.0, 1.0), 2, 2).tabulate([0.5], (0, 1)),
+    ),
+    "sequence of space derivative orders of evaluate_grid": (
+        InvalidSpaceError,
+        lambda p: xw.evaluate_grid(_solve(p, degree=2), [0.5], [0.5], d_x=[1, 2]),
+    ),
+    "sequence of time derivative orders of evaluate_grid": (
+        InvalidSpaceError,
+        lambda p: xw.evaluate_grid(_solve(p, degree=2), [0.5], [0.5], d_t=[1, 2]),
+    ),
+    # failed in NumPy's truth value of an empty array
+    "empty array constraint": (
+        InvalidSpaceError,
+        lambda p: xw.make_space([0.0, 1.0], 1, 1, np.array([])),
+    ),
     "string points of evaluate_grid": (
         OutOfDomainError,
         lambda p: xw.evaluate_grid(_solve(p), ["a"], [0.1]),
@@ -282,7 +301,7 @@ TYPED_ERRORS.update(
     {
         f"{name} with n_quad {n}": (UnsupportedRuleError, lambda p, call=call, n=n: call(p, n))
         for name, call in RULE_SIZE_CALLS.items()
-        for n in (0, 1)
+        for n in (0, 1, np.array([]))
     }
 )
 

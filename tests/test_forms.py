@@ -3,12 +3,25 @@ import pytest
 import scipy.integrate
 
 from xtwave import splines
-from xtwave.errors import AssemblyError, InvalidSpaceError
-from xtwave.forms import assemble_space_matrix, assemble_time_matrix, default_n_points
+from xtwave.errors import AssemblyError, InvalidSpaceError, UnsupportedRuleError
+from xtwave.forms import assemble_space_matrix, assemble_time_matrix, default_n_points, rule_size
+from xtwave.quadrature import MAX_POINTS
 
 
 def _tables(space, n_points=None):
     return space.element_table(n_points or default_n_points(space))
+
+
+def test_rule_size_takes_both_ends_as_plain_ints():
+    # degree + 1 and MAX_POINTS are valid sizes; a NumPy integer comes back
+    # as an int
+    space = splines.make_uniform_space((0.0, 1.0), 2, 3)
+    for n in (4, MAX_POINTS, np.int64(MAX_POINTS)):
+        size = rule_size(n, space)
+        assert type(size) is int and size == n
+    for n in (3, MAX_POINTS + 1):
+        with pytest.raises(UnsupportedRuleError):
+            rule_size(n, space)
 
 
 def test_single_degree_zero_element():

@@ -448,6 +448,31 @@ def test_dump_load_round_trip(tmp_path, smooth_problem):
             assert np.array_equal(before, after)
 
 
+def test_loaded_solution_has_no_residual_or_solve_time(tmp_path, smooth_problem):
+    # the file holds no residual or timing, so a loaded solution reports none
+    sol = xw.solve(xw.assemble(smooth_problem, *_spaces(smooth_problem, 2, 2, 1)))
+    assert sol.residual >= 0.0 and sol.solve_seconds > 0.0
+    xw.dump_solution(sol, tmp_path / "solution.npz")
+    loaded = xw.load_solution(tmp_path / "solution.npz", smooth_problem)
+    assert loaded.residual is None and loaded.solve_seconds is None
+
+
+def test_int_path_is_refused_and_leaves_the_descriptor_open(smooth_problem):
+    # open takes an int for a file descriptor, and would use and close it
+    sol = xw.solve(xw.assemble(smooth_problem, *_spaces(smooth_problem, 2, 2, 1)))
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(TypeError):
+            xw.dump_solution(sol, write_end)
+        with pytest.raises(TypeError):
+            xw.load_solution(read_end)
+        for fd in (read_end, write_end):
+            os.fstat(fd)  # OSError for a closed descriptor
+    finally:
+        os.close(read_end)
+        os.close(write_end)
+
+
 @pytest.mark.parametrize("degree", [True, np.int64(2)])
 def test_integer_like_degrees_are_stored_as_ints(tmp_path, smooth_problem, degree):
     # a bool or NumPy degree is kept as a plain int, so the file records a
