@@ -386,7 +386,7 @@ def run(config):
     files["config.txt"] = _text(serialize_config(config))
     for res in results:  # only solve mode keeps its solutions
         if res.solution is not None:
-            files[f"solution_L{res.level}.npz"] = partial(dump_solution, res.solution)
+            files[f"solution_L{res.level}.npy"] = partial(dump_solution, res.solution)
     try:
         _write_all(out, files)
     except OSError as exc:

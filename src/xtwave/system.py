@@ -21,8 +21,9 @@ factors, not with the eigenpairs.
 
 import os
 import time
+import zlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from zipfile import BadZipFile
 
 import numpy as np
@@ -32,15 +33,13 @@ from .errors import InvalidProblemError, InvalidSpaceError, SingularSystemError,
 from .forms import check_interval, finite, rule_size, time_factors
 from .newton import NewtonSolver, make_newton_solver
 from .quadrature import sample
-from .splines import make_space
+from .splines import CONSTRAINTS, make_space
 
 RESIDUAL_TOL = 1e-10
-# first line of a v2 text file, which load_solution still reads; a v3 file
-# has no header line: it is told by its zip header and its entries
+# first line of a v2 text file; v4 and v3 files are told by their magic bytes
 SOLUTION_HEADER = "# xtwave solution v2"
-_ZIP_MAGIC = b"PK\x03\x04"
 
-# a v3 file's entries, exactly: name -> (scalar type, ndim)
+# a v3 file's entries and, with crc32, a v4 record's: name -> (scalar type, ndim)
 _V3_ENTRIES = {
     "space_breakpoints": (np.float64, 1),
     "space_degree": (np.int64, 0),
@@ -53,6 +52,8 @@ _V3_ENTRIES = {
     "u_coeffs": (np.float64, 2),
     "v_coeffs": (np.float64, 2),
 }
+_V4_FIELDS = {**_V3_ENTRIES, "crc32": (np.uint32, 0)}
+_SPACE_KEYS = ("breakpoints", "degree", "multiplicity", "constraint")  # each axis's entries
 
 
 @dataclass
@@ -313,59 +314,86 @@ def evaluate(solution, x, t, d_x=0, d_t=0):
 
 
 def dump_solution(solution, path):
-    """Write solution to exactly path as a v3 file: one uncompressed .npz
-    holding the coefficient arrays u_coeffs and v_coeffs (float64,
-    C-contiguous) and, for each of space and time, its breakpoints, degree,
-    interior multiplicity and constraint.  Bit-exact by construction;
-    load_solution reads it back."""
+    """Write solution to exactly path as a v4 file: one .npy of a 0-d
+    structured record of the v3 entries, strings last, and then crc32.
+    Bit-exact by construction.  Coefficients not of shape (space_x.dim,
+    space_t.dim) are refused with InvalidSpaceError before path is opened."""
     entries = {}
     for axis, space in (("space", solution.space_x), ("time", solution.space_t)):
         kv = space.knots
         entries[f"{axis}_breakpoints"] = kv.breakpoints
         entries[f"{axis}_degree"] = np.int64(kv.degree)
         entries[f"{axis}_multiplicity"] = np.int64(kv.interior_multiplicity)
-        entries[f"{axis}_constraint"] = space.constraint
-    entries["u_coeffs"] = np.ascontiguousarray(solution.u_coeffs, dtype=float)
-    entries["v_coeffs"] = np.ascontiguousarray(solution.v_coeffs, dtype=float)
-    # through an open file: np.savez appends .npz to a path without it
-    with open(os.fspath(path), "wb") as f:  # not an int file descriptor
-        np.savez(f, **entries)
+        entries[f"{axis}_constraint"] = np.str_(space.constraint)
+    entries["u_coeffs"] = u = np.asarray(solution.u_coeffs, dtype=float)
+    entries["v_coeffs"] = v = np.asarray(solution.v_coeffs, dtype=float)
+    shape = (solution.space_x.dim, solution.space_t.dim)
+    if not u.shape == v.shape == shape:
+        raise InvalidSpaceError(f"coefficients of shapes {u.shape} and {v.shape}, not {shape}")
+    # strings last, so that every number field is 8-byte aligned in the record
+    fields = sorted(entries.items(), key=lambda item: item[1].dtype.kind == "U")
+    record = np.empty((), [(name, a.dtype, a.shape) for name, a in fields] + [("crc32", np.uint32)])
+    for name, a in fields:
+        record[name] = a
+    record["crc32"] = _crc32(record)
+    with open(os.fspath(path), "wb") as f:  # no int fd; np.save(path) would add .npy
+        np.save(f, record)
+
+
+def _crc32(fields):
+    """zlib.crc32 of the (C-contiguous) v3 fields of a v4 record, in that order."""
+    return reduce(lambda crc, name: zlib.crc32(fields[name], crc), _V3_ENTRIES, 0)
+
+
+def _read_v4(f):
+    """The fields of a v4 file's record by name (none for another .npy)."""
+    record = np.load(f, allow_pickle=False)
+    return {name: record[name] for name in record.dtype.names or ()}
 
 
 def _read_v3(f):
-    """(space_x, space_t, U, V) of a v3 file; ValueError unless its entries
-    are exactly those dump_solution writes, each of its type and ndim, and
-    the coefficients of shape (space_x.dim, space_t.dim)."""
+    """A v3 file's entries by name: bytes for a non-.npy member, None for an extra (unread) one."""
     try:
         with np.load(f, allow_pickle=False) as npz:
-            if sorted(npz.files) != sorted(_V3_ENTRIES):
-                raise ValueError(f"entries {sorted(npz.files)}, not those of v3")
-            entries = {name: npz[name] for name in _V3_ENTRIES}
+            return {name: npz[name] if name in _V3_ENTRIES else None for name in npz.files}
     except (BadZipFile, EOFError, NotImplementedError, RuntimeError, OSError) as exc:
         # zipfile's refusals of a damaged archive: a bad CRC or header, data
         # cut short, a flipped compression or encryption flag, or an offset
         # that seeks before the start of the file
         raise ValueError(f"damaged zip archive ({exc!r})") from exc
-    for name, (kind, ndim) in _V3_ENTRIES.items():
-        a = entries[name]  # bytes for a member that is not a .npy
+
+
+def _dim(entries, axis):
+    """axis's space dimension, computed without building the space, whose
+    knot arrays a huge degree in a file would make too large to allocate."""
+    p, m, constraint = (entries[f"{axis}_{key}"].item() for key in _SPACE_KEYS[1:])
+    removed = CONSTRAINTS.index(constraint)  # none, left, both: 0, 1, 2 functions
+    return p + 1 + (entries[f"{axis}_breakpoints"].size - 2) * m - removed
+
+
+def _from_entries(entries, kinds):
+    """(space_x, space_t, U, V) of a file's entries; ValueError unless they are exactly kinds,
+    of native type and ndim, with coefficients of the implied shape, crc32 and valid spaces."""
+    if sorted(entries) != sorted(kinds):
+        raise ValueError(f"entries {sorted(entries)}, not {sorted(kinds)}")
+    for name, (kind, ndim) in kinds.items():
+        a = entries[name]
         if not (isinstance(a, np.ndarray) and a.dtype.type is kind and a.dtype.isnative):
             raise ValueError(f"entry {name} is not a native {kind.__name__} array")
         if a.ndim != ndim:
             raise ValueError(f"entry {name} has {a.ndim} dimensions, not {ndim}")
-    space_x, space_t = (
-        make_space(
-            entries[f"{axis}_breakpoints"],
-            entries[f"{axis}_degree"].item(),
-            entries[f"{axis}_multiplicity"].item(),
-            entries[f"{axis}_constraint"].item(),
-        )
-        for axis in ("space", "time")
-    )
-    u, v, shape = entries["u_coeffs"], entries["v_coeffs"], (space_x.dim, space_t.dim)
+    u, v = entries["u_coeffs"], entries["v_coeffs"]
+    shape = (_dim(entries, "space"), _dim(entries, "time"))
     if not u.shape == v.shape == shape:
         raise ValueError(f"coefficients of shapes {u.shape} and {v.shape}, not {shape}")
-    # C order whatever order the file stores; no copy for dump_solution's files
-    return space_x, space_t, np.ascontiguousarray(u), np.ascontiguousarray(v)
+    if "crc32" in kinds and entries["crc32"].item() != _crc32(entries):
+        raise ValueError("crc32 does not match the record")
+    space_x, space_t = (
+        make_space(*(entries[f"{axis}_{key}"].tolist() for key in _SPACE_KEYS))
+        for axis in ("space", "time")
+    )
+    # C-contiguous and aligned, copied only when the file's layout is not
+    return space_x, space_t, np.require(u, requirements="CA"), np.require(v, requirements="CA")
 
 
 def _parse_space_header(line, name):
@@ -373,8 +401,9 @@ def _parse_space_header(line, name):
     if (tag, key) != ("#", name):
         raise ValueError(f"expected the {name} header, got {line!r}")
     fields = dict(item.split("=", 1) for item in items)
-    bp = [float(s) for s in fields["breakpoints"].split(",")]
-    return make_space(bp, int(fields["degree"]), int(fields["multiplicity"]), fields["constraint"])
+    fields["breakpoints"] = fields["breakpoints"].split(",")
+    # each as its v3 entry's type; numpy parses numbers as float() and int() do
+    return {f"{name}_{k}": np.array(fields[k], _V3_ENTRIES[f"{name}_{k}"][0]) for k in _SPACE_KEYS}
 
 
 # one body line; a block name longer than one character is kept as two, so
@@ -383,17 +412,16 @@ _ROW = np.dtype([("block", "U2"), ("i_x", np.intp), ("i_t", np.intp), ("value", 
 
 
 def _read_v2(text):
-    """(space_x, space_t, U, V) of a v2 text file: its header line, each
-    space's header line, then one line `block,i_x,i_t,value` per coefficient
-    with i_t fastest, U then V; ValueError on any other text."""
+    """The entries of a v2 text file, as v3 names them: its header line,
+    each space's header line, then one line `block,i_x,i_t,value` per
+    coefficient with i_t fastest, U then V; ValueError on any other text."""
     lines = text.splitlines()
     if lines[:1] != [SOLUTION_HEADER]:
-        raise ValueError("not an xtwave v3 or v2 solution file (v1 has no mesh)")
-    space_x = _parse_space_header(lines[1], "space")
-    space_t = _parse_space_header(lines[2], "time")
-    shape = (2, space_x.dim, space_t.dim)
+        raise ValueError("not an xtwave v4, v3 or v2 solution file (v1 has no mesh)")
+    entries = {**_parse_space_header(lines[1], "space"), **_parse_space_header(lines[2], "time")}
+    shape = (2, _dim(entries, "space"), _dim(entries, "time"))
     body = list(filter(None, lines[3:]))
-    if len(body) != np.prod(shape):
+    if len(body) != 2 * shape[1] * shape[2]:  # Python ints: no overflow
         raise ValueError(f"{len(body)} coefficient lines, not 2 x {shape[1]} x {shape[2]}")
     # numpy's parser refuses a line without exactly 4 fields, or with an
     # index that is not an integer or a value that is not a float
@@ -404,21 +432,23 @@ def _read_v2(text):
     bad = (table["block"] != np.where(b, "V", "U")) | (table["i_x"] != i) | (table["i_t"] != j)
     if np.any(bad):
         raise ValueError(f"line {body[int(np.argmax(bad))]!r} out of the v2 order")
-    u, v = table["value"].copy().reshape(shape)  # a view would keep the table alive
-    return space_x, space_t, u, v
+    entries["u_coeffs"], entries["v_coeffs"] = table["value"].reshape(shape)
+    return entries
 
 
 def load_solution(path, problem=None):
-    """Read a solution file: v3 (.npz, what dump_solution writes), told by
-    its zip header, or else v2 text.  Refuses, with SolutionFileError, a file
-    of another format or a malformed one, and with InvalidSpaceError spaces
-    that are not on problem's omega and (0, T)."""
+    """Read a solution file: v4 (.npy, what dump_solution writes) or v3
+    (.npz), told by their magic bytes, or else v2 text.  Refuses, with
+    SolutionFileError, a file of another format or a malformed one, and with
+    InvalidSpaceError spaces that are not on problem's omega and (0, T)."""
     with open(os.fspath(path), "rb") as f:  # not an int file descriptor
-        v3 = f.read(4) == _ZIP_MAGIC
+        magic = f.read(6)
         f.seek(0)
-        try:
-            space_x, space_t, u, v = _read_v3(f) if v3 else _read_v2(f.read().decode())
-        except (ValueError, KeyError, IndexError, OverflowError) as exc:
+        v4, v3 = magic == b"\x93NUMPY", magic[:4] == b"PK\x03\x04"  # .npy, zip
+        try:  # MemoryError: an array header that declares more than memory holds
+            entries = _read_v4(f) if v4 else _read_v3(f) if v3 else _read_v2(f.read().decode())
+            space_x, space_t, u, v = _from_entries(entries, _V4_FIELDS if v4 else _V3_ENTRIES)
+        except (ValueError, KeyError, IndexError, OverflowError, MemoryError) as exc:
             raise SolutionFileError(f"{path}: malformed solution file ({exc!r})") from exc
     if problem is not None:
         _check_domain(problem, space_x, space_t)

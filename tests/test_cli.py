@@ -224,7 +224,7 @@ def test_solve_run_inline(tmp_path):
     config = cli.parse_config(INLINE)
     config = replace(config, out=str(tmp_path))
     assert cli.run(config) == 0
-    sol = xw.load_solution(tmp_path / "solution_L0.npz")
+    sol = xw.load_solution(tmp_path / "solution_L0.npy")
     assert sol.u_coeffs.shape == (4, 5)
 
 
@@ -256,7 +256,7 @@ def test_out_that_is_a_file_exits_2(tmp_path, capsys):
     assert taken.read_text() == "keep"
 
 
-@pytest.mark.parametrize("name", ["results.csv", "curves.dat", "config.txt", "solution_L0.npz"])
+@pytest.mark.parametrize("name", ["results.csv", "curves.dat", "config.txt", "solution_L0.npy"])
 def test_unwritable_output_exits_2(tmp_path, capsys, name):
     cfg = tmp_path / "conf.txt"
     cfg.write_text("problem = smooth\ndegree = 2\nregularity = maximal\nlevels = 4x4\n")

@@ -2,6 +2,8 @@ import io
 import os
 import subprocess
 import sys
+import zipfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -438,10 +440,9 @@ def test_dump_load_round_trip(tmp_path, smooth_problem):
         loaded = xw.load_solution(path, smooth_problem)
         assert np.array_equal(loaded.u_coeffs, sol.u_coeffs)
         assert np.array_equal(loaded.v_coeffs, sol.v_coeffs)
-        # arrays of their own: a strided view of the parsed table would keep
-        # all of it alive as long as the solution
+        # C-contiguous and aligned: the record's number fields come first
         for c in (loaded.u_coeffs, loaded.v_coeffs):
-            assert c.dtype == np.float64 and c.flags.c_contiguous
+            assert c.dtype == np.float64 and c.flags.c_contiguous and c.flags.aligned
         assert loaded.space_x.dim == sx.dim
         assert loaded.space_t.dim == st.dim
         for before, after in zip(evaluate_grid(sol, xs, ts), evaluate_grid(loaded, xs, ts)):
@@ -490,6 +491,22 @@ def test_integer_like_degrees_are_stored_as_ints(tmp_path, smooth_problem, degre
     assert np.array_equal(loaded.u_coeffs, sol.u_coeffs)
 
 
+# the fields of a v4 record in order: v3's entries, strings last, then crc32
+V4_FIELD_ORDER = (
+    "space_breakpoints",
+    "space_degree",
+    "space_multiplicity",
+    "time_breakpoints",
+    "time_degree",
+    "time_multiplicity",
+    "u_coeffs",
+    "v_coeffs",
+    "space_constraint",
+    "time_constraint",
+    "crc32",
+)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     p=st.integers(1, 5),
@@ -513,18 +530,23 @@ def test_dump_load_is_identity(
     sol = xw.DiscreteSolution(u, v, sx, st_, smooth_problem)
     path = tmp_path_factory.mktemp("round_trip") / "solution.txt"
     xw.dump_solution(sol, path)
-    # every array of the v3 file, bit for bit, and no other
-    stored = {"u_coeffs": u, "v_coeffs": v}
+    # one 0-d record of v3's arrays, bit for bit, then crc32, and no other
+    # field; the CRC covers the other fields' bytes in v3's entry order
+    stored = {}
     for axis, space in (("space", sx), ("time", st_)):
         stored[f"{axis}_breakpoints"] = space.breakpoints
         stored[f"{axis}_degree"] = np.int64(space.degree)
         stored[f"{axis}_multiplicity"] = np.int64(space.knots.interior_multiplicity)
         stored[f"{axis}_constraint"] = np.str_(space.constraint)
-    with np.load(path) as npz:
-        assert sorted(npz.files) == sorted(stored)
-        for name, expected in stored.items():
-            assert npz[name].dtype == np.asarray(expected).dtype, name
-            assert npz[name].tobytes() == np.asarray(expected).tobytes(), name
+    stored.update(u_coeffs=u, v_coeffs=v)
+    assert path.read_bytes().startswith(b"\x93NUMPY")
+    record = np.load(path)
+    assert record.shape == () and record.dtype.names == V4_FIELD_ORDER
+    for name, expected in stored.items():
+        assert record[name].dtype == np.asarray(expected).dtype, name
+        assert record[name].tobytes() == np.asarray(expected).tobytes(), name
+    assert record["crc32"].dtype == "<u4"
+    assert record["crc32"] == zlib.crc32(b"".join(np.asarray(a).tobytes() for a in stored.values()))
     loaded = xw.load_solution(path, smooth_problem)
     assert loaded.u_coeffs.tobytes() == u.tobytes()
     assert loaded.v_coeffs.tobytes() == v.tobytes()
@@ -598,8 +620,12 @@ def _from_hex(rows):
     return np.array([[float.fromhex(h) for h in row] for row in rows])
 
 
-def test_v2_file_still_loads(smooth_problem):
-    loaded = xw.load_solution(V2_FILE, smooth_problem)
+# the same solution as a v3 .npz, written by dump_solution before v4 from
+# the v2 file
+V3_FILE = Path(__file__).parent / "data" / "solution_v3_graded_p2.npz"
+
+
+def _check_graded_fixture(loaded):
     assert loaded.u_coeffs.tobytes() == _from_hex(V2_U).tobytes()
     assert loaded.v_coeffs.tobytes() == _from_hex(V2_V).tobytes()
     expected = (
@@ -612,29 +638,129 @@ def test_v2_file_still_loads(smooth_problem):
         assert space.constraint == constraint
 
 
+def test_v2_file_still_loads(smooth_problem):
+    _check_graded_fixture(xw.load_solution(V2_FILE, smooth_problem))
+
+
+def test_v3_file_still_loads(smooth_problem):
+    _check_graded_fixture(xw.load_solution(V3_FILE, smooth_problem))
+
+
+def _v3_entries():
+    with np.load(V3_FILE) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
 def test_fortran_order_v3_file_loads_c_contiguous(tmp_path, smooth_problem):
     # a v3 file written by other code may store its arrays in Fortran order;
     # they load bit-equal and C-contiguous, as dump_solution's own files do
-    sol = xw.solve(xw.assemble(smooth_problem, *_spaces(smooth_problem, 3, 5, 2)))
+    entries = _v3_entries()
+    expected = (_from_hex(V2_U), _from_hex(V2_V))
     path = tmp_path / "solution.npz"
-    xw.dump_solution(sol, path)
-    with np.load(path) as npz:
-        entries = {name: npz[name] for name in npz.files}
     for name in ("u_coeffs", "v_coeffs"):
         entries[name] = np.asfortranarray(entries[name])
     path.write_bytes(_npz_bytes(**entries))
     with np.load(path) as npz:  # stored in Fortran order
         assert not npz["u_coeffs"].flags.c_contiguous
     loaded = xw.load_solution(path, smooth_problem)
-    for got, expected in ((loaded.u_coeffs, sol.u_coeffs), (loaded.v_coeffs, sol.v_coeffs)):
+    for got, want in zip((loaded.u_coeffs, loaded.v_coeffs), expected):
         assert got.flags.c_contiguous and got.dtype == np.float64
-        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _npz_bytes(**entries):
     buffer = io.BytesIO()
     np.savez(buffer, **entries)
     return buffer.getvalue()
+
+
+def _npy_bytes(array):
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def _record(**fields):
+    """One 0-d structured array of these fields, in this order."""
+    record = np.empty((), [(name, a.dtype, a.shape) for name, a in fields.items()])
+    for name, a in fields.items():
+        record[name] = a
+    return record
+
+
+def _with_crc(**entries):
+    """The fields of a v4 record of these v3 entries: strings last, then
+    crc32, the zlib.crc32 of the entries' bytes in the order given."""
+    crc = zlib.crc32(b"".join(a.tobytes() for a in entries.values()))
+    fields = sorted(entries.items(), key=lambda item: item[1].dtype.kind == "U")
+    return {**dict(fields), "crc32": np.uint32(crc)}
+
+
+def test_huge_degree_is_refused_before_building_a_space(tmp_path):
+    # the knot vector of degree 1e15 cannot be allocated: each reader checks
+    # the coefficient shape that the degree implies before building a space
+    # (a v3 file raised numpy's untyped _ArrayMemoryError)
+    path = tmp_path / "solution"
+    lines = V2_FILE.read_text().splitlines()
+    lines[1] = lines[1].replace("degree=2", f"degree={10**15}")
+    huge = {**_v3_entries(), "space_degree": np.int64(10**15)}
+    for data in (
+        ("\n".join(lines) + "\n").encode(),
+        _npz_bytes(**huge),
+        _npy_bytes(_record(**_with_crc(**huge))),
+    ):
+        path.write_bytes(data)
+        with pytest.raises(SolutionFileError, match="coefficient"):
+            xw.load_solution(path)
+
+
+def _npy_declaring(array, shape):
+    """array's bytes after a .npy header that declares it of shape."""
+    buffer = io.BytesIO()
+    header = {"descr": np.lib.format.dtype_to_descr(array.dtype), "fortran_order": False}
+    np.lib.format.write_array_header_1_0(buffer, {**header, "shape": shape})
+    return buffer.getvalue() + array.tobytes()
+
+
+def test_array_header_declaring_more_than_memory_is_refused(tmp_path):
+    # numpy allocates what a header declares before it reads the data, so
+    # such a header raised numpy's untyped _ArrayMemoryError; both sizes
+    # exceed any address space, so the allocation fails at once
+    entries = _v3_entries()
+    huge = _npy_declaring(entries["u_coeffs"], (10**15,))
+
+    def v3(**changed):
+        zipped = io.BytesIO()
+        with zipfile.ZipFile(zipped, "w") as archive:
+            for name, data in {**{n: _npy_bytes(a) for n, a in entries.items()}, **changed}.items():
+                archive.writestr(f"{name}.npy", data)
+        return zipped.getvalue()
+
+    record = _record(**_with_crc(**entries))
+    path = tmp_path / "solution"
+    for data in (v3(u_coeffs=huge), _npy_declaring(record, (10**12,))):
+        path.write_bytes(data)
+        with pytest.raises(SolutionFileError, match="MemoryError"):
+            xw.load_solution(path)
+    # a member that v3 has not is refused by its name, unread
+    path.write_bytes(v3(extra=huge))
+    with pytest.raises(SolutionFileError, match="not .'space_breakpoints'"):
+        xw.load_solution(path)
+
+
+def test_dump_refuses_coefficients_of_another_shape(tmp_path, smooth_problem):
+    # such a file was written, and load_solution then refused it
+    sol = xw.solve(xw.assemble(smooth_problem, *_spaces(smooth_problem, 4, 4, 1)))
+    kept = tmp_path / "kept.npy"
+    kept.write_bytes(b"keep")
+    for u, v in ((sol.u_coeffs[:-1], sol.v_coeffs[:-1]), (sol.u_coeffs, sol.v_coeffs.T)):
+        bad = replace(sol, u_coeffs=u, v_coeffs=v)
+        with pytest.raises(InvalidSpaceError, match=r"not \(3, 4\)"):
+            xw.dump_solution(bad, tmp_path / "new.npy")
+        with pytest.raises(InvalidSpaceError):
+            xw.dump_solution(bad, kept)
+    # neither created nor truncated
+    assert os.listdir(tmp_path) == ["kept.npy"] and kept.read_bytes() == b"keep"
 
 
 def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
@@ -662,10 +788,8 @@ def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
     bad_files = [("\n".join(lines) + "\n").encode() for lines in bad_v2]
     bad_files.append(b"\xff" + V2_FILE.read_bytes())  # not UTF-8
 
-    xw.dump_solution(xw.load_solution(V2_FILE), path)
-    v3 = path.read_bytes()
-    with np.load(path) as npz:
-        entries = {name: npz[name] for name in npz.files}
+    entries = _v3_entries()
+    v3 = _npz_bytes(**entries)
     u = entries["u_coeffs"]
     foreign = (
         {name: a for name, a in entries.items() if name != "v_coeffs"},
@@ -684,12 +808,35 @@ def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
     flipped[v3.index(entries["v_coeffs"].tobytes())] ^= 1  # the zip's CRC catches it
     bad_files.append(bytes(flipped))
     bad_files += [_npz_bytes(**case) for case in foreign]
-    npy = io.BytesIO()
-    np.save(npy, u)
-    bad_files.append(npy.getvalue())  # one .npy array, not an .npz
+
+    xw.dump_solution(xw.load_solution(V2_FILE), path)
+    v4 = path.read_bytes()
+    record = _record(**_with_crc(**entries))
+    assert _npy_bytes(record) == v4  # the layout that the cases below change
+    bad_files += [v4[:n] for n in (3, 6, 9, 60, len(v4) // 2, len(v4) - 1)]  # truncated
+    start = v4.index(u.tobytes())
+    for k in range(2 * u.nbytes):  # a flipped bit in any byte of either coefficient array
+        flipped = bytearray(v4)
+        flipped[start + k] ^= 1 << k % 8
+        bad_files.append(bytes(flipped))
+    assert v4.count(b"(3, 4)") == 2  # the coefficients' shape in the header
+    bad_files += [v4.replace(b"(3, 4)", shape, 1) for shape in (b"(3, 5)", b"(3, 3)")]
+    bad_files.append(_npy_bytes(u))  # a plain float array
+    bad_files.append(_npy_bytes(record[None]))  # shape (1,)
+    foreign_v4 = (
+        entries,  # no crc32
+        {**_with_crc(**entries), "extra": np.zeros(1)},
+        _with_crc(**{name: a for name, a in entries.items() if name != "v_coeffs"}),
+        _with_crc(**{**entries, "u_coeffs": u.astype(np.float32)}),
+        _with_crc(**{**entries, "u_coeffs": u.astype(">f8")}),
+        _with_crc(**{**entries, "space_constraint": np.array("zero-both", dtype=object)}),
+        _with_crc(**{**entries, "u_coeffs": u.T.copy()}),
+    )
+    bad_files += [_npy_bytes(_record(**fields)) for fields in foreign_v4]
     for data in bad_files:
         path.write_bytes(data)
         with pytest.raises(SolutionFileError):
             xw.load_solution(path)
-    path.write_bytes(v3)
-    assert xw.load_solution(path).u_coeffs.tobytes() == _from_hex(V2_U).tobytes()
+    for good in (v3, v4):
+        path.write_bytes(good)
+        assert xw.load_solution(path).u_coeffs.tobytes() == _from_hex(V2_U).tobytes()
