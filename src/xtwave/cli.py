@@ -1,12 +1,12 @@
 """Batch driver: solve, convergence, stability and inf-sup runs from configs.
 
-Configs are flat `key = value` text files with a strict schema; unknown keys
-are errors.  Each run writes `results.csv` (fixed column schema), a
-plotter-agnostic `curves.dat` with two-column log-log series, and an echo of
-the resolved config; both result files read their error columns from one
-table, `ERROR_COLUMNS`.  Levels run one after another; the `threads` key of
-older configs is accepted and has no effect.  Exit codes: 0 success, 2 config
-error, 3 solver failure.
+Configs are flat `key = value` text files; each key is declared once, as a
+field of `RunConfig`, and unknown keys are errors.  Each run writes
+`results.csv` (fixed column schema), a plotter-agnostic `curves.dat` with
+two-column log-log series, and `config.txt`, the echo of the resolved config;
+both result files read their error columns from one table, `ERROR_COLUMNS`.
+Levels run one after another; the `threads` key of older configs is accepted
+and has no effect.  Exit codes: 0 success, 2 config error, 3 solver failure.
 """
 
 import argparse
@@ -14,7 +14,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
 from . import quadrature
@@ -59,47 +59,34 @@ def _pair(raw):
     return (a, b)
 
 
-# key -> (parser of its text, formatter of its echo, required), in echo order;
-# the expression keys are required only inline; threads is dropped
-_SCHEMA = {
-    "mode": (_mode, str, False),
-    "problem": (str, str, True),
-    "degree": (int, str, True),
-    "regularity": (_regularity, str, True),
-    "levels": (_levels, lambda levels: " ".join(f"{nx}x{nt}" for nx, nt in levels), True),
-    "quad_points": (int, str, False),
-    "threads": (int, str, False),
-    "out": (str, str, False),
-    "omega": (_pair, lambda omega: "{:.17g},{:.17g}".format(*omega), False),
-    "T": (float, "{:.17g}".format, False),
-    "c0": (float, "{:.17g}".format, False),
-    "F": (str, str, False),
-    "U0": (str, str, False),
-    "V0": (str, str, False),
-    "c2": (str, str, False),
-}
-
-_INLINE_KEYS = ("omega", "T", "c2", "F", "U0", "V0")
+def _key(parse, echo=str, scope="optional"):
+    """A RunConfig field declaring one config key: parse reads its text, echo
+    writes it back, scope is "required", "optional", "inline" (required with
+    problem = inline, refused without) or "inline-optional" (refused without)."""
+    default = MISSING if scope == "required" else None
+    return field(default=default, metadata={"parse": parse, "echo": echo, "scope": scope})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description of one sweep; a field per _SCHEMA key but threads."""
+    """Validated run description of one sweep.  Each field declares one
+    config key (see _key); config.txt echoes the set ones in field order."""
 
-    mode: str
-    problem: str
-    degree: int
-    regularity: str  # "maximal", "c1" or a decimal string
-    levels: tuple  # of (n_elems_x, n_elems_t)
-    quad_points: int = None
-    out: str = None
-    omega: tuple = None
-    T: float = None
-    c0: float = None
-    F: str = None  # F, U0, V0 and c2: the expressions of an inline problem
-    U0: str = None
-    V0: str = None
-    c2: str = None
+    mode: str = _key(_mode, scope="required")
+    problem: str = _key(str, scope="required")
+    degree: int = _key(int, scope="required")
+    regularity: str = _key(_regularity, scope="required")  # "maximal", "c1" or a decimal string
+    # levels: (n_elems_x, n_elems_t) pairs
+    levels: tuple = _key(_levels, lambda ls: " ".join(f"{a}x{b}" for a, b in ls), scope="required")
+    quad_points: int = _key(int)
+    out: str = _key(str)
+    omega: tuple = _key(_pair, lambda omega: "{:.17g},{:.17g}".format(*omega), scope="inline")
+    T: float = _key(float, "{:.17g}".format, scope="inline")
+    c0: float = _key(float, "{:.17g}".format, scope="inline-optional")
+    F: str = _key(str, scope="inline")  # F, U0, V0 and c2: the expressions of an inline problem
+    U0: str = _key(str, scope="inline")
+    V0: str = _key(str, scope="inline")
+    c2: str = _key(str, scope="inline")
 
     def regularity_order(self):
         if self.regularity == "maximal":
@@ -111,6 +98,8 @@ class RunConfig:
 
 def parse_config(text, mode=None):
     """Parse flat `key = value` text into a RunConfig; strict schema."""
+    parsers = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
+    parsers["threads"] = int  # parsed and dropped: older configs set it
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -120,12 +109,12 @@ def parse_config(text, mode=None):
             raise ConfigError(f"line {lineno}: expected `key = value`, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _SCHEMA:
+        if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _SCHEMA[key][0](raw)
+            values[key] = parsers[key](raw)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
 
@@ -136,18 +125,17 @@ def parse_config(text, mode=None):
     if "mode" not in values:
         raise ConfigError("mode is not set (use a subcommand or a `mode =` line)")
 
-    for key, (_, _, required) in _SCHEMA.items():
-        if required and key not in values:
-            raise ConfigError(f"missing required key {key!r}")
-
-    if values["problem"] == "inline":
-        for key in _INLINE_KEYS:
-            if key not in values:
-                raise ConfigError(f"inline problems require key {key!r}")
-    else:
-        for key in ("c2", "F", "U0", "V0", "omega", "T", "c0"):
-            if key in values:
-                raise ConfigError(f"key {key!r} is only valid for problem = inline")
+    # required keys precede inline ones: a missing problem is refused first
+    inline = values.get("problem") == "inline"
+    for f in fields(RunConfig):
+        scope = f.metadata["scope"]
+        if f.name in values:
+            if scope in ("inline", "inline-optional") and not inline:
+                raise ConfigError(f"key {f.name!r} is only valid for problem = inline")
+        elif scope == "required":
+            raise ConfigError(f"missing required key {f.name!r}")
+        elif scope == "inline" and inline:
+            raise ConfigError(f"inline problems require key {f.name!r}")
 
     values.pop("threads", None)
     config = RunConfig(**values)
@@ -158,9 +146,9 @@ def parse_config(text, mode=None):
 def serialize_config(config):
     """Inverse of parse_config up to formatting: one line per set key."""
     lines = [
-        f"{key} = {echo(getattr(config, key))}"
-        for key, (_, echo, _) in _SCHEMA.items()
-        if getattr(config, key, None) is not None
+        f"{f.name} = {f.metadata['echo'](getattr(config, f.name))}"
+        for f in fields(config)
+        if getattr(config, f.name) is not None
     ]
     return "\n".join(lines) + "\n"
 

@@ -2,10 +2,12 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xtwave import cli
 from xtwave.errors import ConfigError, InvalidProblemError, SingularSystemError
@@ -74,6 +76,24 @@ def test_readme_configs_parse():
     assert blocks
     for text in blocks:
         cli.parse_config(text)
+
+
+def test_readme_key_table_matches_run_config():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | value | required | default | inline only |\n")[1].split("\n\n")[0]
+    lines = table.splitlines()[1:]  # below the |---| line
+    rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    expected = [
+        (
+            f"`{f.name}`",
+            {"required": "yes", "inline": "inline"}.get(f.metadata["scope"], "no"),
+            "yes" if f.metadata["scope"] in ("inline", "inline-optional") else "no",
+        )
+        for f in fields(cli.RunConfig)
+    ]
+    assert [(key, required, inline) for key, _, required, _, inline in rows] == expected + [
+        ("`threads`", "no", "no")
+    ]
 
 
 def test_unknown_key_rejected():
@@ -362,3 +382,161 @@ def test_module_run_does_not_warn():
     assert out.returncode == 0, out.stderr
     assert "Warning" not in out.stderr
     assert "convergence" in out.stdout
+
+
+def _without(text, key):
+    return re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+
+
+@pytest.mark.parametrize(
+    "text, mode, message",
+    [
+        (SMOOTH_CONV + "degree 3\n", "solve", "line 5: expected `key = value`, got 'degree 3'"),
+        (SMOOTH_CONV + "frobnicate = 1\n", "solve", "line 5: unknown key 'frobnicate'"),
+        (SMOOTH_CONV + "degree = 3\n", "solve", "line 5: duplicate key 'degree'"),
+        (
+            SMOOTH_CONV.replace("degree = 2", "degree = two"),
+            "solve",
+            "bad value for 'degree': 'two' (invalid literal for int() with base 10: 'two')",
+        ),
+        (
+            "mode = run\n" + SMOOTH_CONV,
+            None,
+            "bad value for 'mode': 'run' (must be one of "
+            "('solve', 'convergence', 'stability', 'infsup'))",
+        ),
+        (
+            SMOOTH_CONV.replace("4x12 8x24 16x48", ""),
+            "solve",
+            "bad value for 'levels': '' (empty list)",
+        ),
+        (
+            SMOOTH_CONV.replace("4x12 8x24 16x48", ", ,"),
+            "solve",
+            "bad value for 'levels': ', ,' (empty list)",
+        ),
+        (SMOOTH_CONV, None, "mode is not set (use a subcommand or a `mode =` line)"),
+        (
+            "mode = solve\n" + SMOOTH_CONV,
+            "infsup",
+            "config mode 'solve' conflicts with subcommand 'infsup'",
+        ),
+        ("problem = smooth\ndegree = 2\n", "solve", "missing required key 'regularity'"),
+        (_without(SMOOTH_CONV, "problem"), "solve", "missing required key 'problem'"),
+        (SMOOTH_CONV + "T = 3\n", "solve", "key 'T' is only valid for problem = inline"),
+        (SMOOTH_CONV + "c0 = 1\n", "solve", "key 'c0' is only valid for problem = inline"),
+        (SMOOTH_CONV.replace("degree = 2", "degree = 0"), "solve", "degree must be at least 1"),
+        (SMOOTH_CONV.replace("4x12 8x24 16x48", "0x4"), "solve", "element counts must be positive"),
+    ],
+)
+def test_config_refusals(text, mode, message):
+    with pytest.raises(ConfigError) as info:
+        cli.parse_config(text, mode=mode)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("key", ["omega", "T", "c2", "F", "U0", "V0"])
+def test_inline_problem_requires_each_key(key):
+    with pytest.raises(ConfigError) as info:
+        cli.parse_config(_without(INLINE, key))
+    assert str(info.value) == f"inline problems require key {key!r}"
+
+
+def test_scope_faults_are_named_in_field_order():
+    # with several keys out of scope, the first in RunConfig's field order,
+    # which is config.txt's line order, is named
+    with pytest.raises(ConfigError, match="^inline problems require key 'F'$"):
+        cli.parse_config(_without(_without(INLINE, "c2"), "F"))
+    with pytest.raises(ConfigError, match="^key 'omega' is only valid for problem = inline$"):
+        cli.parse_config(SMOOTH_CONV + "c2 = 1\nomega = 0,1\n", mode="solve")
+
+
+def test_blank_and_comment_lines_are_skipped():
+    lines = SMOOTH_CONV.splitlines()
+    text = "# a sweep\n\n" + "\n   \n".join(lines[:2]) + "\n  # indented\n\t\n"
+    text += "\n".join(lines[2:])
+    assert cli.parse_config(text, mode="solve") == cli.parse_config(SMOOTH_CONV, mode="solve")
+
+
+def test_validate_refuses_empty_levels():
+    config = replace(cli.parse_config(SMOOTH_CONV, mode="solve"), levels=())
+    with pytest.raises(ConfigError, match="^levels must be non-empty$"):
+        cli.validate_config(config)
+
+
+def test_unknown_problem_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(SMOOTH_CONV.replace("smooth", "nosuch"))
+    out = tmp_path / "out"
+    assert cli.main(["convergence", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: \"unknown problem 'nosuch'\"\n"
+    assert not out.exists()
+
+
+_FLOAT_TEXTS = (repr, "{:.17g}".format, "{:.3e}".format)
+_WORDS = "abcxyzXT0123456789_./-"
+
+
+@st.composite
+def _config_texts(draw):
+    """A random valid config: its text, with its lines in random order, and
+    the mode to pass to parse_config (None when only a `mode =` line sets it)."""
+    text = st.text(_WORDS + " +*^()=#", min_size=1, max_size=12).map(str.strip).filter(bool)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    mode = draw(st.sampled_from(cli.MODES))
+    degree = draw(st.integers(1, 5))
+    r = draw(st.integers(0, degree - 1))
+    counts = st.integers(1, 40)
+    nx, nt, n = draw(counts), draw(counts), draw(st.integers(1, 4))
+    if mode == "convergence":
+        levels = [(nx << k, nt << k) for k in range(n)]
+    elif mode == "stability":
+        levels = [(draw(counts), nt) for _ in range(n)]
+    else:
+        levels = draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=4))
+    x, sep = draw(st.sampled_from("xX")), draw(st.sampled_from([" ", ",", ", ", "  "]))
+    values = {
+        "problem": draw(st.sampled_from(["smooth", "singular", "inline"])),
+        "degree": draw(st.sampled_from([str(degree), f"+{degree}", f"0{degree}"])),
+        "regularity": draw(
+            st.sampled_from(["maximal", str(r), f"0{r}", f"+{r}"] + ["c1"] * (degree > 1))
+        ),
+        "levels": sep.join(f"{a}{x}{b}" for a, b in levels),
+    }
+    if draw(st.booleans()):
+        values["quad_points"] = str(draw(st.integers(degree + 1, 64)))
+    if draw(st.booleans()):
+        values["out"] = draw(text)
+    if draw(st.booleans()):
+        values["threads"] = str(draw(st.integers(-4, 64)))
+    if values["problem"] == "inline":
+        fmt = draw(st.sampled_from(_FLOAT_TEXTS))
+        a, b = sorted(draw(st.lists(finite, min_size=2, max_size=2, unique=True)))
+        exact = draw(st.sampled_from(_FLOAT_TEXTS[:2]))  # a rounded text may make a == b
+        values["omega"] = f"{exact(a)},{draw(st.sampled_from(['', ' ']))}{exact(b)}"
+        values["T"] = fmt(draw(st.floats(0, 1e300, exclude_min=True)))
+        for key in ("c2", "F", "U0", "V0"):
+            values[key] = draw(text)
+        if draw(st.booleans()):
+            values["c0"] = fmt(draw(st.floats(allow_nan=False)))
+    passed = draw(st.sampled_from([mode, None, "both"]))
+    if passed != mode:
+        values["mode"] = mode
+    lines = [f"{key}{draw(st.sampled_from(['=', ' = ', '  =  ']))}{v}" for key, v in values.items()]
+    lines += draw(st.lists(st.sampled_from(["", "# note", "  # x = 1"]), max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n", None if passed is None else mode
+
+
+@settings(max_examples=200, deadline=None)
+@given(_config_texts())
+def test_serialize_parse_round_trip(drawn):
+    text, mode = drawn
+    config = cli.parse_config(text, mode=mode)
+    echo = cli.serialize_config(config)
+    assert cli.parse_config(echo) == config
+    # one line per key set, mode included and threads dropped
+    set_keys = {line.split("=")[0].strip() for line in text.splitlines() if "=" in line}
+    set_keys = {key for key in set_keys if not key.startswith("#")} - {"threads"} | {"mode"}
+    assert [line.split(" = ")[0] for line in echo.splitlines()] == [
+        field.name for field in fields(cli.RunConfig) if field.name in set_keys
+    ]

@@ -164,6 +164,17 @@ def test_residual_guard_reads_assembled_factors(smooth_problem):
         xw.solve(system)
 
 
+def test_non_finite_mode_solve_is_refused(smooth_problem):
+    # NaN eigenvectors make every mode solve NaN; the solve refuses it before
+    # the residual guard would
+    sx, st = _spaces(smooth_problem, 8, 6, 2)
+    system = xw.assemble(smooth_problem, sx, st)
+    lam, Phi = system.space_op.eigenpairs
+    system.space_op.eigenpairs = (lam, np.full_like(Phi, np.nan))
+    with pytest.raises(SingularSystemError, match="^space-mode solve produced non-finite values$"):
+        xw.solve(system)
+
+
 def test_block_system_reads_its_operator(smooth_problem):
     # M_x and K_x are the operator's arrays; n_x and n_t read the spaces
     sx, st = _spaces(smooth_problem, 4, 3, 2)
@@ -840,3 +851,18 @@ def test_load_refuses_unrecoverable_files(tmp_path, smooth_problem):
     for good in (v3, v4):
         path.write_bytes(good)
         assert xw.load_solution(path).u_coeffs.tobytes() == _from_hex(V2_U).tobytes()
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], "space"),  # headers swapped
+        (lambda lines: [lines[0], lines[1].replace("# space", "#space", 1), *lines[2:]], "space"),
+        (lambda lines: [*lines[:2], lines[1], *lines[3:]], "time"),  # the space header twice
+    ],
+)
+def test_v2_file_with_a_malformed_space_header_is_refused(tmp_path, edit, name):
+    path = tmp_path / "solution.txt"
+    path.write_text("\n".join(edit(V2_FILE.read_text().splitlines())) + "\n")
+    with pytest.raises(SolutionFileError, match=f"expected the {name} header, got '#"):
+        xw.load_solution(path)
