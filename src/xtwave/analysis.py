@@ -82,13 +82,14 @@ def _sq_sums(problem, nodes, field_values, weights, cells=None):
     rows or one row of times per space node; field_values(d_x, d_t, which,
     out) writes the discrete field `which` ("u" or "v") of derivative
     orders (d_x, d_t), without its shift, at those nodes into out;
-    weights = (wx, c2x, wt, wt_e).  Each ExactSolution callable is sampled
-    once, its squared sums serve every field that reads it, and its values
-    are dropped before the next one is sampled.  The initial-data shift is
-    that of problem, so a solution loaded without one can be measured.
-    Each field goes through one grid buffer: its discrete values, its error,
-    the squared error.  The cells = (rows, cols) are zeroed in the squared
-    buffer, so they leave the sums."""
+    weights = (wx, c2x, wt, wt_e).  The exact fields come from one call of
+    problem.exact.fields for the node set; the squared sums of each serve
+    every field that reads it, and its values are dropped before the next
+    one is taken.  The initial-data shift is that of problem, so a solution
+    loaded without one can be measured.  Each field goes through one grid
+    buffer: its discrete values, its error, the squared error.  The
+    cells = (rows, cols) are zeroed in the squared buffer, so they leave the
+    sums."""
     x, t = nodes
     wx, c2x, wt, wt_e = weights
     buf = np.empty((x.size, np.shape(t)[-1]))
@@ -103,8 +104,8 @@ def _sq_sums(problem, nodes, field_values, weights, cells=None):
             return r @ wt, r @ wt_e
         return w_x @ np.einsum("cq,cq->c", sq, wt), w_x @ np.einsum("cq,cq->c", sq, wt_e)
 
-    for exact_name, (d_x, fields) in _FIELDS.items():
-        exact = sample(getattr(problem.exact, exact_name), x, t)
+    for exact_name, exact in problem.exact.fields(tuple(_FIELDS), x, t):
+        d_x, fields = _FIELDS[exact_name]
         exact_sums = sq_sums(np.square(exact, out=buf), d_x)
         for name, d_t, which in fields:
             field_values(d_x, d_t, which, buf)
@@ -180,7 +181,7 @@ def error_report(solution, problem, n_quad=None, relative=True):
         solver = solution.space_op
         if solver is None or solution.problem.c2 is not problem.c2:
             solver = _level(problem, sx, st, n_quad).space_op
-        m = Ex.moments(sample(exact.dt_v, xq, tq), 0, wx)
+        m = Ex.moments(next(exact.fields(("dt_v",), xq, tq))[1], 0, wx)
         discrete = Et.apply(solver.mass(solution.v_coeffs).T, 1).T
         loads = np.stack((m - discrete, m), axis=1)  # error, exact
         sums["dtV"] = np.array([(0.0, s) for s in weighted_dual_sq(solver, loads, wt_e)])

@@ -177,6 +177,10 @@ def validate_config(config):
         nts = {nt for _, nt in config.levels}
         if len(nts) > 1:
             raise ConfigError("stability mode requires a fixed temporal mesh")
+    # config.txt echoes out on one line, and parse_config strips the values
+    out = config.out
+    if out is not None and (out != out.strip() or len(out.splitlines()) > 1):
+        raise ConfigError(f"out must be one line without leading or trailing blanks, got {out!r}")
     # comparisons with NaN are false, so these refuse it too
     if config.problem == "inline" and not 0 < config.T < math.inf:
         raise ConfigError(f"T must be finite and positive, got {config.T}")
@@ -403,11 +407,12 @@ def main(argv=None):
         return 2
     try:
         config = parse_config(text, mode=args.mode)
+        if args.out is not None:
+            config = replace(config, out=args.out)
+            validate_config(config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        config = replace(config, out=args.out)
     return run(config)
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidProblemError
+from .quadrature import sample
 from .system import ExactSolution, ProblemSpec
 
 
@@ -50,46 +51,77 @@ def smooth_case():
     )
 
 
-def _omega_bump(s):
-    return np.exp(-20.0 * (s - 0.1) ** 2) - np.exp(-20.0 * (s + 0.1) ** 2)
+def _front_coordinate(x, t):
+    return x - t + 1.0
 
 
-def _omega_bump_d1(s):
-    return -40.0 * (s - 0.1) * np.exp(-20.0 * (s - 0.1) ** 2) + 40.0 * (s + 0.1) * np.exp(
-        -20.0 * (s + 0.1) ** 2
-    )
+# the bump profile of the singular front and its first two derivatives, from
+# s and the two Gaussians exp(-20 (s - 0.1)^2) and exp(-20 (s + 0.1)^2)
+_BUMP = (
+    lambda s, g1, g2: g1 - g2,
+    lambda s, g1, g2: -40.0 * (s - 0.1) * g1 + 40.0 * (s + 0.1) * g2,
+    lambda s, g1, g2: (1600.0 * (s - 0.1) ** 2 - 40.0) * g1 - (1600.0 * (s + 0.1) ** 2 - 40.0) * g2,
+)
+# each singular field: (derivative order of the bump, negated)
+_FRONT_FIELDS = {
+    "u": (0, False),
+    "dx_u": (1, False),
+    "v": (1, True),
+    "dt_v": (2, False),
+    "dxdt_u": (2, True),
+}
 
 
-def _omega_bump_d2(s):
-    a = (1600.0 * (s - 0.1) ** 2 - 40.0) * np.exp(-20.0 * (s - 0.1) ** 2)
-    b = (1600.0 * (s + 0.1) ** 2 - 40.0) * np.exp(-20.0 * (s + 0.1) ** 2)
-    return a - b
+def _front_fields(names, s):
+    """(name, values) of each named singular field at the points of s =
+    x - t + 1, in the order of names: its profile behind the front s = 0,
+    zero ahead of it, and points within 1e-14 of the front take the limit
+    from behind.  The indicator and both Gaussians are formed once, and a
+    profile once for the fields of its order that follow each other in
+    names (v and dx_u in error_report's order)."""
+    behind = s > -1e-14
+    g1 = np.exp(-20.0 * (s - 0.1) ** 2)
+    g2 = np.exp(-20.0 * (s + 0.1) ** 2)
+    order = profile = None
+    for name in names:
+        field_order, negated = _FRONT_FIELDS[name]
+        if field_order != order:
+            profile = None  # freed before the next one is formed
+            order, profile = field_order, _BUMP[field_order](s, g1, g2)
+        yield name, (-profile if negated else profile) * behind
 
 
-def _front(profile):
-    """The field profile(s) of s = x - t + 1 behind the front s = 0, zero
-    ahead of it; points within 1e-14 of the front take the limit from behind."""
+def _front_field(name):
+    """The singular field `name` as a callable (x, t), broadcast like the others."""
 
     def field(x, t):
-        s = x - t + 1.0
-        return profile(s) * np.where(s > -1e-14, 1.0, 0.0)
+        return next(_front_fields((name,), _front_coordinate(x, t)))[1]
 
     return field
+
+
+class _FrontSolution(ExactSolution):
+    """The singular problem's exact solution.  fields forms the front's terms
+    once per node set, from the front's own formulas: callables assigned to
+    the attributes later do not reach it."""
+
+    def fields(self, names, x, t):
+        return _front_fields(names, sample(_front_coordinate, x, t))
 
 
 def singular_case():
     """Traveling wave with a velocity jump across the line x - t + 1 = 0.
 
     c = 1, F = 0 on (-1.5, 1.5) x (0, 1); the exact field is a clipped bump
-    profile advected to the right (_front).  The boundary values are below
-    1e-17, so homogeneous Dirichlet conditions are imposed."""
-    dt_v = _front(_omega_bump_d2)
-    exact = ExactSolution(
-        u=_front(_omega_bump),
-        dx_u=_front(_omega_bump_d1),
-        v=_front(lambda s: -_omega_bump_d1(s)),
+    profile advected to the right (_front_fields).  The boundary values are
+    below 1e-17, so homogeneous Dirichlet conditions are imposed."""
+    dt_v = _front_field("dt_v")
+    exact = _FrontSolution(
+        u=_front_field("u"),
+        dx_u=_front_field("dx_u"),
+        v=_front_field("v"),
         dt_v=dt_v,
-        dxdt_u=_front(lambda s: -_omega_bump_d2(s)),
+        dxdt_u=_front_field("dxdt_u"),
         kink_time=lambda x: x + 1.0,
     )
     F = lambda x, t: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(t)))

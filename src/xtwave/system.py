@@ -67,6 +67,14 @@ class ExactSolution:
     dxdt_u: callable = None
     kink_time: callable = None  # t*(x) where V jumps, or None; vectorized in x like the rest
 
+    def fields(self, names, x, t):
+        """Yield (name, values) for each of the named fields (u, dx_u, v,
+        dt_v, dxdt_u), in the order of names, at space nodes x and time nodes
+        t as quadrature.sample returns them.  Each is sampled when it is
+        asked for, so a caller that drops it before the next holds one grid."""
+        for name in names:
+            yield name, sample(getattr(self, name), x, t)
+
 
 @dataclass
 class ProblemSpec:
@@ -215,7 +223,11 @@ def _factor_modes(lam, Phi, A_e, S_e):
     [-S_e, A_e]] (u, v) = (r1, r2) is (A_e - i S_e / s) z = r1 / s + i r2,
     whose Hermitian part (A_e + A_e^T) / 2 is definite (test_system.py::
     test_time_coupling_symmetric_part_is_definite), so it is nonsingular.
-    One zgbtrf factors the band of all modes; pivoting stays in each block."""
+    One zgbtrf factors the band of all modes; pivoting stays in each block.
+    A space eigenvalue that is not positive (or NaN) is refused first."""
+    bad = np.flatnonzero(~(lam > 0))
+    if bad.size:
+        raise SingularSystemError(f"space mode {bad[0]}: eigenvalue {lam[bad[0]]} is not positive")
     s = np.sqrt(lam)[:, None]
     kl, ku, ab = _mode_band(s, A_e, S_e)
     gbtrf, gbtrs = sla.get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))

@@ -112,9 +112,10 @@ def tabulate_calls(monkeypatch):
 
 @pytest.fixture
 def exact_calls(monkeypatch, smooth_problem, singular_problem):
-    """List that receives the name of every ExactSolution callable evaluated
-    on the smooth and singular problems (their initial data call the
-    underlying functions directly, so they do not count)."""
+    """List that receives the name of every ExactSolution callable evaluated,
+    and of every field an overriding ExactSolution.fields yields, on the
+    smooth and singular problems (their initial data call the underlying
+    functions directly, so they do not count)."""
     calls = []
 
     def counted(name, f):
@@ -124,9 +125,21 @@ def exact_calls(monkeypatch, smooth_problem, singular_problem):
 
         return call
 
+    def counted_fields(fields):
+        def call(names, x, t):
+            for name, values in fields(names, x, t):
+                calls.append(name)
+                yield name, values
+
+        return call
+
     for problem in (smooth_problem, singular_problem):
         for field in dataclasses.fields(problem.exact):
             f = getattr(problem.exact, field.name)
             if f is not None:
                 monkeypatch.setattr(problem.exact, field.name, counted(field.name, f))
+        # the default fields samples the callables, which count; an override
+        # forms its fields itself
+        if type(problem.exact).fields is not xw.ExactSolution.fields:
+            monkeypatch.setattr(problem.exact, "fields", counted_fields(problem.exact.fields))
     return calls

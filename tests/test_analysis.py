@@ -75,6 +75,10 @@ def test_space_projector_idempotent_and_stable(smooth_problem, rng):
     proj_grad = np.sqrt(wx @ (c2q * (space.tabulate(xq, 1) @ z) ** 2))
     full_grad = np.sqrt(wx @ (c2q * dw(xq) ** 2))
     assert proj_grad <= full_grad + 1e-12
+    # the default rule is the degree plus 3 points, which sets the last bits
+    default = analysis.project_space(dw, space, prob.c2)
+    assert np.array_equal(default, analysis.project_space(dw, space, prob.c2, n_quad=5))
+    assert not np.array_equal(default, analysis.project_space(dw, space, prob.c2, n_quad=6))
     # best approximation: normal equations give the same minimizer
     from xtwave.forms import assemble_space_matrix
 
@@ -679,6 +683,19 @@ def test_stability_norm_below_data_bound(smooth_problem, smooth_solution_cache):
     assert 0 < norm <= bound
 
 
+def test_stability_data_bound_samples_F_on_its_grid(smooth_problem):
+    # 64 uniform elements per axis with 12 Gauss points each: 768 x 768
+    shapes = []
+
+    def F(x, t):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        return smooth_problem.F(x, t)
+
+    xw.stability_data_bound(replace(smooth_problem, F=F))
+    assert sum(rows for rows, _ in shapes) == 768
+    assert {cols for _, cols in shapes} == {768}
+
+
 def test_stability_data_bound_streams_its_grid(smooth_problem, traced_peak):
     # F is summed in row blocks of _BOUND_BLOCK values (256 KiB): the bound
     # holds a few such blocks, not the whole 768 x 768 grid
@@ -907,8 +924,9 @@ def test_singular_error_report_evaluates_each_exact_callable_once(singular_probl
     sol = xw.solve(xw.assemble(singular_problem, sx, st_))
     exact_calls.clear()
     xw.error_report(sol, singular_problem)
-    # the main grid needs u, v, dx_u and dt_v, the kink halves u, v and dx_u;
-    # V and dtU share the values of v; kink_time takes all space nodes at once
+    # counted through fields: the main grid needs u, v and dx_u in one call
+    # and dt_v in another, the kink halves u, v and dx_u in one call; V and
+    # dtU share the values of v; kink_time takes all space nodes at once
     assert Counter(exact_calls) == {"u": 2, "v": 2, "dx_u": 2, "dt_v": 1, "kink_time": 1}
 
 

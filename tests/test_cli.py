@@ -174,9 +174,11 @@ def test_convergence_run(tmp_path):
     csv = _read(tmp_path / "results.csv").splitlines()
     assert csv[0] == cli.CSV_HEADER
     assert len(csv) == 4
+    cols = cli.CSV_HEADER.split(",")
+    # dofs = 2 dim(space_x) dim(space_t), p = 2: n_x - 2 + 2 and n_t - 1 + 2
+    assert [row.split(",")[cols.index("dofs")] for row in csv[1:]] == ["104", "400", "1568"]
     # final EOC columns populated and near the expected orders
     last = csv[-1].split(",")
-    cols = cli.CSV_HEADER.split(",")
     eoc_veh = float(last[cols.index("eoc_Veh")])
     eoc_u = float(last[cols.index("eoc_U_L2")])
     assert 1.7 < eoc_veh < 2.6
@@ -257,10 +259,14 @@ def test_inline_c0_above_wave_speed_rejected(tmp_path):
     assert cli.build_problem(cli.parse_config(INLINE + "c0 = 1\n")).c0 == 1.0
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     cfg = tmp_path / "conf.txt"
     cfg.write_text(SMOOTH_CONV + "frobnicate = 1\n")
     assert cli.main(["convergence", "--config", str(cfg)]) == 2
+    with pytest.raises(SystemExit) as info:  # argparse's usage error
+        cli.main(["convergence"])
+    assert info.value.code == 2
+    assert "the following arguments are required: --config" in capsys.readouterr().err
     assert cli.main(["convergence", "--config", str(tmp_path / "missing.txt")]) == 2
     cfg.write_text(INLINE)
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
@@ -274,6 +280,24 @@ def test_out_that_is_a_file_exits_2(tmp_path, capsys):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(taken)]) == 2
     assert capsys.readouterr().err.startswith("error: cannot create output directory:")
     assert taken.read_text() == "keep"
+
+
+@pytest.mark.parametrize("out", ["res\nlevels = 4x4", " sp "])
+def test_out_that_config_txt_cannot_echo_exits_2(tmp_path, monkeypatch, capsys, out):
+    # config.txt holds out on one line and parse_config strips its value, so
+    # neither would parse back to the run's out; refused before any level runs
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(SMOOTH_CONV)
+    monkeypatch.chdir(tmp_path)
+
+    def level(*args):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(cli, "_run_level", level)
+    assert cli.main(["convergence", "--config", str(cfg), "--out", out]) == 2
+    message = f"out must be one line without leading or trailing blanks, got {out!r}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["conf.txt"]
 
 
 @pytest.mark.parametrize("name", ["results.csv", "curves.dat", "config.txt", "solution_L0.npy"])

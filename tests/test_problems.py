@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import xtwave as xw
 from xtwave.errors import InvalidProblemError
-from xtwave.problems import _omega_bump, _omega_bump_d1, _omega_bump_d2, by_name, manufactured
+from xtwave.problems import by_name, manufactured
 
 
 def residual_check(problem, rng, n_points=100):
@@ -45,6 +47,24 @@ def residual_check(problem, rng, n_points=100):
 def _bits(values):
     """The IEEE bits of float values, so equality also compares signed zeros."""
     return np.ascontiguousarray(values, dtype=float).view(np.uint64)
+
+
+# the singular front's bump profile and its derivatives, written by hand as
+# they were before problems.py formed all fields from shared terms
+def _omega_bump(s):
+    return np.exp(-20.0 * (s - 0.1) ** 2) - np.exp(-20.0 * (s + 0.1) ** 2)
+
+
+def _omega_bump_d1(s):
+    return -40.0 * (s - 0.1) * np.exp(-20.0 * (s - 0.1) ** 2) + 40.0 * (s + 0.1) * np.exp(
+        -20.0 * (s + 0.1) ** 2
+    )
+
+
+def _omega_bump_d2(s):
+    a = (1600.0 * (s - 0.1) ** 2 - 40.0) * np.exp(-20.0 * (s - 0.1) ** 2)
+    b = (1600.0 * (s + 0.1) ** 2 - 40.0) * np.exp(-20.0 * (s + 0.1) ** 2)
+    return a - b
 
 
 def _indicator(s):
@@ -106,6 +126,18 @@ def test_singular_derivation_matches_hand_written_formulas(singular_problem):
         for x, t in points:
             derived = getattr(prob.exact, name)(x, t)
             assert np.array_equal(_bits(derived), _bits(reference(x, t))), name
+    # fields at node sets: one time vector for all space nodes, and one row of
+    # times per space node, here the front's points row by row
+    node_sets = [(xs, ts), (front_x.ravel(), front_t.repeat(FRONT_OFFSETS.size)[:, None])]
+    orders = (list(SINGULAR_FIELDS), list(SINGULAR_FIELDS)[::-1])  # profiles are shared
+    for (x, t), names in itertools.product(node_sets, orders):
+        t_grid = t[None, :] if t.ndim == 1 else t
+        got = list(prob.exact.fields(names, x, t))
+        assert [name for name, _ in got] == names
+        for name, values in got:
+            reference = SINGULAR_FIELDS[name](x[:, None], t_grid)
+            assert values.shape == (x.size, t_grid.shape[-1])
+            assert np.array_equal(_bits(values), _bits(reference)), name
     x0 = np.concatenate((xs, -1.0 + FRONT_OFFSETS))
     for name, reference in SINGULAR_TRACES.items():
         assert np.array_equal(_bits(getattr(prob, name)(x0)), _bits(reference(x0))), name

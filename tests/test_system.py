@@ -175,6 +175,29 @@ def test_non_finite_mode_solve_is_refused(smooth_problem):
         xw.solve(system)
 
 
+@pytest.mark.parametrize("bad", [np.nan, 0.0, -2.5])
+def test_bad_space_eigenvalue_is_refused(smooth_problem, bad):
+    # named with its mode before np.sqrt would warn on it
+    sx, st = _spaces(smooth_problem, 8, 6, 2)
+    system = xw.assemble(smooth_problem, sx, st)
+    lam, Phi = system.space_op.eigenpairs
+    lam = lam.copy()
+    lam[3] = bad
+    system.space_op.eigenpairs = (lam, Phi)
+    message = rf"^space mode 3: eigenvalue {bad} is not positive$"
+    with pytest.raises(SingularSystemError, match=message):
+        xw.solve(system)
+
+
+def test_space_eigenvalues_below_one_are_solved(smooth_problem):
+    # only eigenvalues that are not positive are refused: c^2 = 0.05 (x + 1)
+    # puts the lowest near 0.7
+    problem = replace(smooth_problem, c2=lambda x: 0.05 * (x + 1.0))
+    system = xw.assemble(problem, *_spaces(problem, 8, 6, 2))
+    assert 0 < system.space_op.eigenpairs[0][0] < 1
+    assert xw.solve(system).residual <= 1e-12
+
+
 def test_block_system_reads_its_operator(smooth_problem):
     # M_x and K_x are the operator's arrays; n_x and n_t read the spaces
     sx, st = _spaces(smooth_problem, 4, 3, 2)

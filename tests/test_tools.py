@@ -31,12 +31,40 @@ def test_mutate_swaps_each_operator_on_the_given_lines():
         (3, "is not", "is"),
         (4, "-=", "+="),
         (4, "//", "%"),
+        (4, "2", "3"),
         (4, "%", "//"),
+        (4, "3", "4"),
     ]
     for m in found:
         mutated = SOURCE[: m.start] + m.new + SOURCE[m.end :]
         assert mutated.splitlines()[m.line - 1] != SOURCE.splitlines()[m.line - 1]
         ast.parse(mutated)
+
+
+LITERALS = """\
+def f(d=0, extra=3, flag=True):
+    return 2 * d + 0.5 + 0.0 - 1e-14, "text", None, b"1", 0x10
+"""
+
+
+def test_mutate_changes_each_literal_on_the_given_lines():
+    # an int + 1, a float doubled, a bool flipped; no mutant of 0.0, which
+    # doubling leaves unchanged, nor of strings, bytes or None
+    found = mutate.mutants("m.py", LITERALS, {1, 2})
+    literals = [m for m in found if m.old not in ("*", "+", "-")]
+    assert [(m.line, m.old, m.new) for m in literals] == [
+        (1, "0", "1"),
+        (1, "3", "4"),
+        (1, "True", "False"),
+        (2, "2", "3"),
+        (2, "0.5", "1.0"),
+        (2, "1e-14", "2e-14"),
+        (2, "0x10", "17"),
+    ]
+    assert {m.line for m in mutate.mutants("m.py", LITERALS, {2})} == {2}
+    for m in literals:
+        assert ast.literal_eval(m.new) != ast.literal_eval(m.old)
+        ast.parse(LITERALS[: m.start] + m.new + LITERALS[m.end :])
 
 
 def test_changed_lines_counts_every_line_of_untracked_sources(tmp_path):

@@ -1,4 +1,4 @@
-"""Operator-swap mutation testing of the lines of src/ changed since a git base.
+"""Operator-swap and literal mutation testing of the lines of src/ changed since a git base.
 
     python tools/mutate.py BASE
 
@@ -9,7 +9,9 @@ operator on a line of src/ that differs from the revision BASE (every line of
 a src/ file git does not track yet counts as changed), found with `ast`, it
 writes one mutant with that operator swapped (+ and -, * and /, // and %,
 < and <=, > and >=, == and !=, `is` and `is not`, `and` and `or`, and the
-same for augmented assignments), runs the Tier-1 suite on it with -x and
+same for augmented assignments), and for each int, float or bool literal on
+such a line one with the literal changed (an int + 1, a float doubled, a
+bool flipped).  It runs the Tier-1 suite on each mutant with -x and
 restores the file.  A mutant is killed when the suite fails (or runs past
 TIMEOUT seconds).  It prints every mutant with its source line and verdict,
 then the kill count.  The exit status is 0 when the unmutated copy passes,
@@ -94,8 +96,21 @@ def _operators(tree):
                 yield type(node.op), "", left, right
 
 
+def _literal(value):
+    """Source of the mutated literal value: an int + 1, a float doubled, a
+    bool flipped; None for other constants and for floats that doubling
+    leaves unchanged (0.0)."""
+    if isinstance(value, bool):
+        return repr(not value)
+    if isinstance(value, int):
+        return repr(value + 1)
+    if isinstance(value, float) and 2 * value != value:
+        return repr(2 * value)
+    return None
+
+
 def mutants(path, text, lines):
-    """The mutants of the operators of source text on the given lines."""
+    """The mutants of the operators and literals of source text on the given lines."""
     starts = [0]
     for row in text.splitlines(keepends=True):
         starts.append(starts[-1] + len(row))
@@ -104,8 +119,15 @@ def mutants(path, text, lines):
     def offset(line, col):  # ast columns count UTF-8 bytes
         return starts[line - 1] + len(encoded[line - 1][:col].decode())
 
+    tree = ast.parse(text)
     found = []
-    for op, suffix, left, right in _operators(ast.parse(text)):
+    for node in ast.walk(tree):
+        new = _literal(node.value) if isinstance(node, ast.Constant) else None
+        if new is not None and node.lineno in lines:
+            start = offset(node.lineno, node.col_offset)
+            end = offset(node.end_lineno, node.end_col_offset)
+            found.append(Mutant(path, node.lineno, start, end, text[start:end], new))
+    for op, suffix, left, right in _operators(tree):
         if op not in SWAPS:
             continue
         lo = offset(left.end_lineno, left.end_col_offset)
