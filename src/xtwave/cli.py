@@ -17,7 +17,7 @@ import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
-from . import quadrature
+from . import expressions, quadrature
 from .analysis import eoc, error_report, estimate_infsup
 from .errors import ConfigError, SingularSystemError
 from .problems import by_name, wave_speed_floor
@@ -189,26 +189,21 @@ def validate_config(config):
 
 
 def _inline_problem(config):
-    # sympy is imported only by configs that define their problem inline
-    from . import expressions
-
-    c2e = expressions.parse_expression(config.c2, ("x",))
-    Fe = expressions.parse_expression(config.F, ("x", "t"))
-    U0e = expressions.parse_expression(config.U0, ("x",))
-    V0e = expressions.parse_expression(config.V0, ("x",))
-    c2 = expressions.lambdify(c2e, ("x",))
-    div_flux = expressions.diff(c2e * expressions.diff(U0e, "x"), "x")
+    x, tree = ("x",), expressions.parse_expression
+    c2e, Fe, U0e, V0e = tree(config.c2, x), tree(config.F), tree(config.U0, x), tree(config.V0, x)
+    on_x, d_x = partial(expressions.lambdify, variables=x), partial(expressions.diff, variable="x")
+    c2 = on_x(c2e)
     return ProblemSpec(
         omega=config.omega,
         T=config.T,
         c2=c2,
         c0=wave_speed_floor(c2, config.omega, config.c0),
         F=expressions.lambdify(Fe, ("x", "t")),
-        U0=expressions.lambdify(U0e, ("x",)),
-        dU0=expressions.lambdify(expressions.diff(U0e, "x"), ("x",)),
-        V0=expressions.lambdify(V0e, ("x",)),
-        dV0=expressions.lambdify(expressions.diff(V0e, "x"), ("x",)),
-        div_c2_grad_U0=expressions.lambdify(div_flux, ("x",)),
+        U0=on_x(U0e),
+        dU0=on_x(d_x(U0e)),
+        V0=on_x(V0e),
+        dV0=on_x(d_x(V0e)),
+        div_c2_grad_U0=on_x(d_x(expressions.node("*", c2e, d_x(U0e)))),
         name="inline",
     )
 

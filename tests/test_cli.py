@@ -332,14 +332,48 @@ def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "line, term",
-    [("F = 1e400*x*t", "F"), ("U0 = 1e400*x", "c2 * dU0"), ("V0 = 1e400*x", "V0")],
+    [("F = exp(1000*x)*t", "F"), ("U0 = exp(1000*x)", "c2 * dU0"), ("V0 = exp(1000*x)", "V0")],
 )
 def test_non_finite_data_exit_2(tmp_path, capsys, line, term):
-    # a data fault, not a solver failure: assemble refuses it by name
+    # a data fault, not a solver failure: assemble refuses it by name; a
+    # constant that is not finite is refused when the config is parsed, so
+    # these data overflow only at the quadrature nodes, and NumPy warns
     key = line.split(" =")[0]
     text = re.sub(rf"^{key} = .*$", line, INLINE, flags=re.M)
-    assert cli.run(replace(cli.parse_config(text), out=str(tmp_path / "out"))) == 2
+    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+        assert cli.run(replace(cli.parse_config(text), out=str(tmp_path / "out"))) == 2
     assert capsys.readouterr().err == f"error: {term} is non-finite at a quadrature node\n"
+    assert not (tmp_path / "out").exists()
+
+
+# Python's parser runs out of recursion on these, or, where its limit is
+# higher, the tree is too deep; they used to end xtwave with a RecursionError
+# traceback and exit code 1
+_DEEP = r"error: (cannot parse expression '{0}|expression '{0}.*' is nested deeper)"
+
+
+@pytest.mark.parametrize(
+    "line, pattern",
+    [
+        ("c2 = 1 + " + "+".join(["x"] * 5000), _DEEP.format(re.escape("1 + x+x+x"))),
+        ("U0 = " + "-" * 3000 + "x", _DEEP.format("-----")),
+        ("F = 1e400*x*t", re.escape("error: expression '1e400*x*t': '1e400' is inf\n") + "$"),
+        ("V0 = 1/0 + x", re.escape("error: expression '1/0 + x': '1/0' is inf\n") + "$"),
+        (
+            "U0 = exec(\"open('sentinel', 'w').write('x')\") or sin(pi*x)",
+            r"error: expression 'exec.*' is not in the grammar over x\n$",
+        ),
+    ],
+)
+def test_expression_refused_by_parser_exits_2(tmp_path, monkeypatch, capsys, line, pattern):
+    monkeypatch.chdir(tmp_path)  # where the exec case would write its sentinel
+    key = line.split(" =")[0]
+    cfg = tmp_path / "conf.txt"
+    cfg.write_text(re.sub(rf"^{key} = .*$", line, INLINE, flags=re.M))
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert re.match(pattern, capsys.readouterr().err, flags=re.S)
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "sentinel").exists()
 
 
 @pytest.mark.parametrize("mode", ["solve", "infsup"])
@@ -383,13 +417,12 @@ def _fresh_main(tmp_path, config_text, mode):
     return int(code), loaded == "True"
 
 
-def test_named_problem_leaves_sympy_unimported(tmp_path):
-    text = "problem = smooth\ndegree = 1\nregularity = maximal\nlevels = 4x4\n"
-    assert _fresh_main(tmp_path, text, "infsup") == (0, False)
-
-
-def test_inline_problem_imports_sympy(tmp_path):
-    assert _fresh_main(tmp_path, INLINE, "solve") == (0, True)
+def test_runs_leave_sympy_unimported(tmp_path):
+    # inline expressions are parsed by xtwave itself, so no run needs sympy
+    named = "problem = smooth\ndegree = 1\nregularity = maximal\nlevels = 4x4\n"
+    for name, text, mode in (("named", named, "infsup"), ("inline", INLINE, "solve")):
+        (tmp_path / name).mkdir()
+        assert _fresh_main(tmp_path / name, text, mode) == (0, False)
 
 
 def test_module_run_does_not_warn():
