@@ -227,22 +227,33 @@ def error_report(solution, problem, n_quad=None, relative=True):
     )
 
 
+def _space_projection(space_x, c2, n):
+    """space_x's ElementTable E, its operator and dw -> K_x^-1 B_1^T (w c^2 dw) at E's nodes."""
+    E = space_x.element_table(n)
+    space_op, wc2 = make_newton_solver(space_x, c2, E), E.weights * c2(E.nodes)
+    return E, space_op, lambda dw: space_op.solve_K(E.moments(dw, 1, wc2))
+
+
+def _time_projection(space_t, T, n):
+    """space_t's ElementTable E, the time mass M_e and dw -> S_e^-1 B_1^T (w_e dw) at E's nodes."""
+    M_e, S_e, _, E, wt_e = time_factors(space_t, T, n)
+    S_cho = sla.cho_factor(S_e)
+    return E, M_e, lambda dw: sla.cho_solve(S_cho, E.moments(dw, 1, wt_e))
+
+
 def project_space(dw, space_x, c2, n_quad=None):
     """Elliptic projection in space: coefficients of the best approximation,
     in the c^2-weighted gradient seminorm, of a function with derivative dw."""
-    E = space_x.element_table(rule_size(n_quad, space_x, extra=3))
-    g = E.moments(c2(E.nodes) * dw(E.nodes), 1, E.weights)
-    return make_newton_solver(space_x, c2, E).solve_K(g)
+    E, _, project = _space_projection(space_x, c2, rule_size(n_quad, space_x, extra=3))
+    return project(np.ones_like(E.nodes) * dw(E.nodes))  # dw may return a constant
 
 
 def project_time(dw, space_t, T, n_quad=None):
     """Elliptic projection in time of a function with derivative dw:
     weighted normal equations in the derivative inner product, zero-left
     trial basis."""
-    n = rule_size(n_quad, space_t, extra=3)
-    _, S, _, E, wt_e = time_factors(space_t, T, n)
-    r = E.moments(dw(E.nodes), 1, wt_e)
-    return sla.cho_solve(sla.cho_factor(S), r)
+    E, _, project = _time_projection(space_t, T, rule_size(n_quad, space_t, extra=3))
+    return project(dw(E.nodes))
 
 
 def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
@@ -251,27 +262,15 @@ def commutation_check(dxdt_w, space_x, space_t, c2, T, n_quad=None):
     dxdt_w(x, t) is the mixed derivative of the projected function; it is all
     the data both compositions need.  Returns (commutator norm, coefficients
     of time-then-space composition, coefficients of space-then-time
-    composition); coefficient arrays are (space dim, time dim).
+    composition), each by the projections of project_space and project_time;
+    coefficient arrays are (space dim, time dim).
     """
     n = rule_size(n_quad, space_x, space_t, extra=3)
-    M_e, S, _, Et, wt_e = time_factors(space_t, T, n)
-    Ex = space_x.element_table(n)
-    wc2 = Ex.weights * c2(Ex.nodes)
+    Et, M_e, P_t = _time_projection(space_t, T, n)
+    Ex, space_op, P_x = _space_projection(space_x, c2, n)
     W = sample(dxdt_w, Ex.nodes, Et.nodes)
-    space_op = make_newton_solver(space_x, c2, Ex)
-    S_cho = sla.cho_factor(S)
-
-    # time projection first: per x-node time moments, then space projection
-    r_t = Et.moments(W.T, 1, wt_e)  # (n_t, n_qx)
-    zeta_dx = sla.cho_solve(S_cho, r_t).T  # d/dx of the time coefficients
-    A = space_op.solve_K(Ex.moments(zeta_dx, 1, wc2))  # (n_x, n_t)
-
-    # space projection first: per t-node space moments, then time projection
-    s_x = Ex.moments(W, 1, wc2)  # (n_x, n_qt)
-    y_dt = space_op.solve_K(s_x).T  # d/dt of the space coefficients
-    rho = Et.moments(y_dt, 1, wt_e)  # (n_t, n_x)
-    B = sla.cho_solve(S_cho, rho).T
-
+    A = P_x(P_t(W.T).T)  # per x-node time projections, then the space projection
+    B = P_t(P_x(W).T).T  # per t-node space projections, then the time projection
     D = A - B
     norm = np.sqrt(max(float(np.sum((space_op.M_x @ D @ M_e) * D)), 0.0))
     return norm, A, B

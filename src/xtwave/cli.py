@@ -189,8 +189,14 @@ def validate_config(config):
 
 
 def _inline_problem(config):
-    x, tree = ("x",), expressions.parse_expression
-    c2e, Fe, U0e, V0e = tree(config.c2, x), tree(config.F), tree(config.U0, x), tree(config.V0, x)
+    def tree(key, variables=("x",)):
+        try:
+            return expressions.parse_expression(getattr(config, key), variables)
+        except ConfigError as exc:
+            raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+    x = ("x",)
+    c2e, Fe, U0e, V0e = tree("c2"), tree("F", ("x", "t")), tree("U0"), tree("V0")
     on_x, d_x = partial(expressions.lambdify, variables=x), partial(expressions.diff, variable="x")
     c2 = on_x(c2e)
     return ProblemSpec(
@@ -253,11 +259,10 @@ def _run_level(config, problem, level, nx, nt):
     system = assemble(problem, space_x, space_t, config.quad_points)
     solution = solve(system)
     result.solve_seconds = solution.solve_seconds
-    if config.mode == "solve":
-        # kept only to be written out: it holds the level's spatial operator
-        result.solution = solution
     if problem.exact is not None:
         result.report = error_report(solution, problem, config.quad_points)
+    if config.mode == "solve":  # kept only to be written out, so without its operator
+        result.solution = replace(solution, space_op=None)
     return result
 
 

@@ -51,12 +51,13 @@ def parse_expression(text, variables=("x", "t")):
 
 
 def lambdify(expr, variables):
-    """Numpy-broadcasting callable of an expression tree."""
+    """Numpy-broadcasting callable of an expression tree; it never warns, since
+    its callers refuse non-finite values by name."""
     def value(e, at):
         return _OPS[e[0]](*[value(a, at) for a in e[1:]]) if isinstance(e, tuple) else at.get(e, e)
 
-    return lambda *args: np.full(np.broadcast_shapes(*map(np.shape, args)),
-                                 value(expr, dict(zip(variables, args))), float)
+    return np.errstate(all="ignore")(lambda *args: np.full(
+        np.broadcast_shapes(*map(np.shape, args)), value(expr, dict(zip(variables, args))), float))
 
 
 def diff(expr, variable):

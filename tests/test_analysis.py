@@ -79,6 +79,9 @@ def test_space_projector_idempotent_and_stable(smooth_problem, rng):
     default = analysis.project_space(dw, space, prob.c2)
     assert np.array_equal(default, analysis.project_space(dw, space, prob.c2, n_quad=5))
     assert not np.array_equal(default, analysis.project_space(dw, space, prob.c2, n_quad=6))
+    # a constant derivative may be given as a scalar
+    ones = analysis.project_space(np.ones_like, space, prob.c2)
+    assert np.array_equal(analysis.project_space(lambda x: 1.0, space, prob.c2), ones)
     # best approximation: normal equations give the same minimizer
     from xtwave.forms import assemble_space_matrix
 
@@ -137,6 +140,30 @@ def test_commutation_smooth_exact(smooth_problem):
     st = xw.make_uniform_space((0.0, prob.T), 8, 2, None, "zero-left")
     norm, _, _ = analysis.commutation_check(prob.exact.dxdt_u, sx, st, prob.c2, prob.T)
     assert norm < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.integers(1, 4),
+    gaps_x=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=5),
+    gaps_t=st.lists(st.floats(0.2, 1.0), min_size=1, max_size=5),
+    coeffs=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+)
+def test_commutator_composes_the_public_projectors(smooth_problem, p, gaps_x, gaps_t, coeffs):
+    # for separable data f'(x) g'(t) both compositions are the outer product
+    # of project_space(f') and project_time(g'), up to rounding, on graded
+    # meshes of every regularity
+    prob = smooth_problem
+    a, b, c, d = coeffs
+    df = lambda x: a * np.cos(3.0 * x) + b * x
+    dg = lambda t: c * np.exp(-t) + d
+    for r in range(p):
+        sx = xw.make_space(_graded(*prob.omega, gaps_x), p, p - r, "zero-both")
+        st_ = xw.make_space(_graded(0.0, prob.T, gaps_t), p, p - r, "zero-left")
+        _, A, B = analysis.commutation_check(lambda x, t: df(x) * dg(t), sx, st_, prob.c2, prob.T)
+        P = np.outer(analysis.project_space(df, sx, prob.c2), analysis.project_time(dg, st_, prob.T))
+        for composed in (A, B):
+            assert np.max(np.abs(composed - P)) <= 1e-13 * np.max(np.abs(P))
 
 
 def test_projectors_tabulate_each_time_basis_once(smooth_problem, tabulate_calls):

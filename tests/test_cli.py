@@ -250,6 +250,24 @@ def test_solve_run_inline(tmp_path):
     assert sol.u_coeffs.shape == (4, 5)
 
 
+def test_solve_keeps_coefficients_not_operators(tmp_path, monkeypatch):
+    # each level's solution is kept until the files are written, without its
+    # spatial operator (dense M_x and K_x, band factor, eigenvectors), which
+    # the level's error report has read by then; the files do not change
+    solved, kept, solve, run_level = [], [], cli.solve, cli._run_level
+    monkeypatch.setattr(cli, "solve", lambda *a: solved.append(solve(*a)) or solved[-1])
+    monkeypatch.setattr(cli, "_run_level", lambda *a: kept.append(run_level(*a)) or kept[-1])
+    text = "problem = smooth\ndegree = 2\nregularity = maximal\nlevels = 4x4 6x4\n"
+    assert cli.run(replace(cli.parse_config(text, mode="solve"), out=str(tmp_path))) == 0
+    assert len(solved) == len(kept) == 2
+    for level, (full, res) in enumerate(zip(solved, kept)):
+        assert full.space_op is not None and res.solution.space_op is None
+        assert res.report is not None
+        cli.dump_solution(full, tmp_path / "full.npy")
+        written = tmp_path / f"solution_L{level}.npy"
+        assert written.read_bytes() == (tmp_path / "full.npy").read_bytes()
+
+
 def test_inline_c0_above_wave_speed_rejected(tmp_path):
     config = cli.parse_config(INLINE + "c0 = 1.01\n")
     with pytest.raises(InvalidProblemError):
@@ -337,11 +355,11 @@ def test_solver_failures_exit_3(tmp_path, monkeypatch, capsys):
 def test_non_finite_data_exit_2(tmp_path, capsys, line, term):
     # a data fault, not a solver failure: assemble refuses it by name; a
     # constant that is not finite is refused when the config is parsed, so
-    # these data overflow only at the quadrature nodes, and NumPy warns
+    # these data overflow only at the quadrature nodes, and that refusal is
+    # the only report: the suite's error::RuntimeWarning filter fails a warning
     key = line.split(" =")[0]
     text = re.sub(rf"^{key} = .*$", line, INLINE, flags=re.M)
-    with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-        assert cli.run(replace(cli.parse_config(text), out=str(tmp_path / "out"))) == 2
+    assert cli.run(replace(cli.parse_config(text), out=str(tmp_path / "out"))) == 2
     assert capsys.readouterr().err == f"error: {term} is non-finite at a quadrature node\n"
     assert not (tmp_path / "out").exists()
 
@@ -352,6 +370,8 @@ def test_non_finite_data_exit_2(tmp_path, capsys, line, term):
 _DEEP = r"error: (cannot parse expression '{0}|expression '{0}.*' is nested deeper)"
 
 
+# each pattern is the refusal as the parser words it; the CLI names the key
+# of the line first, so "error:" becomes "error: bad value for '<key>':"
 @pytest.mark.parametrize(
     "line, pattern",
     [
@@ -363,6 +383,11 @@ _DEEP = r"error: (cannot parse expression '{0}|expression '{0}.*' is nested deep
             "U0 = exec(\"open('sentinel', 'w').write('x')\") or sin(pi*x)",
             r"error: expression 'exec.*' is not in the grammar over x\n$",
         ),
+        # one refusal of the grammar per key
+        ("c2 = 1 + t", re.escape("error: expression '1 + t': 't' is not in the grammar over x\n")),
+        ("F = x > t", re.escape("error: expression 'x > t': 'x > t' is not in the grammar over x")),
+        ("U0 = 2*E*x", re.escape("error: expression '2*E*x': 'E' is not in the grammar over x\n")),
+        ("V0 = [x]", re.escape("error: expression '[x]': '[x]' is not in the grammar over x\n")),
     ],
 )
 def test_expression_refused_by_parser_exits_2(tmp_path, monkeypatch, capsys, line, pattern):
@@ -371,7 +396,8 @@ def test_expression_refused_by_parser_exits_2(tmp_path, monkeypatch, capsys, lin
     cfg = tmp_path / "conf.txt"
     cfg.write_text(re.sub(rf"^{key} = .*$", line, INLINE, flags=re.M))
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    assert re.match(pattern, capsys.readouterr().err, flags=re.S)
+    named = pattern.replace("error:", f"error: bad value for {key!r}:", 1)
+    assert re.match(named, capsys.readouterr().err, flags=re.S)
     assert not (tmp_path / "out").exists()
     assert not (tmp_path / "sentinel").exists()
 
